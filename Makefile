@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint natlevet-check race race-executor native-check native-check-multi check bench figures figures-quick chaos chaos-native bench-snapshot bench-check service-check clean
+.PHONY: all build test vet lint natlevet-check race race-executor native-check check bench figures figures-quick chaos chaos-native bench-snapshot bench-check service-check clean
 
 all: build
 
@@ -46,32 +46,20 @@ race-executor:
 	$(GO) test -race -timeout 30m ./internal/expt ./internal/harness ./internal/workload
 
 # native-check gates the real-execution backend: the native lock
-# suite and the cross-backend conformance tests under the race
-# detector (real goroutines on real memory are exactly what -race is
-# for), the natlevet analyzers over the backend split, and an
+# suite, the native KV service and the cross-backend conformance tests
+# under the race detector (real goroutines on real memory are exactly
+# what -race is for) with GOMAXPROCS pinned above 1 so they interleave
+# for real, the natlevet analyzers over the backend split, and an
 # htmbench smoke run that must report nonzero native throughput.
+NATIVE_MULTI_PROCS ?= 4
 native-check:
-	$(GO) test -race -timeout 10m ./internal/native
-	$(GO) test -race -timeout 10m -run 'TestCrossBackendConformance|TestSimWorldMatchesKind' ./internal/workload
+	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/native ./internal/service
+	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestSimWorldMatchesKind' ./internal/workload
 	$(GO) run ./cmd/natlevet ./internal/backend/... ./internal/native/... ./internal/workload/...
 	@out=$$($(GO) run ./cmd/htmbench -backend=native -lock=native-tle -threads 2 -ops 4096); \
 	echo "$$out"; \
 	echo "$$out" | awk 'NR>3 && $$2+0 > 0 { ok = 1 } END { exit !ok }' || \
 		{ echo "native smoke run reported zero throughput"; exit 1; }
-
-# native-check-multi is the genuinely-parallel half of the native
-# gate: with GOMAXPROCS pinned above 1, real goroutines interleave on
-# real cores, so the striped-TLE seqlock sharding, the native KV
-# service pipeline, and the cross-backend conformance paths run under
-# -race with actual concurrency, and the disjoint-key speedup test
-# (striped native-tle must beat the single-seq lock) actually
-# measures something. On a 1-CPU host the speedup test skips with a
-# notice naming this target; everything else still runs.
-NATIVE_MULTI_PROCS ?= 4
-native-check-multi:
-	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestStriped' ./internal/native
-	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/service
-	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestStripedDisjointSpeedup' -v ./internal/workload
 
 # The full gate: everything must build, lint clean (gofmt + vet), and
 # pass under the race detector.

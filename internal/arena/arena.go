@@ -55,8 +55,7 @@ type Mem interface {
 //
 //	[cursor block]  one word per lane, one cache line apart, so two
 //	                threads bumping their cursors never conflict on a
-//	                line (or, under the striped TLE, on a seq stripe
-//	                that striping by line maps them to).
+//	                line.
 //	[data block]    lanes * laneWords words, lane-contiguous.
 //
 // Each lane's cursor holds the lane-relative offset of its next free

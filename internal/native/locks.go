@@ -32,12 +32,15 @@ func NewMutex() *Mutex { return &Mutex{} }
 func (m *Mutex) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
 	m.mu.Lock()
+	// Deferred so a panicking body still releases the lock.
+	defer func() {
+		m.mu.Unlock()
+		m.acquires.Add(1)
+	}()
 	if inj := c.w.inj; inj != nil {
 		inj.csStall(c)
 	}
 	body()
-	m.mu.Unlock()
-	m.acquires.Add(1)
 }
 
 // Name implements backend.CS.
@@ -80,12 +83,15 @@ func (s *Spin) Critical(bc backend.Ctx, body func()) {
 		// pause so the owner's release is not drowned in CAS traffic.
 		c.spinWait(int64(40 + c.Intn(40)))
 	}
+	// Deferred so a panicking body still releases the lock.
+	defer func() {
+		s.word.Store(0)
+		s.acquires.Add(1)
+	}()
 	if inj := c.w.inj; inj != nil {
 		inj.csStall(c)
 	}
 	body()
-	s.word.Store(0)
-	s.acquires.Add(1)
 }
 
 // Name implements backend.CS.

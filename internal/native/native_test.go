@@ -1,7 +1,9 @@
 package native
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"natle/internal/backend"
 	"natle/internal/tle"
@@ -150,6 +152,62 @@ func TestTLEBodyPanicReleasesLock(t *testing.T) {
 	}
 	if got := w.Peek(addr); got != 2 {
 		t.Fatalf("word = %d, want 2", got)
+	}
+}
+
+// TestFallbackBodyPanicReleasesLock: a body that panics on the
+// pessimistic path of any native scheme must release the lock before
+// the panic propagates. The eliding schemes are forced there by
+// failing their one optimistic attempt (a foreign commit bumps the
+// sequence between snapshot and load); a second section on another
+// goroutine must then complete within a bounded wait.
+func TestFallbackBodyPanicReleasesLock(t *testing.T) {
+	lk := NewTLE(1, tle.Backoff{})
+	inner := NewTLE(1, tle.Backoff{})
+	cases := []struct {
+		cs  backend.CS
+		seq *atomic.Uint64 // elided sequence word, nil for plain locks
+	}{
+		{NewMutex(), nil},
+		{NewSpin(), nil},
+		{lk, &lk.seq},
+		{NewNATLE(inner, 2, NATLEConfig{}), &inner.seq},
+	}
+	for _, tc := range cases {
+		t.Run(tc.cs.Name(), func(t *testing.T) {
+			w := NewWorld(Config{Sockets: 2})
+			var addr int
+			w.Run(1, func(c backend.Ctx) { addr = c.Alloc(1) }, func(c backend.Ctx) {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("workload panic swallowed")
+					}
+				}()
+				nc := c.(*Thread)
+				tc.cs.Critical(c, func() {
+					if nc.tx.active {
+						tc.seq.Add(2)
+						c.Load(addr) // fails validation, aborts the attempt
+					}
+					panic("workload bug")
+				})
+			})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				w.Run(1, func(backend.Ctx) {}, func(c backend.Ctx) {
+					tc.cs.Critical(c, func() { c.Store(addr, c.Load(addr)+1) })
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("section after a fallback-path panic never completed: lock leaked")
+			}
+			if got := w.Peek(addr); got != 1 {
+				t.Fatalf("word = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -70,17 +70,6 @@ func init() {
 		},
 	})
 	scheme.Register(&scheme.Descriptor{
-		Name:    "native-tle-striped",
-		Summary: "native-tle with the seqlock sharded per word-range: one sequence word per line stripe, per-stripe write acquisition with undo, so disjoint writers elide in parallel",
-		Opt:     scheme.Options{TLE: tle.Policy{Attempts: DefaultAttempts}},
-		Mutex:   true,
-		Robust:  true,
-		Batch:   true,
-		Native: func(_ backend.World, _ backend.Ctx, opt scheme.Options) scheme.BackendInstance {
-			return NewTLEStriped(resolveAttempts(opt), opt.TLE.Backoff)
-		},
-	})
-	scheme.Register(&scheme.Descriptor{
 		Name:    "native-natle",
 		Summary: "native-tle plus per-lock group throttling from a wall-clock EWMA of commit throughput (native mirror of 'natle')",
 		Opt:     scheme.Options{TLE: tle.Policy{Attempts: DefaultAttempts}},

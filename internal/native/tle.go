@@ -98,7 +98,7 @@ func (t *TLE) Stats() scheme.Stats { return scheme.Stats{TLE: t.st.tleStats()} }
 //natlevet:hotpath
 func (t *TLE) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
-	if c.tx.active || c.stx.active {
+	if c.tx.active {
 		// Flat nesting: the enclosing optimistic section is the
 		// atomicity domain (the workloads never nest, but a body that
 		// does must not corrupt the thread's single txn slot).
@@ -130,15 +130,24 @@ func (t *TLE) Critical(bc backend.Ctx, body func()) {
 		attempt++
 		c.gap(attempt, t.backoff)
 	}
-	// Fallback: acquire the sequence word exclusively and run
-	// pessimistically.
 	t.st.fallbacks.Add(1)
+	t.fallback(c, body)
+}
+
+// fallback acquires the sequence word exclusively and runs body
+// pessimistically. It is its own function so the release can be
+// deferred — a panicking body must not leave the sequence odd and
+// wedge every later section — without Critical's optimistic return
+// paying for a defer frame.
+//
+//natlevet:hotpath
+func (t *TLE) fallback(c *Thread, body func()) {
 	s := t.lockAcquire(c)
+	defer t.seq.Store(s + 2)
 	if inj := c.w.inj; inj != nil {
 		inj.csStall(c)
 	}
 	body()
-	t.seq.Store(s + 2)
 }
 
 // try runs one optimistic attempt against sequence snapshot start.

@@ -21,9 +21,9 @@ import (
 // against the wall clock; threads 1..Shards*Servers are shard servers
 // draining bounded channel queues in batches, each batch one critical
 // section under the shard's scheme instance (any native registry
-// scheme — native-tle, native-tle-striped, ...). The shard stores are
-// simmap.BackendMap arenas in backend words, so every store access is
-// transactional under optimistic schemes exactly as on the simulator.
+// scheme). The shard stores are simmap.BackendMap arenas in backend
+// words, so every store access is transactional under optimistic
+// schemes exactly as on the simulator.
 //
 // Native results are measurements, not predictions: latency
 // distributions vary run to run. What must NOT vary is the request

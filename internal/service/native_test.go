@@ -42,7 +42,7 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 		t.Fatalf("sim trial shed %d/%d requests; conformance needs loss-free trials", simRes.Shed, simRes.DeadlineShed)
 	}
 
-	for _, nat := range []string{"native-mutex", "native-tle", "native-tle-striped", "native-natle"} {
+	for _, nat := range []string{"native-mutex", "native-tle", "native-natle"} {
 		t.Run(nat, func(t *testing.T) {
 			cfg := base
 			cfg.Scheme = nat
@@ -85,7 +85,7 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 // the ledgers must still balance exactly.
 func TestNativeServiceConservationUnderPressure(t *testing.T) {
 	cfg := nativeConfBase()
-	cfg.Scheme = "native-tle-striped"
+	cfg.Scheme = "native-tle"
 	cfg.Rate = 1e6
 	cfg.Servers = 2
 	cfg.QueueCap = 8

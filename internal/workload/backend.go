@@ -378,9 +378,7 @@ func (b *bkTwoTrees) Check(w backend.World) uint64 {
 // other half insert or delete within the calling thread's key partition
 // (keys ≡ thread mod threads), so the final membership is a pure
 // function of each thread's own hashed schedule — the property the
-// cross-backend checksum relies on. Disjoint partitions also make this
-// the striped-TLE showcase: concurrent updaters write disjoint nodes,
-// which a per-word-range seqlock can elide in parallel.
+// cross-backend checksum relies on.
 type bkSets struct {
 	cfg BackendConfig
 	set *sets.BackendSet

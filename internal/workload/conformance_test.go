@@ -2,6 +2,8 @@ package workload_test
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"natle/internal/backend"
@@ -25,7 +27,6 @@ var conformancePairs = []struct {
 	{"lock", "native-spin"},
 	{"lock", "native-mutex"},
 	{"tle", "native-tle"},
-	{"tle", "native-tle-striped"},
 	{"natle", "native-natle"},
 }
 
@@ -109,7 +110,8 @@ func TestCrossBackendConformance(t *testing.T) {
 
 // TestSimWorldMatchesKind pins the adapter's capability wiring: the
 // sim world builds sim instances, and asking it for a native-only
-// scheme must fail in LookupFor (not panic in a nil factory).
+// scheme must fail in LookupFor (not panic in a nil factory). It also
+// pins the native roster, so a scheme cannot appear or vanish silently.
 func TestSimWorldMatchesKind(t *testing.T) {
 	w := workload.NewSimWorld(nil, nil, 1, 1, 0)
 	if w.Kind() != backend.Sim {
@@ -121,5 +123,16 @@ func TestSimWorldMatchesKind(t *testing.T) {
 	nw := native.NewWorld(native.Config{})
 	if _, err := scheme.LookupFor(nw.Kind(), "htm-raw"); err == nil {
 		t.Fatalf("LookupFor(native, htm-raw) succeeded; want error")
+	}
+	// The native roster is exactly these four, and a name outside it
+	// gets the registry's generated help, which is what htmbench
+	// prints before exiting 2.
+	roster := []string{"native-mutex", "native-natle", "native-spin", "native-tle"}
+	if got := scheme.NamesFor(backend.Native); !reflect.DeepEqual(got, roster) {
+		t.Fatalf("native schemes = %v, want %v", got, roster)
+	}
+	_, err := scheme.LookupFor(backend.Native, "native-tle-striped")
+	if want := "(have " + strings.Join(roster, ", ") + ")"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LookupFor(native, native-tle-striped) = %v, want an error ending %q", err, want)
 	}
 }
