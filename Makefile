@@ -41,9 +41,11 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # race-executor focuses the race detector on the parallel trial
-# executor and everything it fans out over host goroutines.
+# executor and everything it fans out over host goroutines, and on what
+# every one of those goroutines runs: the simulator's coroutine switches
+# (with its crash/stop test) and the htm layer directly above them.
 race-executor:
-	$(GO) test -race -timeout 30m ./internal/expt ./internal/harness ./internal/workload
+	$(GO) test -race -timeout 30m ./internal/sim ./internal/htm ./internal/expt ./internal/harness ./internal/workload
 
 # native-check gates the real-execution backend: the native lock
 # suite, the native KV service and the cross-backend conformance tests

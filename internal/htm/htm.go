@@ -388,9 +388,11 @@ func (s *System) finishAbort(c *sim.Ctx, t *txState) {
 func (s *System) clearSets(t *txState) {
 	t.readLines = t.readLines[:0]
 	t.writeLines = t.writeLines[:0]
-	t.wbAddr = t.wbAddr[:0]
-	t.wbVal = t.wbVal[:0]
-	clear(t.wbIdx)
+	if len(t.wbAddr) > 0 {
+		t.wbAddr = t.wbAddr[:0]
+		t.wbVal = t.wbVal[:0]
+		clear(t.wbIdx)
+	}
 }
 
 // capacity bounds, halved when the hyperthread sibling is active and
@@ -451,9 +453,13 @@ func (s *System) Read(c *sim.Ctx, a mem.Addr) uint64 {
 		if t.spuriousIn > 0 {
 			s.injTick(c, t)
 		}
-		if i, ok := t.wbIdx[a]; ok {
-			c.Advance(s.prof.L1Hit + s.prof.BaseOp)
-			return t.wbVal[i]
+		// Nothing is buffered until the first write, which for a tree
+		// descent is after every read: skip the map probe until then.
+		if len(t.wbAddr) > 0 {
+			if i, ok := t.wbIdx[a]; ok {
+				c.Advance(s.prof.L1Hit + s.prof.BaseOp)
+				return t.wbVal[i]
+			}
 		}
 		s.abortConflictors(line, t.slot, false)
 		if !s.hasReader(line, t.slot) {

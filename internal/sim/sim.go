@@ -1,15 +1,21 @@
 // Package sim implements a deterministic discrete-event simulator for
 // the machines described by package machine.
 //
-// Each simulated hardware thread is executed by its own goroutine, but
-// at most one simulated thread runs at any instant: a token is passed
-// between goroutines so that shared-memory events are processed in
-// strict global virtual-time order. A thread holding the token runs
-// freely until its local clock passes that of the earliest waiting
-// thread, at which point it yields (Checkpoint). Because execution is
-// serialized, all simulator state (cache directory, transaction sets,
-// statistics) is mutated without locks, and a run is fully
-// deterministic given (profile, seed).
+// Each simulated hardware thread is a coroutine (iter.Pull) of one
+// scheduler loop, Engine.Run, so exactly one executes at any instant
+// and shared-memory events are processed in strict global virtual-time
+// order. A thread runs freely until its local clock passes that of the
+// earliest waiting thread; it then names that thread as the hand-off
+// target and yields to the loop (Checkpoint), which resumes the target:
+// two coroutine switches on Run's goroutine and nothing for the go
+// scheduler to do, so host speed does not depend on GOMAXPROCS. Because
+// execution is serialized, all simulator state (cache directory,
+// transaction sets, statistics) is mutated without locks, and a run is
+// fully deterministic given (profile, seed).
+//
+// If a thread panics or the run deadlocks, Run stops every unfinished
+// thread itself, one at a time in ID order — each unwinds through its
+// deferred functions — and only then panics; no coroutine outlives Run.
 //
 // Local computation — external work, spin backoff — only advances the
 // local clock and is therefore nearly free in host time.
@@ -17,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"natle/internal/machine"
 	"natle/internal/vtime"
@@ -37,17 +44,16 @@ type Engine struct {
 	seed   uint64
 
 	// Slack is the out-of-order tolerance of the event ordering: a
-	// running thread keeps the token until its clock exceeds the
+	// running thread keeps running until its clock exceeds the
 	// earliest waiting thread's clock by more than Slack. A small
-	// positive slack batches accesses between goroutine handoffs
+	// positive slack batches accesses between coroutine hand-offs
 	// (large host-time savings) at the cost of timing error bounded by
 	// Slack; it does not affect determinism.
 	Slack vtime.Duration
 
-	done     chan struct{}
-	crashed  chan struct{}
-	crashVal any
-	started  bool
+	handoff *Ctx   // thread Run resumes next, named by the one that just yielded or finished
+	crash   string // non-empty once a thread panicked or the run deadlocked
+	started bool
 
 	// OnThreadFinish, if set, is invoked when a simulated thread's
 	// function returns (used by the HTM runtime to recycle per-thread
@@ -68,8 +74,6 @@ func New(p *machine.Profile, policy machine.PinPolicy, planned int, seed int64) 
 		planned:  planned,
 		policy:   policy,
 		seed:     uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567,
-		done:     make(chan struct{}),
-		crashed:  make(chan struct{}),
 		Slack:    100 * vtime.Nanosecond,
 	}
 }
@@ -85,7 +89,9 @@ type Ctx struct {
 	core   int
 	socket int
 	rng    uint64
-	resume chan struct{}
+	next   func() (struct{}, bool) // Run resumes the thread's coroutine
+	stop   func()                  // Run unwinds it after a crash
+	yield  func(struct{}) bool     // the thread parks itself
 
 	pinIdx   int    // index given to the pinning policy
 	idle     bool   // excluded from core contention (see SetIdle)
@@ -173,7 +179,7 @@ func (c *Ctx) Float64() float64 {
 	return float64(c.Rand64()>>11) / (1 << 53)
 }
 
-// Checkpoint yields the execution token if another runnable thread has
+// Checkpoint yields to the earliest waiting thread if that thread has
 // an earlier virtual time. Every simulated shared-memory access calls
 // this before taking effect, which is what gives the simulation its
 // strict global ordering.
@@ -194,26 +200,18 @@ func (c *Ctx) Checkpoint() {
 	if n == c {
 		return
 	}
-	n.signal()
-	c.wait()
-}
-
-// Yield unconditionally offers the token to the earliest waiting
-// thread (used by spin loops after advancing their backoff time).
-func (c *Ctx) Yield() { c.Checkpoint() }
-
-func (c *Ctx) signal() { c.resume <- struct{}{} }
-
-// crashToken unwinds a goroutine whose engine has crashed elsewhere.
-type crashToken struct{}
-
-func (c *Ctx) wait() {
-	select {
-	case <-c.resume:
-	case <-c.eng.crashed:
+	e.handoff = n
+	if !c.yield(struct{}{}) {
 		panic(crashToken{})
 	}
 }
+
+// Yield unconditionally offers the processor to the earliest waiting
+// thread (used by spin loops after advancing their backoff time).
+func (c *Ctx) Yield() { c.Checkpoint() }
+
+// crashToken unwinds a parked thread that Run stops after a crash.
+type crashToken struct{}
 
 // SpawnOn is Spawn with an explicit core assignment, bypassing the
 // pinning policy (used by delegation servers and application threads
@@ -229,7 +227,7 @@ func (e *Engine) SpawnOn(parent *Ctx, core int, fn func(*Ctx)) *Ctx {
 
 // Spawn creates a simulated thread running fn, placed by the engine's
 // pinning policy. When called from a running thread (parent non-nil
-// semantics are implicit: Engine tracks the caller via the token), the
+// semantics are implicit: the caller is the one thread executing), the
 // child starts after the configured spawn/pin overhead; the usual
 // pattern is to Spawn all workers from a driver thread. Spawn must be
 // called either before Run or by the currently running thread.
@@ -237,7 +235,6 @@ func (e *Engine) Spawn(parent *Ctx, fn func(*Ctx)) *Ctx {
 	c := &Ctx{
 		ID:     len(e.threads),
 		eng:    e,
-		resume: make(chan struct{}),
 		pinIdx: 0,
 	}
 	c.rng = e.seed ^ (uint64(c.ID+1) * 0xD1B54A32D192ED03)
@@ -269,21 +266,21 @@ func (e *Engine) Spawn(parent *Ctx, fn func(*Ctx)) *Ctx {
 	e.live++
 	e.coreLoad[c.core]++
 	e.push(c)
-	go e.body(c, fn)
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		e.body(c, fn)
+	})
 	return c
 }
 
 func (e *Engine) body(c *Ctx, fn func(*Ctx)) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(crashToken); ok {
-				return
+			if _, ok := r.(crashToken); !ok && e.crash == "" {
+				e.crash = fmt.Sprintf("sim thread %d: %v", c.ID, r)
 			}
-			e.crashVal = fmt.Sprintf("sim thread %d: %v", c.ID, r)
-			close(e.crashed)
 		}
 	}()
-	c.wait()
 	fn(c)
 	e.finish(c)
 }
@@ -296,16 +293,14 @@ func (e *Engine) finish(c *Ctx) {
 	if !c.idle {
 		e.coreLoad[c.core]--
 	}
-	if e.live == 0 {
-		close(e.done)
-		return
+	switch {
+	case e.live == 0:
+		e.handoff = nil // ends Run's loop
+	case len(e.heap) == 0:
+		e.crash = "sim: deadlock — live threads but empty run queue"
+	default:
+		e.handoff = e.pop()
 	}
-	if len(e.heap) == 0 {
-		e.crashVal = "sim: deadlock — live threads but empty run queue"
-		close(e.crashed)
-		return
-	}
-	e.pop().signal()
 }
 
 // Live returns the number of simulated threads that have not finished.
@@ -315,7 +310,8 @@ func (e *Engine) Live() int { return e.live }
 func (e *Engine) Threads() []*Ctx { return e.threads }
 
 // Run drives the simulation until every simulated thread returns. It
-// re-panics any panic raised inside a simulated thread.
+// re-panics any panic raised inside a simulated thread, after stopping
+// the threads still parked (see the package comment).
 func (e *Engine) Run() {
 	if e.started {
 		panic("sim: Run called twice")
@@ -324,11 +320,14 @@ func (e *Engine) Run() {
 	if len(e.heap) == 0 {
 		return
 	}
-	e.pop().signal()
-	select {
-	case <-e.done:
-	case <-e.crashed:
-		panic(e.crashVal)
+	for n := e.pop(); n != nil && e.crash == ""; n = e.handoff {
+		n.next()
+	}
+	if e.crash != "" {
+		for _, c := range e.threads {
+			c.stop()
+		}
+		panic(e.crash)
 	}
 }
 
