@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint natlevet-check race race-executor native-check check bench figures figures-quick chaos chaos-native bench-snapshot bench-check service-check clean
+.PHONY: all build test vet lint natlevet-check race race-executor native-check check bench bench-layers figures figures-quick chaos chaos-native bench-snapshot bench-check service-check clean
 
 all: build
 
@@ -43,9 +43,11 @@ race:
 # race-executor focuses the race detector on the parallel trial
 # executor and everything it fans out over host goroutines, and on what
 # every one of those goroutines runs: the simulator's coroutine switches
-# (with its crash/stop test) and the htm layer directly above them.
+# (with its crash/stop test), the htm layer directly above them, and
+# the service, whose servers' idle conditions run on whichever coroutine
+# the scheduler is polling them from.
 race-executor:
-	$(GO) test -race -timeout 30m ./internal/sim ./internal/htm ./internal/expt ./internal/harness ./internal/workload
+	$(GO) test -race -timeout 30m ./internal/sim ./internal/htm ./internal/service ./internal/expt ./internal/harness ./internal/workload
 
 # native-check gates the real-execution backend: the native lock
 # suite, the native KV service and the cross-backend conformance tests
@@ -73,6 +75,13 @@ check:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
+
+# bench-layers is the per-package ledger under the figure-sized runs of
+# `make bench`: ns/op and allocs/op of the simulator's hand-off, early
+# return, spawn and idle poll, of one htm transaction by shape, and of
+# generating a service schedule.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/htm ./internal/service
 
 # chaos runs the fault-injection matrix on both backends: every named
 # fault schedule against every robust synchronization scheme, on the

@@ -1,0 +1,62 @@
+package htm
+
+import (
+	"testing"
+
+	"natle/internal/machine"
+	"natle/internal/mem"
+	"natle/internal/sim"
+)
+
+// BenchmarkTx times one uncontended transaction, begin to commit, on a
+// single simulated thread (ns/op is per transaction, not per access):
+// read33 is a tree descent, 33 reads of distinct lines with nothing
+// buffered; write33 buffers one word in each of 33 lines and commits
+// them; readAfterWrite writes one word in each of 11 lines and then
+// reads those 11 words back from the buffer, 11 unwritten words of the
+// same lines (probe, miss) and 11 words of other lines (no probe).
+func BenchmarkTx(b *testing.B) {
+	const lines = 33
+	for _, bc := range []struct {
+		name string
+		body func(s *System, c *sim.Ctx, base mem.Addr)
+	}{
+		{"read33", func(s *System, c *sim.Ctx, base mem.Addr) {
+			for i := mem.Addr(0); i < lines; i++ {
+				s.Read(c, base+i*mem.WordsPerLine)
+			}
+		}},
+		{"write33", func(s *System, c *sim.Ctx, base mem.Addr) {
+			for i := mem.Addr(0); i < lines; i++ {
+				s.Write(c, base+i*mem.WordsPerLine, uint64(i))
+			}
+		}},
+		{"readAfterWrite", func(s *System, c *sim.Ctx, base mem.Addr) {
+			for i := mem.Addr(0); i < lines/3; i++ {
+				s.Write(c, base+i*mem.WordsPerLine, uint64(i))
+			}
+			for i := mem.Addr(0); i < lines/3; i++ {
+				s.Read(c, base+i*mem.WordsPerLine)
+				s.Read(c, base+i*mem.WordsPerLine+1)
+				s.Read(c, base+(i+lines/3)*mem.WordsPerLine)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := sim.New(machine.LargeX52(), nil, 1, 1)
+			s := NewSystem(e, 1<<12)
+			base := s.Mem.Alloc(lines*mem.WordsPerLine, 0)
+			e.Spawn(nil, func(c *sim.Ctx) {
+				body := func() { bc.body(s, c, base) }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !s.Try(c, body).Committed {
+						b.Fatal("uncontended transaction aborted")
+					}
+				}
+			})
+			e.Run()
+		})
+	}
+}

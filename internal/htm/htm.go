@@ -152,6 +152,7 @@ type System struct {
 
 	regReaders [][2]uint64 // per line: bitmask of tx slots with the line in their read set
 	regWriter  []int16     // per line: tx slot with the line in its write set, or -1
+	wbAt       []int32     // per line: its index in the writer's writeLines/wb; valid while regWriter[line] >= 0
 
 	slotOwner [maxSlots]*txState
 	freeSlots []int16
@@ -200,9 +201,16 @@ type txState struct {
 
 	readLines  []int32
 	writeLines []int32
-	wbAddr     []mem.Addr
-	wbVal      []uint64
-	wbIdx      map[mem.Addr]int32
+	wb         []wbLine // write buffer, parallel to writeLines
+}
+
+// wbLine buffers one cache line's transactional writes: bit w of mask
+// is set once word w of the line has been written, and val[w] then
+// holds the value. A line has at most one transactional writer, so
+// System.wbAt finds the entry from the line without a map.
+type wbLine struct {
+	mask uint8
+	val  [mem.WordsPerLine]uint64
 }
 
 func (s *System) state(c *sim.Ctx) *txState {
@@ -214,7 +222,7 @@ func (s *System) state(c *sim.Ctx) *txState {
 	}
 	slot := s.freeSlots[len(s.freeSlots)-1]
 	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
-	t := &txState{slot: slot, wbIdx: make(map[mem.Addr]int32, 64)}
+	t := &txState{slot: slot}
 	s.slotOwner[slot] = t
 	c.TxSlot = t
 	return t
@@ -238,6 +246,7 @@ func (s *System) ensureLines(n int) {
 	s.Cache.EnsureLines(n)
 	for len(s.regWriter) < n {
 		s.regWriter = append(s.regWriter, -1)
+		s.wbAt = append(s.wbAt, 0)
 		s.regReaders = append(s.regReaders, [2]uint64{})
 	}
 }
@@ -388,11 +397,7 @@ func (s *System) finishAbort(c *sim.Ctx, t *txState) {
 func (s *System) clearSets(t *txState) {
 	t.readLines = t.readLines[:0]
 	t.writeLines = t.writeLines[:0]
-	if len(t.wbAddr) > 0 {
-		t.wbAddr = t.wbAddr[:0]
-		t.wbVal = t.wbVal[:0]
-		clear(t.wbIdx)
-	}
+	t.wb = t.wb[:0]
 }
 
 // capacity bounds, halved when the hyperthread sibling is active and
@@ -453,12 +458,10 @@ func (s *System) Read(c *sim.Ctx, a mem.Addr) uint64 {
 		if t.spuriousIn > 0 {
 			s.injTick(c, t)
 		}
-		// Nothing is buffered until the first write, which for a tree
-		// descent is after every read: skip the map probe until then.
-		if len(t.wbAddr) > 0 {
-			if i, ok := t.wbIdx[a]; ok {
+		if s.regWriter[line] == t.slot {
+			if b, w := &t.wb[s.wbAt[line]], a%mem.WordsPerLine; b.mask>>w&1 != 0 {
 				c.Advance(s.prof.L1Hit + s.prof.BaseOp)
-				return t.wbVal[i]
+				return b.val[w]
 			}
 		}
 		s.abortConflictors(line, t.slot, false)
@@ -491,16 +494,14 @@ func (s *System) Write(c *sim.Ctx, a mem.Addr, v uint64) {
 		s.abortConflictors(line, t.slot, true)
 		if s.regWriter[line] != t.slot {
 			s.regWriter[line] = t.slot
+			s.wbAt[line] = int32(len(t.writeLines))
 			t.writeLines = append(t.writeLines, line)
+			t.wb = append(t.wb, wbLine{})
 			s.trackNewLine(c, t)
 		}
-		if i, ok := t.wbIdx[a]; ok {
-			t.wbVal[i] = v
-		} else {
-			t.wbIdx[a] = int32(len(t.wbAddr))
-			t.wbAddr = append(t.wbAddr, a)
-			t.wbVal = append(t.wbVal, v)
-		}
+		b, w := &t.wb[s.wbAt[line]], a%mem.WordsPerLine
+		b.mask |= 1 << w
+		b.val[w] = v
 	} else {
 		s.abortConflictors(line, t.slot, true)
 		s.Mem.SetRaw(a, v)
@@ -590,8 +591,13 @@ func (s *System) commit(c *sim.Ctx, t *txState) {
 			s.finishAbort(c, t)
 		}
 	}
-	for i, a := range t.wbAddr {
-		s.Mem.SetRaw(a, t.wbVal[i])
+	for i, line := range t.writeLines {
+		b := &t.wb[i]
+		base := mem.Addr(line) * mem.WordsPerLine
+		for m := b.mask; m != 0; m &= m - 1 {
+			w := bits64.TrailingZeros8(m)
+			s.Mem.SetRaw(base+mem.Addr(w), b.val[w])
+		}
 	}
 	readSet, writeSet := len(t.readLines), len(t.writeLines)
 	s.unregister(t)

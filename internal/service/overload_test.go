@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"natle/internal/expt"
@@ -248,5 +250,33 @@ func TestConservationWithOverloadControl(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBrownoutPinned pins a brownout-armed run whose shards alternate
+// between overload and idleness (bursty arrivals at half the overloaded
+// rate): the controller's transitions, the degraded batches and the
+// whole e2e histogram. The idle ticks that let a drained shard probe
+// recovery run inside the servers' WaitUntil condition, on whichever
+// stack the scheduler evaluates it; a tick at a different virtual time,
+// or a missing one, moves every number here (without idle ticks the run
+// ends with 2079 degraded batches). Captured at commit 9b4e504, where
+// the server loop advanced, called Checkpoint and ticked by hand.
+func TestBrownoutPinned(t *testing.T) {
+	cfg := overloaded()
+	cfg.Arrival = ArrivalBursty
+	cfg.Rate = 32e6
+	r := Run(cfg)
+	var hist strings.Builder
+	for i, n := range r.E2E.Counts {
+		if n > 0 {
+			fmt.Fprintf(&hist, "%d:%d ", i, n)
+		}
+	}
+	got := fmt.Sprintf("brownouts=%d peak=%d degraded=%d e2e=%ssum=%d",
+		r.Brownouts, r.BrownoutPeak, r.DegradedBatches, hist.String(), r.E2E.SumPs)
+	const want = "brownouts=32 peak=4 degraded=1390 e2e=19:17 20:48 21:131 22:394 23:571 24:771 25:1422 26:6772 27:585 sum=431407837409"
+	if got != want {
+		t.Errorf("brownout run moved:\n got %s\nwant %s", got, want)
 	}
 }

@@ -472,6 +472,20 @@ func Run(cfg Config) *Result {
 					apply(w, s, p.req)
 				}
 			}
+			// The idle wait, likewise one closure per server: the queue has
+			// work or the dispatcher is done. Every evaluation but the first
+			// of a wait comes after one serverPoll of idling, and lets a
+			// drained shard's brownout controller probe recovery. It runs on
+			// the scheduler while the server is parked, so it only touches
+			// host state.
+			polled := false
+			idle := func() bool { //natlevet:allow hotalloc(one closure per server lifetime, not per batch)
+				if polled && s.bo != nil {
+					s.bo.tick(w.Now(), &s.e2e, &s.stats)
+				}
+				polled = true
+				return len(s.queue) > 0 || closed
+			}
 			for {
 				if cfg.Deadline > 0 {
 					// CoDel-style queue-wait shedding: drop queued
@@ -490,14 +504,10 @@ func Run(cfg Config) *Result {
 					}
 				}
 				if len(s.queue) == 0 {
-					if closed {
-						return
-					}
-					w.AdvanceIdle(serverPoll)
-					w.Checkpoint()
-					if s.bo != nil {
-						// Idle ticks let a drained shard probe recovery.
-						s.bo.tick(w.Now(), &s.e2e, &s.stats)
+					polled = false
+					w.WaitUntil(serverPoll, idle)
+					if len(s.queue) == 0 {
+						return // closed and drained
 					}
 					continue
 				}

@@ -59,3 +59,33 @@ func BenchmarkSpawnRun(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkIdlePollers times one poll tick of a thread waiting in
+// WaitUntil on a condition that stays false: one worker advances 150 ns
+// per Checkpoint while N pollers tick every 500 ns, so every Checkpoint
+// of the worker gives way to a few of them. ns/op is host time per tick
+// (the worker's own hand-offs included); allocs/op must be 0.
+func BenchmarkIdlePollers(b *testing.B) {
+	for _, pollers := range []int{16, 64} {
+		b.Run(fmt.Sprintf("pollers=%d", pollers), func(b *testing.B) {
+			e := New(machine.LargeX52(), nil, pollers+1, 1)
+			steps := b.N*500/(150*pollers) + 1
+			done := false
+			e.Spawn(nil, func(c *Ctx) {
+				for j := 0; j < steps; j++ {
+					c.Advance(150 * vtime.Nanosecond)
+					c.Checkpoint()
+				}
+				done = true
+			})
+			for i := 0; i < pollers; i++ {
+				e.Spawn(nil, func(c *Ctx) {
+					c.WaitUntil(500*vtime.Nanosecond, func() bool { return done })
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}
