@@ -128,39 +128,88 @@ func main() {
 		faultProf = &sched.Profile
 	}
 
-	if bk == backend.Native {
-		if *chaos {
+	if *chaos {
+		if bk == backend.Native {
 			if !runNativeChaos(*seed, *faultName) {
 				os.Exit(1)
 			}
 			return
 		}
-		if _, err := scheme.LookupFor(backend.Native, *lockKind); err != nil {
+		// Cross-backend chaos: the simulated matrix first, then the
+		// same schedules against the native schemes on real goroutines.
+		// Both must hold their invariants for a zero exit.
+		cfg := harness.ChaosConfig{Seed: *seed, Parallel: *jobs}
+		if *faultName != "" {
+			cfg.Schedules = []string{*faultName}
+		}
+		cells, err := harness.RunChaos(cfg)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if *svc {
-			// The KV service on real goroutines. The sim-only machinery
-			// (brownout, retry budgets, fault injection, SLO search) is
-			// refused here rather than silently ignored.
-			if *brownoutUs > 0 || *retryBudget > 0 || faultProf != nil || *sloUs > 0 {
-				fmt.Fprintln(os.Stderr, "-brownout, -retrybudget, -fault, and -slo are sim-only; the native service supports -deadline")
+		report, ok := harness.ChaosReport(cells)
+		fmt.Println("# chaos matrix, backend=sim")
+		fmt.Print(report)
+		fmt.Println("# chaos matrix, backend=native")
+		if !runNativeChaos(*seed, *faultName) || !ok {
+			fmt.Fprintln(os.Stderr, "chaos: invariant violations detected")
+			os.Exit(1)
+		}
+		return
+	}
+
+	if _, err := scheme.LookupFor(bk, *lockKind); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
+	p := machine.LargeX52()
+	if *prof == "small" {
+		p = machine.SmallI7()
+	}
+
+	if *svc {
+		a := serviceArgs{
+			trial:       service.Run,
+			title:       p.Name,
+			prof:        p,
+			sweep:       defaultServiceRates,
+			scheme:      *lockKind,
+			arrival:     *arrival,
+			rates:       *rates,
+			shards:      *shards,
+			servers:     *servers,
+			batch:       *batch,
+			qcap:        *qcap,
+			window:      vtime.Duration(*durMs * float64(vtime.Millisecond)),
+			seed:        *seed,
+			fault:       faultProf,
+			deadline:    vtime.Duration(*deadlineUs * float64(vtime.Microsecond)),
+			brownoutSLO: vtime.Duration(*brownoutUs * float64(vtime.Microsecond)),
+			retryBudget: *retryBudget,
+			sloUs:       *sloUs,
+			sloJSON:     *sloJSON,
+			jobs:        *jobs,
+		}
+		if bk == backend.Native {
+			// The KV service on real goroutines: the same pipeline, with
+			// the fault schedule armed on the world each trial builds.
+			// Trials run one at a time — wall-clock measurements must not
+			// contend with each other for the host.
+			if *brownoutUs > 0 || *retryBudget > 0 || *sloUs > 0 || *traceOut != "" || *metrics != "" || *telem {
+				fmt.Fprintln(os.Stderr, "-brownout, -retrybudget, -slo, -trace, -metrics and -telemetry are sim-only; the native service supports -deadline and -fault")
 				os.Exit(2)
 			}
-			runNativeService(nativeServiceArgs{
-				scheme:   *lockKind,
-				arrival:  *arrival,
-				rates:    *rates,
-				shards:   *shards,
-				servers:  *servers,
-				batch:    *batch,
-				qcap:     *qcap,
-				window:   vtime.Duration(*durMs * float64(vtime.Millisecond)),
-				seed:     *seed,
-				deadline: vtime.Duration(*deadlineUs * float64(vtime.Microsecond)),
-			})
-			return
+			host := harness.Fingerprint()
+			fmt.Printf("# wall-clock timing on %s/%s, %d CPUs, %s — host-dependent, not comparable to sim figures\n",
+				host.GOOS, host.GOARCH, host.CPUs, host.GoVersion)
+			a.trial, a.title, a.prof, a.sweep, a.jobs = nativeServiceTrial, "backend=native", nil, defaultNativeServiceRates, 1
 		}
+		runService(a)
+		return
+	}
+
+	if bk == backend.Native {
 		// TLE knobs pass through only when set explicitly, so native
 		// schemes keep their own defaults (e.g. 8 attempts, not the
 		// sim default 20).
@@ -187,62 +236,6 @@ func main() {
 		return
 	}
 
-	if *chaos {
-		// Cross-backend chaos: the simulated matrix first, then the
-		// same schedules against the native schemes on real goroutines.
-		// Both must hold their invariants for a zero exit.
-		cfg := harness.ChaosConfig{Seed: *seed, Parallel: *jobs}
-		if *faultName != "" {
-			cfg.Schedules = []string{*faultName}
-		}
-		cells, err := harness.RunChaos(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		report, ok := harness.ChaosReport(cells)
-		fmt.Println("# chaos matrix, backend=sim")
-		fmt.Print(report)
-		fmt.Println("# chaos matrix, backend=native")
-		if !runNativeChaos(*seed, *faultName) || !ok {
-			fmt.Fprintln(os.Stderr, "chaos: invariant violations detected")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if _, err := scheme.LookupFor(backend.Sim, *lockKind); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	p := machine.LargeX52()
-	if *prof == "small" {
-		p = machine.SmallI7()
-	}
-
-	if *svc {
-		runService(serviceArgs{
-			prof:        p,
-			scheme:      *lockKind,
-			arrival:     *arrival,
-			rates:       *rates,
-			shards:      *shards,
-			servers:     *servers,
-			batch:       *batch,
-			qcap:        *qcap,
-			window:      vtime.Duration(*durMs * float64(vtime.Millisecond)),
-			seed:        *seed,
-			fault:       faultProf,
-			deadline:    vtime.Duration(*deadlineUs * float64(vtime.Microsecond)),
-			brownoutSLO: vtime.Duration(*brownoutUs * float64(vtime.Microsecond)),
-			retryBudget: *retryBudget,
-			sloUs:       *sloUs,
-			sloJSON:     *sloJSON,
-			jobs:        *jobs,
-		})
-		return
-	}
 	var policy machine.PinPolicy
 	switch *pin {
 	case "fill":

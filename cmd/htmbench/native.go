@@ -20,7 +20,6 @@ import (
 	"natle/internal/service"
 	"natle/internal/sets"
 	"natle/internal/tle"
-	"natle/internal/vtime"
 	"natle/internal/workload"
 )
 
@@ -145,86 +144,13 @@ func writeNativeBench(w io.Writer, snap *harness.NativeBench) error {
 	return nil
 }
 
-// defaultNativeServiceRates is the native rate sweep: lower than the
-// simulated sweep, since the dispatcher replays the schedule against
-// the wall clock of whatever host this is.
-var defaultNativeServiceRates = []float64{2e5, 1e6, 4e6}
-
-type nativeServiceArgs struct {
-	scheme   string
-	arrival  string
-	rates    string
-	shards   int
-	servers  int
-	batch    int
-	qcap     int
-	window   vtime.Duration
-	seed     int64
-	deadline vtime.Duration
-}
-
-// runNativeService runs the open-loop KV service on the native
-// backend: the same schedule generator and pipeline shape as the
-// simulated -service mode, on real goroutines (see service.RunNative).
-// Trials run sequentially — wall-clock measurements must not contend
-// with each other for the host.
-func runNativeService(a nativeServiceArgs) {
-	kind, err := service.LookupArrival(a.arrival)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sweep := defaultNativeServiceRates
-	if a.rates != "" {
-		sweep = sweep[:0]
-		for _, f := range strings.Split(a.rates, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || r <= 0 {
-				fmt.Fprintf(os.Stderr, "bad rate %q\n", f)
-				os.Exit(2)
-			}
-			sweep = append(sweep, r)
-		}
-	}
-	cfg := service.Config{
-		Seed:     a.seed,
-		Scheme:   a.scheme,
-		Arrival:  kind,
-		Window:   a.window,
-		Shards:   a.shards,
-		Servers:  a.servers,
-		Batch:    a.batch,
-		QueueCap: a.qcap,
-		Deadline: a.deadline,
-	}
-	host := harness.Fingerprint()
-	fmt.Printf("# backend=native, service: scheme=%s arrival=%s window=%v seed=%d\n",
-		a.scheme, a.arrival, a.window, a.seed)
-	fmt.Printf("# wall-clock timing on %s/%s, %d CPUs, %s — host-dependent, not comparable to sim figures\n",
-		host.GOOS, host.GOARCH, host.CPUs, host.GoVersion)
-	if a.deadline > 0 {
-		fmt.Printf("# overload control: deadline=%v\n", a.deadline)
-	}
-	fmt.Printf("%12s %8s %7s %7s %7s %12s %12s %12s %9s %9s\n",
-		"rate(r/s)", "reqs", "shed%", "dshed%", "miss%", "p50", "p99", "p999", "avgbatch", "fallback")
-	for _, rate := range sweep {
-		c := cfg
-		c.Rate = rate
-		w := native.NewWorld(native.Config{Seed: c.Seed, Words: c.NativeMemWords()})
-		r := service.RunNative(w, c)
-		avgBatch := 0.0
-		if r.Batches > 0 {
-			avgBatch = float64(r.Completed) / float64(r.Batches)
-		}
-		fmt.Printf("%12.4g %8d %6.2f%% %6.2f%% %6.2f%% %12v %12v %12v %9.2f %9d\n",
-			rate, r.Requests, 100*r.ShedFraction(),
-			100*r.DeadlineShedFraction(), 100*r.DeadlineMissFraction(),
-			r.E2E.Quantile(0.50), r.E2E.Quantile(0.99), r.E2E.Quantile(0.999),
-			avgBatch, r.Sync.TLE.Fallbacks)
-		if r.BatchClamped {
-			fmt.Printf("             # batch clamped to 1: scheme %q lacks the batch capability\n", a.scheme)
-		}
-	}
+// nativeServiceTrial runs one service trial on a fresh native world
+// sized for its schedule, with the -fault schedule (if any) armed on the
+// world: natively faults belong to the world, not to service.Config.
+func nativeServiceTrial(c service.Config) *service.Result {
+	w := native.NewWorld(native.Config{Seed: c.Seed, Words: c.NativeMemWords(), Fault: c.Fault})
+	c.Fault = nil
+	return service.RunNative(w, c)
 }
 
 // runNativeChaos runs the native half of the chaos matrix: every

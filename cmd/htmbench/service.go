@@ -28,7 +28,12 @@ import (
 //     JSON (the committed BENCH_service.json snapshot).
 
 type serviceArgs struct {
-	prof        *machine.Profile
+	// trial runs one rate of the sweep: service.Run, or a closure that
+	// builds a native world for service.RunNative.
+	trial       func(service.Config) *service.Result
+	title       string           // machine profile name, or "backend=native"
+	prof        *machine.Profile // sim only
+	sweep       []float64        // offered loads when -rates is empty
 	scheme      string
 	arrival     string
 	rates       string
@@ -47,8 +52,13 @@ type serviceArgs struct {
 	jobs        int
 }
 
-// defaultServiceRates is the quick-scale offered-load sweep.
-var defaultServiceRates = []float64{2e6, 8e6, 16e6, 24e6, 32e6}
+// The default offered-load sweeps: quick scale on the simulator, and
+// lower natively, since the dispatcher replays the schedule against the
+// wall clock of whatever host this is.
+var (
+	defaultServiceRates       = []float64{2e6, 8e6, 16e6, 24e6, 32e6}
+	defaultNativeServiceRates = []float64{2e5, 1e6, 4e6}
+)
 
 func (a serviceArgs) base() service.Config {
 	kind, err := service.LookupArrival(a.arrival)
@@ -82,9 +92,9 @@ func runService(a serviceArgs) {
 		return
 	}
 
-	sweep := defaultServiceRates
+	sweep := a.sweep
 	if a.rates != "" {
-		sweep = sweep[:0]
+		sweep = nil
 		for _, f := range strings.Split(a.rates, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || r <= 0 {
@@ -96,8 +106,8 @@ func runService(a serviceArgs) {
 	}
 
 	cfg := a.base()
-	fmt.Printf("# %s, service: scheme=%s arrival=%s window=%v\n",
-		a.prof.Name, a.scheme, a.arrival, a.window)
+	fmt.Printf("# %s, service: scheme=%s arrival=%s window=%v seed=%d\n",
+		a.title, a.scheme, a.arrival, a.window, a.seed)
 	if a.fault != nil {
 		fmt.Printf("# fault schedule injected\n")
 	}
@@ -111,7 +121,7 @@ func runService(a serviceArgs) {
 	results := expt.Map(a.jobs, len(sweep), func(i int) *service.Result {
 		c := cfg
 		c.Rate = sweep[i]
-		return service.Run(c)
+		return a.trial(c)
 	})
 	for i, r := range results {
 		avgBatch := 0.0
@@ -159,7 +169,7 @@ func runServiceSLO(a serviceArgs) {
 	names := scheme.BatchNames()
 
 	fmt.Printf("# %s, service SLO search: arrival=%s window=%v target p99 <= %v\n",
-		a.prof.Name, a.arrival, a.window, target)
+		a.title, a.arrival, a.window, target)
 	results := expt.Map(a.jobs, len(names), func(i int) service.SLOResult {
 		cfg := a.base()
 		cfg.Scheme = names[i]
@@ -175,7 +185,7 @@ func runServiceSLO(a serviceArgs) {
 	norm := results[0].SLO // post-defaults copy (same for every scheme)
 	out := benchFile{
 		Workload:  "open-loop KV service",
-		Machine:   a.prof.Name,
+		Machine:   a.title,
 		Arrival:   a.arrival,
 		WindowUs:  a.window.Seconds() * 1e6,
 		TargetUs:  norm.Target.Seconds() * 1e6,

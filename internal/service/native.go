@@ -1,29 +1,21 @@
 package service
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 
 	"natle/internal/arena"
 	"natle/internal/backend"
 	"natle/internal/mem"
 	"natle/internal/scheme"
 	"natle/internal/simmap"
-	"natle/internal/telemetry"
 	"natle/internal/vtime"
 )
 
 // RunNative executes one service trial on a native backend.World: the
-// same arrivals -> admission -> shards -> telemetry pipeline as Run,
-// but on real goroutines over real atomic words on wall-clock time.
-// Thread 0 is the dispatcher, replaying the deterministic schedule
-// against the wall clock; threads 1..Shards*Servers are shard servers
-// draining bounded channel queues in batches, each batch one critical
-// section under the shard's scheme instance (any native registry
-// scheme). The shard stores are simmap.BackendMap arenas in backend
-// words, so every store access is transactional under optimistic
-// schemes exactly as on the simulator.
+// same pipeline as Run, on real goroutines over real atomic words on
+// wall-clock time, under any native registry scheme.
 //
 // Native results are measurements, not predictions: latency
 // distributions vary run to run. What must NOT vary is the request
@@ -32,261 +24,112 @@ import (
 // one server per shard and no shedding, the final store contents match
 // the simulator's run of the same Config (Result.StoreCheck).
 //
-// The sim-only overload-control machinery (Brownout, RetryBudget),
-// fault injection, and telemetry recorders are not supported here;
-// RunNative panics rather than silently ignoring them.
+// Brownout and RetryBudget are sim-only; faults are armed on the world
+// (native.Config.Fault), not through Config.Fault; telemetry recorders
+// are not wired natively. RunNative panics rather than silently
+// ignoring any of them.
 func RunNative(w backend.World, cfg Config) *Result {
-	if w.Kind() != backend.Native {
-		panic(fmt.Sprintf("service: RunNative requires a native world, got %q", w.Kind()))
-	}
-	cfg.defaults()
 	switch {
+	case w.Kind() != backend.Native:
+		panic("service: RunNative requires a native world, got " + string(w.Kind()))
 	case cfg.Brownout != nil:
 		panic("service: Brownout is not supported on the native backend")
 	case cfg.RetryBudget > 0:
 		panic("service: RetryBudget is not supported on the native backend")
 	case cfg.Fault != nil && cfg.Fault.Enabled():
-		panic("service: fault injection is not supported on the native backend")
+		panic("service: Config.Fault is sim-only; arm faults on the native world")
 	case cfg.Recorder != nil:
 		panic("service: telemetry recorders are not supported on the native backend")
 	}
-	desc, err := scheme.LookupFor(w.Kind(), cfg.Scheme)
-	if err != nil {
-		panic(fmt.Sprintf("service: %v", err))
-	}
-	desc = desc.Configure(scheme.Options{TLE: cfg.TLE, NATLE: cfg.NATLE})
-	res := &Result{Config: cfg}
-	if cfg.Batch > 1 && !desc.Batch {
-		cfg.Batch = 1
-		res.Config.Batch = 1
-		res.BatchClamped = true
-	}
+	return newPipeline(backend.Native, cfg).run(nativeHost{w})
+}
 
-	sched := cfg.Schedule()
-	res.Requests = len(sched)
-	if len(sched) > 0 {
-		res.LastArrival = sched[len(sched)-1].At
-	}
+// nativeHost hosts the pipeline on a backend.World: thread 0 is the
+// dispatcher, threads 1..Shards*Servers are the shard servers, and the
+// shard maps are simmap.BackendMap arenas in backend words, so every
+// store access is transactional under optimistic schemes exactly as on
+// the simulator.
+type nativeHost struct{ w backend.World }
 
+func (h nativeHost) run(p *pipeline) {
+	cfg := &p.cfg
 	threads := 1 + cfg.Shards*cfg.Servers
-
-	// npending is one admitted request in flight to a server; at is the
-	// admission wall-clock in backend nanoseconds.
-	type npending struct {
-		req Request
-		at  int64
-	}
-	queues := make([]chan npending, cfg.Shards)
-	for i := range queues {
-		queues[i] = make(chan npending, cfg.QueueCap)
-	}
-
-	// serverState is one server thread's private ledger, merged after
-	// the trial — servers of a shard share only the queue channel, the
-	// store words, and the scheme instance.
-	type serverState struct {
-		stats    ShardStats // Completed/Batches/DeadlineShed/DeadlineMiss only
-		e2e      telemetry.Histogram
-		queue    telemetry.Histogram
-		svc      telemetry.Histogram
-		lastDone int64
-	}
-	servers := make([]*serverState, threads)
-	for t := 1; t < threads; t++ {
-		servers[t] = &serverState{}
-	}
-	// The dispatcher's admission ledger (thread 0 is the only writer).
-	disp := make([]ShardStats, cfg.Shards)
-	var baseNs int64
-
-	maps := make([]*simmap.BackendMap, cfg.Shards)
-	css := make([]scheme.BackendInstance, cfg.Shards)
-
-	nsDur := func(ns int64) vtime.Duration { return vtime.Duration(ns) * vtime.Nanosecond }
-
-	w.Run(threads, func(c backend.Ctx) {
+	var zero int64 // backend clock at the end of setup
+	h.w.Run(threads, func(c backend.Ctx) {
 		// One arena lane per thread; each lane big enough for the
 		// worst case of one server applying every scheduled insert.
-		laneWords := len(sched)*simmap.NodeWords() + mem.WordsPerLine
+		laneWords := len(p.sched)*simmap.NodeWords() + mem.WordsPerLine
 		ar := arena.New(c, threads+1, laneWords)
-		for i := range maps {
-			maps[i] = simmap.NewBackendMap(c, ar, cfg.LogBuckets)
-			css[i] = desc.NewNative(w, c)
+		for i := range p.shards {
+			st := &nativeStore{
+				w:  h.w,
+				m:  simmap.NewBackendMap(c, ar, cfg.LogBuckets),
+				cs: p.desc.NewNative(h.w, c),
+			}
+			st.parked.L = &st.Mutex
+			p.addShard(i, 0, st)
 		}
+		zero = c.Now()
 	}, func(c backend.Ctx) {
-		t := c.Thread()
-		if t == 0 {
-			// Dispatcher: replay the schedule against the wall clock,
-			// spinning through the scheduler between arrivals so the
-			// servers run even on few cores.
-			base := c.Now()
-			baseNs = base
-			for _, q := range sched {
-				target := base + int64(q.At)/int64(vtime.Nanosecond)
-				for c.Now() < target {
-					runtime.Gosched()
-				}
-				d := &disp[q.Shard]
-				d.Arrivals++
-				select {
-				case queues[q.Shard] <- npending{req: q, at: c.Now()}:
-					d.Admitted++
-					if n := len(queues[q.Shard]); n > d.MaxQueue {
-						d.MaxQueue = n
-					}
-				default:
-					d.Shed++
-				}
-			}
-			for _, ch := range queues {
-				close(ch)
-			}
-			return
-		}
-
-		shard := (t - 1) / cfg.Servers
-		ch := queues[shard]
-		m := maps[shard]
-		cs := css[shard]
-		sv := servers[t]
-		var svcEst int64 // per-request service-time EWMA, ns
-
-		// Shed a queued request whose remaining deadline budget can no
-		// longer cover the observed service time (the native mirror of
-		// the sim path's CoDel-style queue-wait shedding).
-		dead := func(p npending, now int64) bool {
-			if p.req.Deadline <= 0 {
-				return false
-			}
-			return now+svcEst > p.at+int64(p.req.Deadline)/int64(vtime.Nanosecond)
-		}
-
-		batch := make([]npending, 0, cfg.Batch)
-		body := func() {
-			for _, p := range batch {
-				c.Work(cfg.WorkPerReq)
-				switch p.req.Op {
-				case OpGet:
-					m.Get(c, p.req.Key)
-				case OpPut:
-					m.Put(c, p.req.Key, p.req.Val)
-				case OpDel:
-					m.Delete(c, p.req.Key)
-				case NumOps:
-					panic("service: NumOps is not an operation")
-				}
-			}
-		}
-		for {
-			p, ok := <-ch
-			if !ok {
-				return
-			}
-			now := c.Now()
-			if dead(p, now) {
-				sv.stats.DeadlineShed++
-				continue
-			}
-			batch = append(batch[:0], p)
-		fill:
-			for len(batch) < cfg.Batch {
-				select {
-				case p2, ok2 := <-ch:
-					if !ok2 {
-						break fill
-					}
-					if dead(p2, now) {
-						sv.stats.DeadlineShed++
-						continue
-					}
-					batch = append(batch, p2)
-				default:
-					break fill
-				}
-			}
-
-			start := c.Now()
-			for _, p := range batch {
-				sv.queue.Observe(nsDur(start - p.at))
-			}
-			// One critical section per batch, as on the simulator: the
-			// body may be retried by optimistic schemes, so it touches
-			// only backend words (rolled back on abort) and re-pays the
-			// handler compute on every attempt.
-			cs.Critical(c, body)
-			end := c.Now()
-			sv.svc.Observe(nsDur(end - start))
-			for _, p := range batch {
-				d := end - p.at
-				sv.e2e.Observe(nsDur(d))
-				if p.req.Deadline > 0 && nsDur(d) > p.req.Deadline {
-					sv.stats.DeadlineMiss++
-				}
-			}
-			sv.stats.Completed += uint64(len(batch))
-			sv.stats.Batches++
-			if cfg.Deadline > 0 {
-				per := (end - start) / int64(len(batch))
-				if svcEst == 0 {
-					svcEst = per
-				} else {
-					svcEst = (3*svcEst + per) / 4
-				}
-			}
-			if end > sv.lastDone {
-				sv.lastDone = end
-			}
+		if t := c.Thread(); t == 0 {
+			p.dispatch(nativeWorker{c: c, zero: zero})
+		} else {
+			s := p.shards[(t-1)/cfg.Servers]
+			p.serve(nativeWorker{c, zero, s.store.(*nativeStore)}, s)
 		}
 	})
+}
 
-	// Merge the per-thread ledgers into the shared Result shape.
-	var e2e, queueLat, svcLat telemetry.Histogram
-	res.PerShard = make([]ShardStats, cfg.Shards)
-	res.SyncPerShard = make([]scheme.Stats, cfg.Shards)
-	var lastDone int64
-	for i := range res.PerShard {
-		res.PerShard[i] = disp[i]
-		res.SyncPerShard[i] = css[i].Stats()
-	}
-	for t := 1; t < threads; t++ {
-		sv := servers[t]
-		st := &res.PerShard[(t-1)/cfg.Servers]
-		st.Completed += sv.stats.Completed
-		st.Batches += sv.stats.Batches
-		st.DeadlineShed += sv.stats.DeadlineShed
-		st.DeadlineMiss += sv.stats.DeadlineMiss
-		e2e.Merge(&sv.e2e)
-		queueLat.Merge(&sv.queue)
-		svcLat.Merge(&sv.svc)
-		if sv.lastDone > lastDone {
-			lastDone = sv.lastDone
-		}
-	}
-	for _, st := range res.PerShard {
-		res.Arrivals += st.Arrivals
-		res.Admitted += st.Admitted
-		res.Shed += st.Shed
-		res.Completed += st.Completed
-		res.Batches += st.Batches
-		res.DeadlineShed += st.DeadlineShed
-		res.DeadlineMiss += st.DeadlineMiss
-	}
-	for _, s := range res.SyncPerShard {
-		res.Sync.TLE = telemetry.Add(res.Sync.TLE, s.TLE)
-	}
-	res.E2E = e2e.Snapshot()
-	res.Queue = queueLat.Snapshot()
-	res.Service = svcLat.Snapshot()
-	if lastDone > baseNs {
-		res.Drained = vtime.Time(nsDur(lastDone - baseNs))
-	}
+// nativeStore is one native shard: a real mutex over the shard's
+// host-side state, and the condition variable its idle servers park on.
+type nativeStore struct {
+	sync.Mutex
+	parked sync.Cond
+	w      backend.World
+	m      *simmap.BackendMap
+	cs     scheme.BackendInstance
+}
 
-	var pairs [][2]uint64
-	for _, m := range maps {
-		m.PeekEach(w, func(k, v uint64) { pairs = append(pairs, [2]uint64{k, v}) })
+func (s *nativeStore) wake(all bool) {
+	if all {
+		s.parked.Broadcast()
+	} else {
+		s.parked.Signal()
 	}
-	res.StoreCheck = storeChecksum(pairs)
-	return res
+}
+
+func (s *nativeStore) syncStats() scheme.Stats       { return s.cs.Stats() }
+func (s *nativeStore) each(fn func(key, val uint64)) { s.m.PeekEach(s.w, fn) }
+
+// nativeWorker is one native pipeline thread (the store is nil for the
+// dispatcher).
+type nativeWorker struct {
+	c    backend.Ctx
+	zero int64
+	*nativeStore
+}
+
+func (w nativeWorker) now() vtime.Time {
+	return vtime.Time(w.c.Now()-w.zero) * vtime.Time(vtime.Nanosecond)
+}
+
+// sleepUntil spins through the scheduler, so the servers run even on few
+// cores and the arrival lands within a scheduler pass of its time.
+func (w nativeWorker) sleepUntil(t vtime.Time) {
+	for w.now() < t {
+		runtime.Gosched()
+	}
+}
+
+func (w nativeWorker) work(n int)            { w.c.Work(n) }
+func (w nativeWorker) apply(q Request)       { apply(w.m, w.c, q) }
+func (w nativeWorker) critical(body func())  { w.cs.Critical(w.c, body) }
+func (w nativeWorker) exclusive(body func()) { w.cs.Critical(w.c, body) }
+
+func (w nativeWorker) wait(idle func() bool) {
+	for !idle() {
+		w.parked.Wait()
+	}
 }
 
 // NativeMemWords returns the backend words a native world needs for

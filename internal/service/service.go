@@ -32,17 +32,12 @@
 package service
 
 import (
-	"fmt"
-
-	"natle/internal/backend"
 	"natle/internal/cache"
 	"natle/internal/fault"
 	"natle/internal/htm"
 	"natle/internal/machine"
 	"natle/internal/natle"
 	"natle/internal/scheme"
-	"natle/internal/sim"
-	"natle/internal/simmap"
 	"natle/internal/telemetry"
 	"natle/internal/tle"
 	"natle/internal/vtime"
@@ -327,341 +322,4 @@ func (r *Result) DeadlineMissFraction() float64 {
 		return 0
 	}
 	return float64(r.DeadlineMiss) / float64(r.Completed)
-}
-
-// pending is one admitted request waiting in a shard queue.
-type pending struct {
-	req Request
-	at  vtime.Time // admission time (== arrival; admission is immediate)
-}
-
-// shardState is the host-side state of one shard (mutated only under
-// the simulator's serialization token).
-type shardState struct {
-	m     *simmap.Map
-	cs    scheme.Instance
-	queue []pending
-	stats ShardStats
-
-	// Overload control (all nil/zero unless armed; see overload.go).
-	deg        scheme.Instance  // mutual-exclusion downgrade instance
-	bo         *brownout        // brownout controller
-	budget     *tle.RetryBudget // shared retry budget
-	e2e        telemetry.Histogram
-	svcEst     vtime.Duration // EWMA of per-request service time
-	lastAborts uint64         // scheme abort counter at last budget spend
-}
-
-// serverPoll is the idle-queue polling step of a shard server. It
-// bounds how long a server sleeps past an enqueue, so it is part of
-// the latency floor under light load.
-const serverPoll = 500 * vtime.Nanosecond
-
-// Run executes one service trial and returns its measurements.
-func Run(cfg Config) *Result {
-	cfg.defaults()
-	desc, err := scheme.LookupFor(backend.Sim, cfg.Scheme)
-	if err != nil {
-		panic(fmt.Sprintf("service: %v", err))
-	}
-	desc = desc.Configure(scheme.Options{TLE: cfg.TLE, NATLE: cfg.NATLE})
-	res := &Result{Config: cfg}
-	if cfg.Batch > 1 && !desc.Batch {
-		cfg.Batch = 1
-		res.Config.Batch = 1
-		res.BatchClamped = true
-	}
-
-	// Overload control (see overload.go): the brownout controller and
-	// the retry budget both degrade to the backend's mutual-exclusion
-	// baseline, constructed per shard only when armed so default
-	// trials stay byte-identical with their pre-overload-control
-	// selves.
-	overload := cfg.Brownout != nil || cfg.RetryBudget > 0
-	var degDesc *scheme.Descriptor
-	if overload {
-		degDesc, err = scheme.MutexFor(backend.Sim)
-		if err != nil {
-			panic(fmt.Sprintf("service: %v", err))
-		}
-	}
-	boCfg := BrownoutConfig{}
-	if cfg.Brownout != nil {
-		boCfg = *cfg.Brownout
-	}
-	boCfg = boCfg.withDefaults()
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = telemetry.Nop()
-	}
-
-	sched := cfg.Schedule()
-	res.Requests = len(sched)
-	if len(sched) > 0 {
-		res.LastArrival = sched[len(sched)-1].At
-	}
-
-	e := sim.New(cfg.Prof, cfg.Pin, cfg.Shards*cfg.Servers, cfg.Seed)
-	sys := htm.NewSystem(e, cfg.MemWords)
-	if cfg.Recorder != nil {
-		// Installed before any locks exist so their RegisterLock calls
-		// land in this recorder.
-		sys.SetRecorder(cfg.Recorder)
-	}
-	var inj *fault.Fault
-	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		inj = fault.New(*cfg.Fault, cfg.Seed)
-		sys.SetInjector(inj)
-	}
-
-	var e2e, queueLat, svcLat telemetry.Histogram
-	res.PerShard = make([]ShardStats, cfg.Shards)
-	res.SyncPerShard = make([]scheme.Stats, cfg.Shards)
-
-	e.Spawn(nil, func(c *sim.Ctx) {
-		// Build the shards round-robin across sockets: shard i's
-		// buckets and lock word are homed on socket i mod sockets, so
-		// cross-socket traffic is part of the workload exactly as it
-		// would be for a real NUMA-sharded store.
-		shards := make([]*shardState, cfg.Shards)
-		for i := range shards {
-			socket := i % cfg.Prof.Sockets
-			shards[i] = &shardState{
-				m:  simmap.New(sys, c, cfg.LogBuckets, socket),
-				cs: desc.New(sys, c, socket),
-			}
-			if overload {
-				shards[i].deg = degDesc.New(sys, c, socket)
-			}
-			if cfg.Brownout != nil {
-				shards[i].bo = newBrownout(boCfg, i, socket, cfg.Batch, rec)
-			}
-			if cfg.RetryBudget > 0 {
-				shards[i].budget = tle.NewRetryBudget(cfg.RetryBudget, boCfg.Window)
-			}
-		}
-
-		// Shared trial state (host-side; safe because execution is
-		// serialized by the simulator token).
-		closed := false
-		var lastDone vtime.Time
-
-		apply := func(w *sim.Ctx, s *shardState, q Request) {
-			switch q.Op {
-			case OpGet:
-				s.m.Get(w, q.Key)
-			case OpPut:
-				s.m.Put(w, q.Key, q.Val)
-			case OpDel:
-				s.m.Delete(w, q.Key)
-			case NumOps:
-				panic("service: NumOps is not an operation")
-			}
-		}
-
-		//natlevet:hotpath
-		serve := func(w *sim.Ctx, s *shardState) {
-			// One critical-section body per server, re-bound to each
-			// batch through the captured slice: building the literal
-			// inside the loop would heap-allocate a fresh closure per
-			// batch served.
-			var batch []pending
-			body := func() { //natlevet:allow hotalloc(one closure per server lifetime, not per batch)
-				for _, p := range batch {
-					w.Work(cfg.WorkPerReq)
-					apply(w, s, p.req)
-				}
-			}
-			// The idle wait, likewise one closure per server: the queue has
-			// work or the dispatcher is done. Every evaluation but the first
-			// of a wait comes after one serverPoll of idling, and lets a
-			// drained shard's brownout controller probe recovery. It runs on
-			// the scheduler while the server is parked, so it only touches
-			// host state.
-			polled := false
-			idle := func() bool { //natlevet:allow hotalloc(one closure per server lifetime, not per batch)
-				if polled && s.bo != nil {
-					s.bo.tick(w.Now(), &s.e2e, &s.stats)
-				}
-				polled = true
-				return len(s.queue) > 0 || closed
-			}
-			for {
-				if cfg.Deadline > 0 {
-					// CoDel-style queue-wait shedding: drop queued
-					// requests whose remaining budget can no longer
-					// cover the observed per-request service time —
-					// they are already dead, and executing them would
-					// only delay requests that can still make it.
-					now := w.Now()
-					for len(s.queue) > 0 {
-						p := s.queue[0]
-						if now.Add(s.svcEst) <= p.at.Add(p.req.Deadline) {
-							break
-						}
-						s.queue = s.queue[1:]
-						s.stats.DeadlineShed++
-					}
-				}
-				if len(s.queue) == 0 {
-					polled = false
-					w.WaitUntil(serverPoll, idle)
-					if len(s.queue) == 0 {
-						return // closed and drained
-					}
-					continue
-				}
-				n := cfg.Batch
-				cs := s.cs
-				if s.bo != nil {
-					n = s.bo.batch(cfg.Batch)
-					if s.bo.degraded() {
-						cs = s.deg
-					}
-				}
-				if s.budget != nil && !s.budget.Allow(w.Now()) {
-					cs = s.deg
-				}
-				if n > len(s.queue) {
-					n = len(s.queue)
-				}
-				batch = s.queue[:n:n]
-				s.queue = s.queue[n:]
-				start := w.Now()
-				for _, p := range batch {
-					queueLat.Observe(start.Sub(p.at))
-				}
-				// One critical section per batch: the body may be
-				// retried transactionally, so it only touches simulated
-				// memory (rolled back on abort). WorkPerReq models the
-				// handler compute each request runs under the shard's
-				// synchronization; aborted attempts re-pay it, exactly
-				// as an elided section re-executes its body.
-				cs.Critical(w, body)
-				end := w.Now()
-				svcLat.Observe(end.Sub(start))
-				for _, p := range batch {
-					d := end.Sub(p.at)
-					e2e.Observe(d)
-					if s.bo != nil {
-						s.e2e.Observe(d)
-					}
-					if p.req.Deadline > 0 && d > p.req.Deadline {
-						s.stats.DeadlineMiss++
-					}
-				}
-				s.stats.Completed += uint64(n)
-				s.stats.Batches++
-				if cs != s.cs {
-					s.stats.DegradedBatches++
-				}
-				if cfg.Deadline > 0 {
-					per := end.Sub(start) / vtime.Duration(n)
-					if s.svcEst == 0 {
-						s.svcEst = per
-					} else {
-						s.svcEst = (3*s.svcEst + per) / 4
-					}
-				}
-				if s.budget != nil {
-					st := s.cs.Stats().TLE
-					if a := st.TotalAborts(); a > s.lastAborts {
-						s.budget.Spend(end, a-s.lastAborts)
-						s.lastAborts = a
-					}
-				}
-				if s.bo != nil {
-					s.bo.tick(end, &s.e2e, &s.stats)
-				}
-				if end > lastDone {
-					lastDone = end
-				}
-			}
-		}
-
-		for i := range shards {
-			s := shards[i]
-			for j := 0; j < cfg.Servers; j++ {
-				e.Spawn(c, func(w *sim.Ctx) { serve(w, s) })
-			}
-		}
-
-		// The dispatcher models the network frontend: an event source
-		// that does not contend for a core with the shard servers.
-		c.SetIdle(true)
-
-		// The schedule is replayed relative to the post-construction
-		// clock: building the shards advanced the driver's virtual time,
-		// and replaying absolute times would dump every "overdue"
-		// arrival as one artificial burst at t=0.
-		base := c.Now()
-		res.Start = base
-		for _, q := range sched {
-			if gap := base.Add(vtime.Duration(q.At)).Sub(c.Now()); gap > 0 {
-				c.AdvanceIdle(gap)
-				c.Checkpoint()
-			}
-			s := shards[q.Shard]
-			s.stats.Arrivals++
-			if len(s.queue) >= cfg.QueueCap {
-				s.stats.Shed++
-				continue
-			}
-			s.queue = append(s.queue, pending{req: q, at: c.Now()})
-			s.stats.Admitted++
-			if len(s.queue) > s.stats.MaxQueue {
-				s.stats.MaxQueue = len(s.queue)
-			}
-		}
-		closed = true
-		c.WaitOthers(vtime.Microsecond)
-
-		for i, s := range shards {
-			s.stats.RetryExhausted = s.budget.Exhausted()
-			res.PerShard[i] = s.stats
-			res.SyncPerShard[i] = s.cs.Stats()
-		}
-		res.Drained = lastDone
-
-		// Final-contents checksum over raw memory: no simulated events,
-		// so traces (and the pinned snapshots) are unaffected.
-		var pairs [][2]uint64
-		for _, s := range shards {
-			s.m.RawEach(func(k, v uint64) { pairs = append(pairs, [2]uint64{k, v}) })
-		}
-		res.StoreCheck = storeChecksum(pairs)
-	})
-	e.Run()
-
-	for _, st := range res.PerShard {
-		res.Arrivals += st.Arrivals
-		res.Admitted += st.Admitted
-		res.Shed += st.Shed
-		res.Completed += st.Completed
-		res.Batches += st.Batches
-		res.DeadlineShed += st.DeadlineShed
-		res.DeadlineMiss += st.DeadlineMiss
-		res.DegradedBatches += st.DegradedBatches
-		res.Brownouts += st.Brownouts
-		res.RetryExhausted += st.RetryExhausted
-		if st.BrownoutPeak > res.BrownoutPeak {
-			res.BrownoutPeak = st.BrownoutPeak
-		}
-	}
-	for _, s := range res.SyncPerShard {
-		res.Sync.TLE = telemetry.Add(res.Sync.TLE, s.TLE)
-	}
-	res.E2E = e2e.Snapshot()
-	res.Queue = queueLat.Snapshot()
-	res.Service = svcLat.Snapshot()
-	res.HTM = sys.Stats
-	res.Cache = sys.Cache.Stats
-	if col, ok := cfg.Recorder.(*telemetry.Collector); ok {
-		sum := col.Summary()
-		res.Telemetry = &sum
-	}
-	if inj != nil {
-		res.Fault = inj.Stats
-	}
-	return res
 }
