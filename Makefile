@@ -53,13 +53,14 @@ race-executor:
 # suite, the native KV service and the cross-backend conformance tests
 # under the race detector (real goroutines on real memory are exactly
 # what -race is for) with GOMAXPROCS pinned above 1 so they interleave
-# for real, the natlevet analyzers over the backend split, and an
+# for real, the natlevet analyzers over the backend split and over the
+# service (whose native host holds a real mutex per shard), and an
 # htmbench smoke run that must report nonzero native throughput.
 NATIVE_MULTI_PROCS ?= 4
 native-check:
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/native ./internal/service
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestSimWorldMatchesKind' ./internal/workload
-	$(GO) run ./cmd/natlevet ./internal/backend/... ./internal/native/... ./internal/workload/...
+	$(GO) run ./cmd/natlevet ./internal/backend/... ./internal/native/... ./internal/workload/... ./internal/service/...
 	@out=$$($(GO) run ./cmd/htmbench -backend=native -lock=native-tle -threads 2 -ops 4096); \
 	echo "$$out"; \
 	echo "$$out" | awk 'NR>3 && $$2+0 > 0 { ok = 1 } END { exit !ok }' || \
@@ -78,8 +79,9 @@ bench:
 
 # bench-layers is the per-package ledger under the figure-sized runs of
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early
-# return, spawn and idle poll, of one htm transaction by shape, and of
-# generating a service schedule.
+# return, spawn and idle poll, of one htm transaction by shape, of
+# generating a service schedule, and of the service pipeline per request
+# on either backend.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/htm ./internal/service
 
@@ -118,12 +120,18 @@ bench-check:
 	$(GO) test -run 'TestCommittedNativeBenchParses' -count=1 ./internal/harness
 
 # service-check regenerates the service figure family at -j 1 and
-# -j 4 and fails on any byte difference, then runs the natlevet
-# analyzers over the service package (CI runs this as its own job).
+# -j 4 and fails on any byte difference, regenerates the service half of
+# the benchmark snapshot and fails unless it is the committed
+# BENCH_service.json byte for byte (a diff means the performance model
+# changed: re-pin it with `make bench-snapshot` and say why), then runs
+# the natlevet analyzers over the service package (CI runs this as its
+# own job).
 service-check:
 	$(GO) run ./cmd/figures -fig service-latency,service-slo,service-arrivals,service-chaos,service-overload -j 1 > /tmp/service_j1.txt
 	$(GO) run ./cmd/figures -fig service-latency,service-slo,service-arrivals,service-chaos,service-overload -j 4 > /tmp/service_j4.txt
 	cmp /tmp/service_j1.txt /tmp/service_j4.txt
+	$(GO) run ./cmd/htmbench -service -slo 1000 -slojson /tmp/service_bench.json > /dev/null
+	cmp /tmp/service_bench.json BENCH_service.json
 	$(GO) run ./cmd/natlevet ./internal/service/...
 
 figures:

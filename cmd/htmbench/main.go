@@ -23,9 +23,11 @@
 // violates its invariants. -backend=native -faults runs the native
 // matrix alone.
 //
-// Service overload control (-service): -deadline arms per-request
-// deadlines with queue-wait shedding, -brownout arms the p99-driven
-// brownout ladder, -retrybudget arms the per-shard abort budget.
+// Service overload control (-service, either backend): -deadline arms
+// per-request deadlines with queue-wait shedding, -brownout arms the
+// p99-driven brownout ladder, -retrybudget arms the per-shard abort
+// budget. Only the SLO search (-slo) and the telemetry flags are
+// sim-only under -service.
 package main
 
 import (
@@ -103,8 +105,8 @@ func main() {
 		sloJSON = flag.String("slojson", "", "write the service SLO search results as JSON to this file")
 
 		deadlineUs  = flag.Float64("deadline", 0, "service per-request deadline in microseconds (0: none); servers shed queued requests that cannot finish in time")
-		brownoutUs  = flag.Float64("brownout", 0, "service brownout p99 target in microseconds (0: off); breaching shards shrink batches, then degrade to the mutex, and probe for recovery")
-		retryBudget = flag.Int("retrybudget", 0, "service per-shard abort budget per brownout window (0: off); exhaustion degrades the window to the mutex")
+		brownoutUs  = flag.Float64("brownout", 0, "service brownout p99 target in microseconds (0: off); breaching shards shrink batches, then hold their lock pessimistically, and probe for recovery")
+		retryBudget = flag.Int("retrybudget", 0, "service per-shard abort budget per brownout window (0: off); exhaustion runs the rest of the window under the shard's lock")
 
 		nativeOps = flag.Int("ops", 1<<14, "native backend: per-thread operation count")
 		nativeWl  = flag.String("workload", workload.BackendCounter, nativeWorkloadHelp())
@@ -196,14 +198,14 @@ func main() {
 			// the fault schedule armed on the world each trial builds.
 			// Trials run one at a time — wall-clock measurements must not
 			// contend with each other for the host.
-			if *brownoutUs > 0 || *retryBudget > 0 || *sloUs > 0 || *traceOut != "" || *metrics != "" || *telem {
-				fmt.Fprintln(os.Stderr, "-brownout, -retrybudget, -slo, -trace, -metrics and -telemetry are sim-only; the native service supports -deadline and -fault")
+			if *sloUs > 0 || *traceOut != "" || *metrics != "" || *telem {
+				fmt.Fprintln(os.Stderr, "-slo, -trace, -metrics and -telemetry are sim-only; the native service takes every other -service flag, -fault included")
 				os.Exit(2)
 			}
 			host := harness.Fingerprint()
 			fmt.Printf("# wall-clock timing on %s/%s, %d CPUs, %s — host-dependent, not comparable to sim figures\n",
 				host.GOOS, host.GOARCH, host.CPUs, host.GoVersion)
-			a.trial, a.title, a.prof, a.sweep, a.jobs = nativeServiceTrial, "backend=native", nil, defaultNativeServiceRates, 1
+			a.trial, a.title, a.sweep, a.jobs = nativeServiceTrial, "backend=native", defaultNativeServiceRates, 1
 		}
 		runService(a)
 		return

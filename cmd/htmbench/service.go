@@ -32,7 +32,7 @@ type serviceArgs struct {
 	// builds a native world for service.RunNative.
 	trial       func(service.Config) *service.Result
 	title       string           // machine profile name, or "backend=native"
-	prof        *machine.Profile // sim only
+	prof        *machine.Profile // read by the simulator only
 	sweep       []float64        // offered loads when -rates is empty
 	scheme      string
 	arrival     string

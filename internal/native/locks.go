@@ -43,6 +43,9 @@ func (m *Mutex) Critical(bc backend.Ctx, body func()) {
 	body()
 }
 
+// Exclusive implements scheme.BackendInstance: the mutex is never elided.
+func (m *Mutex) Exclusive(c backend.Ctx, body func()) { m.Critical(c, body) }
+
 // Name implements backend.CS.
 func (m *Mutex) Name() string { return "native-mutex" }
 
@@ -93,6 +96,9 @@ func (s *Spin) Critical(bc backend.Ctx, body func()) {
 	}
 	body()
 }
+
+// Exclusive implements scheme.BackendInstance: the lock is never elided.
+func (s *Spin) Exclusive(c backend.Ctx, body func()) { s.Critical(c, body) }
 
 // Name implements backend.CS.
 func (s *Spin) Name() string { return "native-spin" }

@@ -6,20 +6,26 @@ import (
 	"time"
 
 	"natle/internal/backend"
+	"natle/internal/scheme"
 	"natle/internal/tle"
 )
 
 // runCounter increments a shared word ops times per thread under cs
-// and returns the final value.
-func runCounter(w *World, cs backend.CS, threads, ops int) uint64 {
+// and returns the final value. Every fourth increment takes cs
+// pessimistically, so a lost update between an Exclusive section and an
+// optimistic or fallback one shows in the count as well.
+func runCounter(w *World, cs scheme.BackendInstance, threads, ops int) uint64 {
 	var addr int
 	w.Run(threads, func(c backend.Ctx) {
 		addr = c.Alloc(1)
 	}, func(c backend.Ctx) {
+		incr := func() { c.Store(addr, c.Load(addr)+1) }
 		for j := 0; j < ops; j++ {
-			cs.Critical(c, func() {
-				c.Store(addr, c.Load(addr)+1)
-			})
+			if j%4 == 3 {
+				cs.Exclusive(c, incr)
+			} else {
+				cs.Critical(c, incr)
+			}
 		}
 	})
 	return w.Peek(addr)

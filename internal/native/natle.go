@@ -197,6 +197,10 @@ func (n *NATLE) Critical(bc backend.Ctx, body func()) {
 	n.commits[g].v.Add(1)
 }
 
+// Exclusive implements scheme.BackendInstance: the inner lock's; group
+// throttling shapes only optimistic admission.
+func (n *NATLE) Exclusive(c backend.Ctx, body func()) { n.inner.Exclusive(c, body) }
+
 // admitted checks the thread's group against the current decision:
 // the preferred group owns the first permille share of each window
 // position, the alternate the rest (the paper's proportional quantum

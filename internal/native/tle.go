@@ -134,6 +134,15 @@ func (t *TLE) Critical(bc backend.Ctx, body func()) {
 	t.fallback(c, body)
 }
 
+// Exclusive implements scheme.BackendInstance: the sequence word held
+// as a writer from the start, so no optimistic section validates across
+// it.
+func (t *TLE) Exclusive(c backend.Ctx, body func()) {
+	t.st.ops.Add(1)
+	t.st.fallbacks.Add(1)
+	t.fallback(c.(*Thread), body)
+}
+
 // fallback acquires the sequence word exclusively and runs body
 // pessimistically. It is its own function so the release can be
 // deferred — a panicking body must not leave the sequence odd and

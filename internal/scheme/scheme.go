@@ -78,6 +78,11 @@ func (s Stats) Sub(t Stats) Stats {
 // inst.Stats().Sub(before) after.
 type Instance interface {
 	lock.CS
+	// Exclusive runs body once under the scheme's own lock held
+	// pessimistically — the lock its optimistic sections subscribe to,
+	// so it excludes them and every other Exclusive or fallback section.
+	// Schemes that never elide run it as an ordinary Critical.
+	Exclusive(c *sim.Ctx, body func())
 	// Stats returns the cumulative counters since construction.
 	Stats() Stats
 }
@@ -89,6 +94,8 @@ type Instance interface {
 // directly.
 type BackendInstance interface {
 	backend.CS
+	// Exclusive is Instance.Exclusive on an arbitrary backend.
+	Exclusive(c backend.Ctx, body func())
 	// Stats returns the cumulative counters since construction.
 	Stats() Stats
 }
@@ -288,10 +295,10 @@ func FlagHelp() string { return strings.Join(Names(), " | ") }
 func FlagHelpFor(k backend.Kind) string { return strings.Join(NamesFor(k), " | ") }
 
 // BatchNames returns the names of the simulated schemes with the
-// Batch capability, sorted (the schemes the service workload may drive
-// with per-shard request batches larger than one; the service runs on
-// the sim backend only, so native-only schemes are excluded even when
-// internal/native is linked in).
+// Batch capability, sorted: the grid of the service SLO search and of
+// BENCH_service.json, which are sim-only. Every native scheme is
+// batch-capable too (service.RunNative), but none is listed here even
+// when internal/native is linked in.
 func BatchNames() []string {
 	var n []string
 	for _, d := range AllFor(backend.Sim) {
@@ -305,22 +312,6 @@ func BatchNames() []string {
 // BatchHelp renders the Batch-capable scheme names for flag usage
 // strings, so help text stays generated from the registry.
 func BatchHelp() string { return strings.Join(BatchNames(), ", ") }
-
-// MutexFor returns the canonical pure-mutual-exclusion scheme on
-// backend k ("lock" on the simulator, "native-mutex" natively) — the
-// degradation target shared by the tle-robust circuit breaker and the
-// service brownout controller, both of which trade elision for the
-// guaranteed progress of a plain lock when the substrate misbehaves.
-func MutexFor(k backend.Kind) (*Descriptor, error) {
-	switch k {
-	case backend.Sim:
-		return LookupFor(k, "lock")
-	case backend.Native:
-		return LookupFor(k, "native-mutex")
-	default:
-		return nil, fmt.Errorf("scheme: no mutual-exclusion baseline for backend %v", k)
-	}
-}
 
 // Help renders one "name: summary" line per scheme (for docs and
 // extended help output).
@@ -365,9 +356,15 @@ func (n natleInstance) Stats() Stats {
 	return Stats{TLE: n.inner.Stats, Timeline: n.Lock.Timeline}
 }
 
+// Exclusive takes the inner TLE lock; the throttling mode shapes only
+// optimistic admission.
+func (n natleInstance) Exclusive(c *sim.Ctx, body func()) { n.inner.Exclusive(c, body) }
+
 // statless adapts schemes without counters of their own (plain,
 // cohort, none, raw HTM); their transactional activity, if any, is
 // visible in htm.Stats and the telemetry recorder.
 type statless struct{ lock.CS }
 
 func (statless) Stats() Stats { return Stats{} }
+
+func (s statless) Exclusive(c *sim.Ctx, body func()) { s.Critical(c, body) }

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"runtime"
 	"testing"
 
+	"natle/internal/backend"
+	"natle/internal/native"
 	"natle/internal/vtime"
 )
 
@@ -18,4 +21,45 @@ func BenchmarkSchedule(b *testing.B) {
 			b.Fatalf("schedule has %d requests", n)
 		}
 	}
+}
+
+// BenchmarkPipeline times the pipeline itself — dispatch, queue, batch,
+// critical section, ledger — per scheduled request on either host, for a
+// trial small enough that nothing else amortizes: 8e6 req/s over 2 ms,
+// 16 k requests, default shards and servers. Config resolution and the
+// schedule (BenchmarkSchedule's subject) stay outside the timer, and so
+// does sizing and building the native world. The simulator's share of
+// sim/ns-per-request is what the seam must not add to; native is a flood
+// (the rate is far past what a host replays in real time), so its
+// ns/request is the dispatcher's admit-or-shed cost with the servers
+// draining beside it.
+func BenchmarkPipeline(b *testing.B) {
+	cfg := Config{Seed: 1, Rate: 8e6, Window: 2 * vtime.Millisecond}
+	run := func(kind backend.Kind, cfg Config, newHost func() func(*pipeline)) func(*testing.B) {
+		return func(b *testing.B) {
+			var ms runtime.MemStats
+			var mallocs uint64
+			requests := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := newPipeline(kind, cfg)
+				h := newHost()
+				runtime.ReadMemStats(&ms)
+				mallocs -= ms.Mallocs
+				b.StartTimer()
+				requests += p.run(h).Requests
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(requests), "ns/request")
+			b.ReportMetric(float64(mallocs)/float64(requests), "allocs/request")
+		}
+	}
+	b.Run("sim", run(backend.Sim, cfg, func() func(*pipeline) { return simHost }))
+	cfg.Scheme = "native-tle"
+	words := cfg.NativeMemWords()
+	b.Run("native", run(backend.Native, cfg, func() func(*pipeline) {
+		return nativeHost(native.NewWorld(native.Config{Seed: cfg.Seed, Words: words}))
+	}))
 }

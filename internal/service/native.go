@@ -13,9 +13,8 @@ import (
 	"natle/internal/vtime"
 )
 
-// RunNative executes one service trial on a native backend.World: the
-// same pipeline as Run, on real goroutines over real atomic words on
-// wall-clock time, under any native registry scheme.
+// RunNative executes one service trial on a native backend.World, under
+// any native registry scheme.
 //
 // Native results are measurements, not predictions: latency
 // distributions vary run to run. What must NOT vary is the request
@@ -24,89 +23,67 @@ import (
 // one server per shard and no shedding, the final store contents match
 // the simulator's run of the same Config (Result.StoreCheck).
 //
-// Brownout and RetryBudget are sim-only; faults are armed on the world
-// (native.Config.Fault), not through Config.Fault; telemetry recorders
-// are not wired natively. RunNative panics rather than silently
-// ignoring any of them.
+// Faults are armed on the world (native.Config.Fault), not through
+// Config.Fault, and telemetry recorders are not wired natively yet;
+// RunNative panics rather than silently ignoring either.
 func RunNative(w backend.World, cfg Config) *Result {
 	switch {
 	case w.Kind() != backend.Native:
 		panic("service: RunNative requires a native world, got " + string(w.Kind()))
-	case cfg.Brownout != nil:
-		panic("service: Brownout is not supported on the native backend")
-	case cfg.RetryBudget > 0:
-		panic("service: RetryBudget is not supported on the native backend")
 	case cfg.Fault != nil && cfg.Fault.Enabled():
 		panic("service: Config.Fault is sim-only; arm faults on the native world")
 	case cfg.Recorder != nil:
 		panic("service: telemetry recorders are not supported on the native backend")
 	}
-	return newPipeline(backend.Native, cfg).run(nativeHost{w})
+	return newPipeline(backend.Native, cfg).run(nativeHost(w))
 }
 
-// nativeHost hosts the pipeline on a backend.World: thread 0 is the
-// dispatcher, threads 1..Shards*Servers are the shard servers, and the
-// shard maps are simmap.BackendMap arenas in backend words, so every
-// store access is transactional under optimistic schemes exactly as on
-// the simulator.
-type nativeHost struct{ w backend.World }
-
-func (h nativeHost) run(p *pipeline) {
-	cfg := &p.cfg
-	threads := 1 + cfg.Shards*cfg.Servers
-	var zero int64 // backend clock at the end of setup
-	h.w.Run(threads, func(c backend.Ctx) {
-		// One arena lane per thread; each lane big enough for the
-		// worst case of one server applying every scheduled insert.
-		laneWords := len(p.sched)*simmap.NodeWords() + mem.WordsPerLine
-		ar := arena.New(c, threads+1, laneWords)
-		for i := range p.shards {
-			st := &nativeStore{
-				w:  h.w,
-				m:  simmap.NewBackendMap(c, ar, cfg.LogBuckets),
-				cs: p.desc.NewNative(h.w, c),
+// nativeHost hosts the pipeline on world: thread 0 dispatches, threads
+// 1..Shards*Servers serve, and the shard maps are simmap.BackendMap
+// arenas, so every store access is transactional under optimistic
+// schemes exactly as on the simulator. Each shard's lock is a real mutex
+// and idle servers park on its condition variable: only the dispatcher
+// ever spins.
+func nativeHost(world backend.World) func(*pipeline) {
+	return func(p *pipeline) {
+		cfg := &p.cfg
+		threads := 1 + cfg.Shards*cfg.Servers
+		seats := make([]nativeWorker, cfg.Shards)
+		var zero int64 // backend clock at the end of setup
+		world.Run(threads, func(c backend.Ctx) {
+			// One arena lane per thread; each lane big enough for the
+			// worst case of one server applying every scheduled insert.
+			laneWords := len(p.sched)*simmap.NodeWords() + mem.WordsPerLine
+			ar := arena.New(c, threads+1, laneWords)
+			for i := range seats {
+				w := &seats[i]
+				w.m = simmap.NewBackendMap(c, ar, cfg.LogBuckets)
+				w.cs = p.desc.NewNative(world, c)
+				s := p.addShard(0, new(sync.Mutex), w.cs.Stats,
+					func(fn func(key, val uint64)) { w.m.PeekEach(world, fn) })
+				w.parked = &s.parked
 			}
-			st.parked.L = &st.Mutex
-			p.addShard(i, 0, st)
-		}
-		zero = c.Now()
-	}, func(c backend.Ctx) {
-		if t := c.Thread(); t == 0 {
-			p.dispatch(nativeWorker{c: c, zero: zero})
-		} else {
-			s := p.shards[(t-1)/cfg.Servers]
-			p.serve(nativeWorker{c, zero, s.store.(*nativeStore)}, s)
-		}
-	})
-}
-
-// nativeStore is one native shard: a real mutex over the shard's
-// host-side state, and the condition variable its idle servers park on.
-type nativeStore struct {
-	sync.Mutex
-	parked sync.Cond
-	w      backend.World
-	m      *simmap.BackendMap
-	cs     scheme.BackendInstance
-}
-
-func (s *nativeStore) wake(all bool) {
-	if all {
-		s.parked.Broadcast()
-	} else {
-		s.parked.Signal()
+			zero = c.Now()
+		}, func(c backend.Ctx) {
+			if t := c.Thread(); t == 0 {
+				p.dispatch(nativeWorker{c: c, zero: zero})
+			} else {
+				w := seats[(t-1)/cfg.Servers]
+				w.c, w.zero = c, zero
+				p.serve(w, p.shards[(t-1)/cfg.Servers])
+			}
+		})
 	}
 }
 
-func (s *nativeStore) syncStats() scheme.Stats       { return s.cs.Stats() }
-func (s *nativeStore) each(fn func(key, val uint64)) { s.m.PeekEach(s.w, fn) }
-
-// nativeWorker is one native pipeline thread (the store is nil for the
-// dispatcher).
+// nativeWorker is one native pipeline thread; the dispatcher's has no
+// map, scheme instance or parking place.
 type nativeWorker struct {
-	c    backend.Ctx
-	zero int64
-	*nativeStore
+	c      backend.Ctx
+	zero   int64
+	m      *simmap.BackendMap
+	cs     scheme.BackendInstance
+	parked *sync.Cond
 }
 
 func (w nativeWorker) now() vtime.Time {
@@ -124,7 +101,7 @@ func (w nativeWorker) sleepUntil(t vtime.Time) {
 func (w nativeWorker) work(n int)            { w.c.Work(n) }
 func (w nativeWorker) apply(q Request)       { apply(w.m, w.c, q) }
 func (w nativeWorker) critical(body func())  { w.cs.Critical(w.c, body) }
-func (w nativeWorker) exclusive(body func()) { w.cs.Critical(w.c, body) }
+func (w nativeWorker) exclusive(body func()) { w.cs.Exclusive(w.c, body) }
 
 func (w nativeWorker) wait(idle func() bool) {
 	for !idle() {

@@ -81,40 +81,87 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 }
 
 // TestNativeServiceConservationUnderPressure: many servers per shard,
-// a tight queue, and deadlines — requests race real goroutines, and
-// the ledgers must still balance exactly.
+// a tight queue, and the overload stack the native backend inherits from
+// the shared pipeline — requests race real goroutines, batches switch
+// between Critical and Exclusive, and the ledgers must still balance
+// exactly. How far the "overload" case degrades depends on the host. The
+// "degraded" case does not: with one-request batches the ladder is the
+// downgrade alone, every completion closes a 1ns window over its 1ps
+// SLO, nothing is deadline-shed, and each shard is sure to admit more
+// than the two batches that takes.
 func TestNativeServiceConservationUnderPressure(t *testing.T) {
-	cfg := nativeConfBase()
-	cfg.Scheme = "native-tle"
-	cfg.Rate = 1e6
-	cfg.Servers = 2
-	cfg.QueueCap = 8
-	cfg.Deadline = 50 * vtime.Microsecond
-	w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
-	res := service.RunNative(w, cfg)
+	always := &service.BrownoutConfig{SLO: 1, Window: vtime.Nanosecond, MinCount: 1}
+	for _, tc := range []struct {
+		name string
+		arm  func(*service.Config)
+	}{
+		{"deadline", func(c *service.Config) { c.Deadline = 50 * vtime.Microsecond }},
+		{"overload", func(c *service.Config) {
+			c.Deadline = 50 * vtime.Microsecond
+			c.Brownout = &service.BrownoutConfig{SLO: 20 * vtime.Microsecond}
+			c.RetryBudget = 4
+		}},
+		{"degraded", func(c *service.Config) { c.Batch, c.Brownout = 1, always }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := nativeConfBase()
+			cfg.Scheme = "native-tle"
+			cfg.Rate = 1e6
+			cfg.Servers = 2
+			cfg.QueueCap = 8
+			tc.arm(&cfg)
+			w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
+			res := service.RunNative(w, cfg)
 
-	if res.Arrivals != res.Admitted+res.Shed {
-		t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
-	}
-	if res.Admitted != res.Completed+res.DeadlineShed {
-		t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
-	}
-	for i, st := range res.PerShard {
-		if st.Arrivals != st.Admitted+st.Shed {
-			t.Fatalf("shard %d: arrivals %d != admitted %d + shed %d", i, st.Arrivals, st.Admitted, st.Shed)
-		}
-		if st.Admitted != st.Completed+st.DeadlineShed {
-			t.Fatalf("shard %d: admitted %d != completed %d + deadline-shed %d",
-				i, st.Admitted, st.Completed, st.DeadlineShed)
-		}
-	}
-	if res.Completed > 0 && res.Batches == 0 {
-		t.Fatalf("%d completions in 0 batches", res.Completed)
+			if res.Arrivals != res.Admitted+res.Shed {
+				t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
+			}
+			if res.Admitted != res.Completed+res.DeadlineShed {
+				t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
+			}
+			for i, st := range res.PerShard {
+				if st.Arrivals != st.Admitted+st.Shed {
+					t.Fatalf("shard %d: arrivals %d != admitted %d + shed %d", i, st.Arrivals, st.Admitted, st.Shed)
+				}
+				if st.Admitted != st.Completed+st.DeadlineShed {
+					t.Fatalf("shard %d: admitted %d != completed %d + deadline-shed %d",
+						i, st.Admitted, st.Completed, st.DeadlineShed)
+				}
+			}
+			if res.Completed > 0 && res.Batches == 0 {
+				t.Fatalf("%d completions in 0 batches", res.Completed)
+			}
+			if res.E2E.Count() != res.Completed {
+				t.Fatalf("e2e histogram count %d != completed %d", res.E2E.Count(), res.Completed)
+			}
+			if res.DegradedBatches > res.Batches {
+				t.Fatalf("%d degraded batches of %d", res.DegradedBatches, res.Batches)
+			}
+			ladder := 1 // the scheme downgrade, above one level per batch halving
+			for b := res.Config.Batch; b > 1; b /= 2 {
+				ladder++
+			}
+			if res.BrownoutPeak > ladder {
+				t.Fatalf("brownout peak %d above the ladder's %d levels", res.BrownoutPeak, ladder)
+			}
+			switch tc.name {
+			case "deadline":
+				if res.DegradedBatches != 0 || res.Brownouts != 0 {
+					t.Fatalf("overload control ran unarmed: %d degraded batches, %d transitions", res.DegradedBatches, res.Brownouts)
+				}
+			case "degraded":
+				if res.BrownoutPeak != ladder || res.DegradedBatches == 0 {
+					t.Fatalf("every window breaches, yet peak %d of %d and %d degraded batches",
+						res.BrownoutPeak, ladder, res.DegradedBatches)
+				}
+			}
+		})
 	}
 }
 
-// TestRunNativeRejections: the sim-only machinery must be refused
-// loudly, not silently dropped.
+// TestRunNativeRejections: what the native host cannot honour must be
+// refused loudly, not silently dropped — Config.Fault (faults are armed
+// on the world) and recorders (not wired natively yet).
 func TestRunNativeRejections(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -134,8 +181,6 @@ func TestRunNativeRejections(t *testing.T) {
 			service.RunNative(w, cfg)
 		}
 	}
-	mustPanic("brownout", run(func(c *service.Config) { c.Brownout = &service.BrownoutConfig{} }))
-	mustPanic("retry-budget", run(func(c *service.Config) { c.RetryBudget = 10 }))
 	mustPanic("fault", run(func(c *service.Config) {
 		c.Fault = &fault.Profile{StallProb: 1, StallLen: vtime.Microsecond}
 	}))

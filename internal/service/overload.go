@@ -17,15 +17,21 @@ import (
 //     DeadlineShed, separately from capacity sheds;
 //   - a per-shard retry budget (Config.RetryBudget, tle.RetryBudget):
 //     aborted hardware attempts spend tokens shared by all of a
-//     shard's servers; a dry bucket runs batches under the degraded
-//     mutual-exclusion scheme until the next window refills it, so an
-//     abort storm cannot extract unbounded wasted work;
+//     shard's servers; a dry bucket runs batches degraded until the
+//     next window refills it, so an abort storm cannot extract
+//     unbounded wasted work;
 //   - a brownout controller (Config.Brownout): a per-shard state
 //     machine on the rolling e2e p99 that first shrinks the batch
-//     size level by level and finally downgrades the scheme to the
-//     mutual-exclusion baseline (scheme.MutexFor), then probes its
-//     way back up once the window p99 holds under the SLO. Every
+//     size level by level and finally degrades the shard, then probes
+//     its way back up once the window p99 holds under the SLO. Every
 //     transition is emitted through telemetry (Recorder.Brownout).
+//
+// A degraded batch runs under the shard's own scheme instance taken
+// pessimistically (scheme.Instance.Exclusive: the TLE fallback lock, the
+// plain lock itself), never under a second lock beside it: elision is
+// correct only while every non-speculative section holds the lock the
+// transactions subscribe to, and natively an optimistic section
+// validates only its own lock word.
 
 // BrownoutConfig tunes the per-shard brownout controller. The zero
 // value of every field selects the documented default.
@@ -71,9 +77,8 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 
 // brownout is one shard's controller. Level 0 is normal operation;
 // levels 1..maxLevel-1 halve the batch size per level down to
-// MinBatch; level maxLevel runs batches of MinBatch under the
-// degraded mutual-exclusion scheme. All state is host-side and
-// mutated only under the simulator's serialization token.
+// MinBatch; level maxLevel runs batches of MinBatch degraded. All state
+// is host-side and mutated only under the shard lock.
 type brownout struct {
 	cfg      BrownoutConfig
 	shard    int
@@ -118,8 +123,8 @@ func (b *brownout) batch(base int) int {
 	return n
 }
 
-// degraded reports whether the shard has been downgraded to the
-// mutual-exclusion scheme.
+// degraded reports whether the shard has reached the ladder's floor:
+// its batches run under its lock held pessimistically.
 func (b *brownout) degraded() bool { return b.level == b.maxLevel }
 
 // setLevel transitions to level to, emitting the move through

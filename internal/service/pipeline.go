@@ -11,57 +11,25 @@ import (
 	"natle/internal/vtime"
 )
 
-// The pipeline is written once, against the seam below, and hosted
-// twice: by the simulator (sim.go) and by a backend.World of real
-// goroutines (native.go). The seam sits at request and batch
-// granularity — a worker applies one request or runs one batch per
-// call — so the per-word accesses underneath stay on the concrete
-// arena.Sim / arena.Backend types of the map cores.
-
-// host runs a pipeline: it builds one store per shard (p.addShard),
-// then runs p.dispatch on one thread and p.serve on Config.Servers
-// threads per shard, and returns once all of them have.
-type host interface {
-	run(p *pipeline)
-}
-
-// store is the host's half of one shard. Its lock guards everything in
-// shardState — the queue, the ledger and the overload controller — and
-// is never held across a critical section. On the simulator execution
-// is serialized already, so the lock and the wake-up are no-ops.
-type store interface {
-	sync.Locker
-	// wake resumes one parked server of the shard, or all of them.
-	wake(all bool)
-	// syncStats and each read the shard's scheme counters and final map
-	// contents after the run.
-	syncStats() scheme.Stats
-	each(fn func(key, val uint64))
-}
-
-// worker is one pipeline thread as its host runs it: the dispatcher
-// (now and sleepUntil only) or a server bound to its shard's store.
+// worker is one pipeline thread as its host (sim.go, native.go) runs
+// it: the dispatcher (now and sleepUntil only) or a server of one shard.
+// The seam is per request and per batch, so the per-word accesses
+// underneath stay on the concrete arena.Sim / arena.Backend map cores.
 type worker interface {
-	// now reads the host clock: virtual time on the simulator, wall
-	// time since the end of setup natively.
-	now() vtime.Time
+	now() vtime.Time // host clock: virtual time, or wall time since the end of setup
 	sleepUntil(t vtime.Time)
-	// work burns the handler compute of one request and apply runs its
-	// map operation, both inside the body of critical or exclusive.
-	work(n int)
-	apply(q Request)
+	work(n int)      // one request's handler compute, inside a body
+	apply(q Request) // one request's map operation, inside a body
 	// critical runs body under the shard's scheme instance, exclusive
 	// under that instance's own lock held pessimistically.
 	critical(body func())
 	exclusive(body func())
-	// wait parks the calling server, which holds the shard lock, until
-	// idle reports true. The host chooses when to re-evaluate idle (the
-	// simulator every serverPoll, a native host after each wake) and
-	// always does so with the lock held.
+	// wait parks the server, which holds the shard lock, until idle
+	// reports true; idle is only ever evaluated under that lock.
 	wait(idle func() bool)
 }
 
-// kvMap is the shard-map surface apply needs, over either context type.
+// kvMap is what apply needs of a shard map, over either context type.
 type kvMap[C any] interface {
 	Get(c C, key uint64) (uint64, bool)
 	Put(c C, key, val uint64) bool
@@ -82,40 +50,45 @@ func apply[C any, M kvMap[C]](m M, c C, q Request) {
 	}
 }
 
-// pending is one admitted request waiting in a shard queue.
-type pending struct {
-	req Request
-	at  vtime.Time // admission time (== arrival; admission is immediate)
-}
-
-// ring is a shard's bounded admission queue: a FIFO over QueueCap slots.
+// ring is a shard's bounded admission queue: a FIFO of at most limit
+// requests whose buffer doubles up to that bound as the queue deepens,
+// so a deep QueueCap costs memory only when it is used. A queued
+// request's At is its admission time on the host clock (== arrival;
+// admission is immediate).
 type ring struct {
-	buf     []pending
-	head, n int
+	buf            []Request
+	limit, head, n int
 }
 
-func (r *ring) push(p pending) {
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
+// push appends q; the caller has checked n < limit.
+func (r *ring) push(q Request) {
+	if r.n == len(r.buf) {
+		buf := make([]Request, min(r.limit, max(8, 2*len(r.buf))))
+		for i := range r.n {
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
 	}
-	r.buf[i] = p
+	r.buf[(r.head+r.n)%len(r.buf)] = q
 	r.n++
 }
 
-func (r *ring) pop() pending {
+func (r *ring) pop() Request {
 	p := r.buf[r.head]
-	if r.head++; r.head == len(r.buf) {
-		r.head = 0
-	}
+	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return p
 }
 
-// shardState is the host-side state of one shard, guarded by its
-// store's lock.
+// shardState is the host-side state of one shard. mu guards all of it
+// and is never held across a critical section; the simulator serializes
+// execution already, so there mu is a no-op and nothing ever parks.
 type shardState struct {
-	store
+	mu        sync.Locker
+	parked    sync.Cond                      // idle native servers, on mu
+	syncStats func() scheme.Stats            // the shard's scheme counters
+	each      func(fn func(key, val uint64)) // its map contents, after the run
+
 	queue    ring
 	closed   bool // the dispatcher has replayed the whole schedule
 	stats    ShardStats
@@ -165,7 +138,6 @@ func newPipeline(kind backend.Kind, cfg Config) *pipeline {
 	p.boCfg = p.boCfg.withDefaults()
 	p.cfg = cfg
 	p.sched = cfg.Schedule()
-	p.shards = make([]*shardState, cfg.Shards)
 	p.res = &Result{Config: cfg, Requests: len(p.sched), BatchClamped: clamped}
 	if len(p.sched) > 0 {
 		p.res.LastArrival = p.sched[len(p.sched)-1].At
@@ -173,18 +145,22 @@ func newPipeline(kind backend.Kind, cfg Config) *pipeline {
 	return p
 }
 
-// addShard installs shard i over the host's store st. The overload
-// controllers are built only when armed, so default trials stay
-// byte-identical with their pre-overload-control selves.
-func (p *pipeline) addShard(i, socket int, st store) {
-	s := &shardState{store: st, queue: ring{buf: make([]pending, p.cfg.QueueCap)}}
+// addShard installs the next shard over the host's lock, scheme counters
+// and map walk. The overload controllers are built only when armed, so
+// default trials stay byte-identical with their pre-overload-control
+// selves.
+func (p *pipeline) addShard(socket int, mu sync.Locker, syncStats func() scheme.Stats, each func(func(key, val uint64))) *shardState {
+	s := &shardState{mu: mu, syncStats: syncStats, each: each}
+	s.parked.L = mu
+	s.queue.limit = p.cfg.QueueCap
 	if p.cfg.Brownout != nil {
-		s.bo = newBrownout(p.boCfg, i, socket, p.cfg.Batch, p.cfg.Recorder)
+		s.bo = newBrownout(p.boCfg, len(p.shards), socket, p.cfg.Batch, p.cfg.Recorder)
 	}
 	if p.cfg.RetryBudget > 0 {
 		s.budget = tle.NewRetryBudget(p.cfg.RetryBudget, p.boCfg.Window)
 	}
-	p.shards[i] = s
+	p.shards = append(p.shards, s)
+	return s
 }
 
 // dispatch models the network frontend: it replays the schedule on the
@@ -199,26 +175,24 @@ func (p *pipeline) dispatch(w worker) {
 	for _, q := range p.sched {
 		w.sleepUntil(base.Add(vtime.Duration(q.At)))
 		s := p.shards[q.Shard]
-		s.Lock()
+		s.mu.Lock()
 		s.stats.Arrivals++
-		if s.queue.n == len(s.queue.buf) {
+		if s.queue.n < s.queue.limit {
+			q.At = w.now()
+			s.queue.push(q)
+			s.stats.Admitted++
+			s.stats.MaxQueue = max(s.stats.MaxQueue, s.queue.n)
+			s.parked.Signal()
+		} else {
 			s.stats.Shed++
-			s.Unlock()
-			continue
 		}
-		s.queue.push(pending{req: q, at: w.now()})
-		s.stats.Admitted++
-		if s.queue.n > s.stats.MaxQueue {
-			s.stats.MaxQueue = s.queue.n
-		}
-		s.Unlock()
-		s.wake(false)
+		s.mu.Unlock()
 	}
 	for _, s := range p.shards {
-		s.Lock()
+		s.mu.Lock()
 		s.closed = true
-		s.Unlock()
-		s.wake(true)
+		s.parked.Broadcast()
+		s.mu.Unlock()
 	}
 }
 
@@ -231,13 +205,12 @@ func (p *pipeline) serve(w worker, s *shardState) {
 	cfg := &p.cfg
 	// One critical-section body per server, re-bound to each batch
 	// through the captured slice: building the literal inside the loop
-	// would heap-allocate a fresh closure per batch served. The buffer
-	// holds the largest batch the brownout ladder can ask for.
-	batch := make([]pending, max(cfg.Batch, p.boCfg.MinBatch)) //natlevet:allow hotalloc(one buffer per server lifetime, not per batch)
+	// would heap-allocate a fresh closure per batch served.
+	batch := make([]Request, max(cfg.Batch, p.boCfg.MinBatch)) //natlevet:allow hotalloc(one buffer per server lifetime, not per batch)
 	body := func() {                                           //natlevet:allow hotalloc(one closure per server lifetime, not per batch)
 		for i := range batch {
 			w.work(cfg.WorkPerReq)
-			w.apply(batch[i].req)
+			w.apply(batch[i])
 		}
 	}
 	// The idle wait, likewise one closure per server: the queue has work
@@ -253,7 +226,7 @@ func (p *pipeline) serve(w worker, s *shardState) {
 		polled = true
 		return s.queue.n > 0 || s.closed
 	}
-	s.Lock()
+	s.mu.Lock()
 	for {
 		if cfg.Deadline > 0 {
 			// CoDel-style queue-wait shedding: drop queued requests
@@ -264,7 +237,7 @@ func (p *pipeline) serve(w worker, s *shardState) {
 			now := w.now()
 			for s.queue.n > 0 {
 				q := &s.queue.buf[s.queue.head]
-				if now.Add(s.svcEst) <= q.at.Add(q.req.Deadline) {
+				if now.Add(s.svcEst) <= q.At.Add(q.Deadline) {
 					break
 				}
 				s.queue.pop()
@@ -275,7 +248,7 @@ func (p *pipeline) serve(w worker, s *shardState) {
 			polled = false
 			w.wait(idle)
 			if s.queue.n == 0 {
-				s.Unlock()
+				s.mu.Unlock()
 				return // closed and drained
 			}
 			continue
@@ -289,18 +262,15 @@ func (p *pipeline) serve(w worker, s *shardState) {
 		if s.budget != nil && !s.budget.Allow(w.now()) {
 			degraded = true
 		}
-		if n > s.queue.n {
-			n = s.queue.n
-		}
-		batch = batch[:n]
+		batch = batch[:min(n, s.queue.n)]
 		for i := range batch {
 			batch[i] = s.queue.pop()
 		}
 		start := w.now()
 		for i := range batch {
-			p.queueLat.Observe(start.Sub(batch[i].at))
+			p.queueLat.Observe(start.Sub(batch[i].At))
 		}
-		s.Unlock()
+		s.mu.Unlock()
 		// One critical section per batch: the body may be retried
 		// transactionally, so it only touches the shard map (rolled back
 		// on abort). WorkPerReq models the handler compute each request
@@ -312,26 +282,26 @@ func (p *pipeline) serve(w worker, s *shardState) {
 			w.critical(body)
 		}
 		end := w.now()
-		s.Lock()
+		s.mu.Lock()
 		p.svcLat.Observe(end.Sub(start))
 		for i := range batch {
 			q := &batch[i]
-			d := end.Sub(q.at)
+			d := end.Sub(q.At)
 			p.e2e.Observe(d)
 			if s.bo != nil {
 				s.e2e.Observe(d)
 			}
-			if q.req.Deadline > 0 && d > q.req.Deadline {
+			if q.Deadline > 0 && d > q.Deadline {
 				s.stats.DeadlineMiss++
 			}
 		}
-		s.stats.Completed += uint64(n)
+		s.stats.Completed += uint64(len(batch))
 		s.stats.Batches++
 		if degraded {
 			s.stats.DegradedBatches++
 		}
 		if cfg.Deadline > 0 {
-			per := end.Sub(start) / vtime.Duration(n)
+			per := end.Sub(start) / vtime.Duration(len(batch))
 			if s.svcEst == 0 {
 				s.svcEst = per
 			} else {
@@ -348,26 +318,23 @@ func (p *pipeline) serve(w worker, s *shardState) {
 		if s.bo != nil {
 			s.bo.tick(end, &s.e2e, &s.stats)
 		}
-		if end > s.lastDone {
-			s.lastDone = end
-		}
+		s.lastDone = max(s.lastDone, end)
 	}
 }
 
-// run executes the trial on h and merges the shard ledgers into the
-// Result.
-func (p *pipeline) run(h host) *Result {
-	h.run(p)
+// run executes the trial on host, which builds the shards (addShard)
+// and runs dispatch on one thread and serve on Config.Servers threads
+// per shard, then merges the shard ledgers into the Result.
+func (p *pipeline) run(host func(*pipeline)) *Result {
+	host(p)
 	res := p.res
-	res.PerShard = make([]ShardStats, len(p.shards))
-	res.SyncPerShard = make([]scheme.Stats, len(p.shards))
 	var pairs [][2]uint64
-	for i, s := range p.shards {
+	for _, s := range p.shards {
 		s.stats.RetryExhausted = s.budget.Exhausted()
-		st := s.stats
-		res.PerShard[i] = st
-		res.SyncPerShard[i] = s.syncStats()
-		res.Sync.TLE = telemetry.Add(res.Sync.TLE, res.SyncPerShard[i].TLE)
+		st, sy := s.stats, s.syncStats()
+		res.PerShard = append(res.PerShard, st)
+		res.SyncPerShard = append(res.SyncPerShard, sy)
+		res.Sync.TLE = telemetry.Add(res.Sync.TLE, sy.TLE)
 		res.Arrivals += st.Arrivals
 		res.Admitted += st.Admitted
 		res.Shed += st.Shed
@@ -378,12 +345,8 @@ func (p *pipeline) run(h host) *Result {
 		res.DegradedBatches += st.DegradedBatches
 		res.Brownouts += st.Brownouts
 		res.RetryExhausted += st.RetryExhausted
-		if st.BrownoutPeak > res.BrownoutPeak {
-			res.BrownoutPeak = st.BrownoutPeak
-		}
-		if s.lastDone > res.Drained {
-			res.Drained = s.lastDone
-		}
+		res.BrownoutPeak = max(res.BrownoutPeak, st.BrownoutPeak)
+		res.Drained = max(res.Drained, s.lastDone)
 		s.each(func(k, v uint64) { pairs = append(pairs, [2]uint64{k, v}) })
 	}
 	res.StoreCheck = storeChecksum(pairs)

@@ -3,14 +3,13 @@
 //
 // Where every other workload in this repository is closed-loop (N
 // threads hammering a structure in a loop, throughput the only
-// output), the service is driven by an arrival process on virtual
-// time — Poisson, bursty, or diurnal (see arrival.go) — simulating
-// millions of client requests per virtual second against a sharded
-// KV store. Each shard is a hash map in simulated memory guarded by
-// its own synchronization-scheme instance from the registry, so every
-// "-lock" scheme (plain lock, TLE, NATLE, cohort, the hardened
-// variants) is a drop-in per-shard primitive, exactly as the paper's
-// drop-in-replacement claim promises.
+// output), the service is driven by an arrival process — Poisson,
+// bursty, or diurnal (see arrival.go) — offering millions of client
+// requests per second against a sharded KV store. Each shard is a hash
+// map guarded by its own synchronization-scheme instance from the
+// registry, so every "-lock" scheme (plain lock, TLE, NATLE, cohort,
+// the hardened variants, the native mirrors) is a drop-in per-shard
+// primitive, exactly as the paper's drop-in-replacement claim promises.
 //
 // The pipeline is arrivals -> admission -> shards -> telemetry:
 //
@@ -26,9 +25,13 @@
 //     histograms, so results report p50/p99/p999 — not just
 //     throughput.
 //
-// Everything runs on the deterministic simulator: a Result is a pure
-// function of (Config, Seed), which the determinism and conservation
-// tests assert, fault schedules included.
+// The pipeline is written once (pipeline.go) and hosted twice. Run
+// hosts it on the deterministic simulator: a Result is a pure function
+// of (Config, Seed), fault schedules included, which the determinism
+// tests assert. RunNative hosts it on a backend.World of real
+// goroutines on the wall clock, where latencies are measurements and
+// only the request accounting is exact. Overload control is pipeline
+// code, so both hosts have it.
 package service
 
 import (
@@ -103,15 +106,15 @@ type Config struct {
 	Deadline vtime.Duration
 
 	// Brownout, when non-nil, arms the per-shard brownout controller:
-	// batch-size degradation and finally a scheme downgrade to the
-	// mutual-exclusion baseline when the rolling e2e p99 breaches the
+	// batch-size degradation and finally a downgrade to the scheme's own
+	// lock held pessimistically when the rolling e2e p99 breaches the
 	// SLO, with recovery probing (see BrownoutConfig).
 	Brownout *BrownoutConfig
 
 	// RetryBudget, when positive, bounds transactional retries per
 	// shard per decision window: aborted attempts spend tokens shared
-	// by the shard's servers, and a dry bucket degrades the shard to
-	// the mutual-exclusion baseline until the window rolls (see
+	// by the shard's servers, and a dry bucket runs the shard's batches
+	// under its lock held pessimistically until the window rolls (see
 	// tle.RetryBudget).
 	RetryBudget int
 
@@ -120,11 +123,12 @@ type Config struct {
 	// Fault, if non-nil and enabled, installs a deterministic fault
 	// injector (seeded from Seed) for the whole trial — the chaos
 	// schedules stress the service exactly as they stress the
-	// microbenchmarks.
+	// microbenchmarks. Sim only: a native world carries its own
+	// (native.Config.Fault).
 	Fault *fault.Profile
 
 	// Recorder, if non-nil, receives the trial's telemetry events.
-	// Nil keeps the no-op recorder (zero-cost contract).
+	// Nil keeps the no-op recorder (zero-cost contract). Sim only.
 	Recorder telemetry.Recorder
 
 	MemWords int // simulated memory pre-size (grown on demand)
@@ -210,7 +214,7 @@ type ShardStats struct {
 
 	DeadlineShed    uint64 // admitted, then dropped in-queue on deadline budget
 	DeadlineMiss    uint64 // completed past their deadline budget
-	DegradedBatches uint64 // batches run under the mutual-exclusion downgrade
+	DegradedBatches uint64 // batches run under the shard's lock held pessimistically
 	Brownouts       uint64 // brownout level transitions
 	RetryExhausted  uint64 // retry-budget windows that ran dry
 	BrownoutPeak    int    // highest brownout level reached
@@ -248,9 +252,14 @@ type Result struct {
 	Queue   telemetry.HistogramSnapshot
 	Service telemetry.HistogramSnapshot
 
-	Start       vtime.Time // arrival clock base (post-construction)
+	// Start (the dispatcher begins replaying the schedule) and Drained
+	// (the last batch completes) are read off the host clock: virtual
+	// time since the engine started, shard construction included; natively
+	// wall time since the end of setup, so Start is ~0 and Drained is in
+	// effect the length of the timed run.
+	Start       vtime.Time
 	LastArrival vtime.Time // last scheduled arrival, relative to Start
-	Drained     vtime.Time // last completion (absolute virtual time)
+	Drained     vtime.Time
 
 	// BatchClamped reports that the scheme lacks the Batch capability
 	// and Config.Batch was forced to 1.
@@ -277,24 +286,6 @@ type Result struct {
 	// Telemetry is the recorder's roll-up when Config.Recorder is a
 	// *telemetry.Collector (nil otherwise).
 	Telemetry *telemetry.Summary
-}
-
-// OfferedRate returns the realized offered load in requests per
-// virtual second of the arrival window.
-func (r *Result) OfferedRate() float64 {
-	if r.Config.Window <= 0 {
-		return 0
-	}
-	return float64(r.Arrivals) / r.Config.Window.Seconds()
-}
-
-// CompletedRate returns completed requests per virtual second of the
-// arrival window (goodput).
-func (r *Result) CompletedRate() float64 {
-	if r.Config.Window <= 0 {
-		return 0
-	}
-	return float64(r.Completed) / r.Config.Window.Seconds()
 }
 
 // ShedFraction returns the shed share of all arrivals.

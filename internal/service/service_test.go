@@ -242,3 +242,33 @@ func TestArrivalLookup(t *testing.T) {
 		t.Errorf("ArrivalHelp missing processes:\n%s", h)
 	}
 }
+
+// TestRingFIFOAcrossGrowth: the admission queue keeps arrival order
+// while its buffer doubles under a wrapped head, and stops at its limit.
+func TestRingFIFOAcrossGrowth(t *testing.T) {
+	r := ring{limit: 100}
+	next, want := 0, 0
+	for round := 0; next < 300; round++ {
+		for i := 0; i < 7 && r.n < r.limit; i++ {
+			r.push(Request{ID: next})
+			next++
+		}
+		for i := 0; i < 3; i++ {
+			if got := r.pop().ID; got != want {
+				t.Fatalf("round %d: popped request %d, want %d", round, got, want)
+			}
+			want++
+		}
+	}
+	if len(r.buf) != r.limit {
+		t.Fatalf("buffer grew to %d slots, limit %d", len(r.buf), r.limit)
+	}
+	for ; r.n > 0; want++ {
+		if got := r.pop().ID; got != want {
+			t.Fatalf("drain: popped request %d, want %d", got, want)
+		}
+	}
+	if want != next {
+		t.Fatalf("popped %d requests, pushed %d", want, next)
+	}
+}

@@ -14,68 +14,45 @@ import (
 // Run executes one service trial on the deterministic simulator and
 // returns its measurements: a pure function of (Config, Seed), fault
 // schedules included.
-func Run(cfg Config) *Result {
-	h := &simHost{}
-	res := newPipeline(backend.Sim, cfg).run(h)
-	res.HTM = h.sys.Stats
-	res.Cache = h.sys.Cache.Stats
-	if col, ok := cfg.Recorder.(*telemetry.Collector); ok {
-		sum := col.Summary()
-		res.Telemetry = &sum
-	}
-	if h.inj != nil {
-		res.Fault = h.inj.Stats
-	}
-	return res
-}
+func Run(cfg Config) *Result { return newPipeline(backend.Sim, cfg).run(simHost) }
 
 // simHost hosts the pipeline on a sim.Engine: the driver thread builds
 // the shards and then dispatches, every server is a simulated thread,
 // and the shard maps live in simulated memory.
-type simHost struct {
-	sys *htm.System
-	inj *fault.Fault
-}
-
-func (h *simHost) run(p *pipeline) {
+func simHost(p *pipeline) {
 	cfg := &p.cfg
 	e := sim.New(cfg.Prof, cfg.Pin, cfg.Shards*cfg.Servers, cfg.Seed)
-	h.sys = htm.NewSystem(e, cfg.MemWords)
+	sys := htm.NewSystem(e, cfg.MemWords)
 	if cfg.Recorder != nil {
 		// Installed before any locks exist so their RegisterLock calls
 		// land in this recorder.
-		h.sys.SetRecorder(cfg.Recorder)
+		sys.SetRecorder(cfg.Recorder)
 	}
+	var inj *fault.Fault
 	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		h.inj = fault.New(*cfg.Fault, cfg.Seed)
-		h.sys.SetInjector(h.inj)
-	}
-	var degDesc *scheme.Descriptor
-	if cfg.Brownout != nil || cfg.RetryBudget > 0 {
-		var err error
-		if degDesc, err = scheme.MutexFor(backend.Sim); err != nil {
-			panic("service: " + err.Error())
-		}
+		inj = fault.New(*cfg.Fault, cfg.Seed)
+		sys.SetInjector(inj)
 	}
 	e.Spawn(nil, func(c *sim.Ctx) {
 		// Build the shards round-robin across sockets: shard i's buckets
 		// and lock word are homed on socket i mod sockets, so cross-socket
 		// traffic is part of the workload exactly as it would be for a
 		// real NUMA-sharded store.
-		for i := range p.shards {
+		seats := make([]simWorker, cfg.Shards)
+		for i := range seats {
 			socket := i % cfg.Prof.Sockets
-			st := &simStore{
-				m:  simmap.New(h.sys, c, cfg.LogBuckets, socket),
-				cs: p.desc.New(h.sys, c, socket),
-			}
-			if degDesc != nil {
-				st.deg = degDesc.New(h.sys, c, socket)
-			}
-			p.addShard(i, socket, st)
+			w := &seats[i]
+			w.m = simmap.New(sys, c, cfg.LogBuckets, socket)
+			w.cs = p.desc.New(sys, c, socket)
+			p.addShard(socket, noLock{}, w.cs.Stats, w.m.RawEach)
 		}
-		for _, s := range p.shards {
+		for i, s := range p.shards {
 			for j := 0; j < cfg.Servers; j++ {
-				e.Spawn(c, func(w *sim.Ctx) { p.serve(simWorker{w, s.store.(*simStore)}, s) })
+				e.Spawn(c, func(wc *sim.Ctx) {
+					w := seats[i]
+					w.c = wc
+					p.serve(w, s)
+				})
 			}
 		}
 		// The dispatcher is an event source that does not contend for a
@@ -85,31 +62,27 @@ func (h *simHost) run(p *pipeline) {
 		c.WaitOthers(vtime.Microsecond)
 	})
 	e.Run()
+	p.res.HTM, p.res.Cache = sys.Stats, sys.Cache.Stats
+	if col, ok := cfg.Recorder.(*telemetry.Collector); ok {
+		sum := col.Summary()
+		p.res.Telemetry = &sum
+	}
+	if inj != nil {
+		p.res.Fault = inj.Stats
+	}
 }
 
-// simStore is one simulated shard. Execution is serialized by the
-// simulator, so its lock and wake-up do nothing.
-type simStore struct {
-	m   *simmap.Map
-	cs  scheme.Instance
-	deg scheme.Instance // mutual-exclusion downgrade instance
-}
+type noLock struct{}
 
-func (*simStore) Lock()     {}
-func (*simStore) Unlock()   {}
-func (*simStore) wake(bool) {}
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
 
-func (s *simStore) syncStats() scheme.Stats { return s.cs.Stats() }
-
-// each reads raw memory: no simulated events, so traces (and the pinned
-// snapshots) are unaffected.
-func (s *simStore) each(fn func(key, val uint64)) { s.m.RawEach(fn) }
-
-// simWorker is one simulated pipeline thread (the store is nil for the
-// dispatcher).
+// simWorker is one simulated pipeline thread; the dispatcher's has no
+// map and no scheme instance.
 type simWorker struct {
-	c *sim.Ctx
-	*simStore
+	c  *sim.Ctx
+	m  *simmap.Map // RawEach reads raw memory: no simulated events
+	cs scheme.Instance
 }
 
 func (w simWorker) now() vtime.Time { return w.c.Now() }
@@ -124,5 +97,5 @@ func (w simWorker) sleepUntil(t vtime.Time) {
 func (w simWorker) work(n int)            { w.c.Work(n) }
 func (w simWorker) apply(q Request)       { apply(w.m, w.c, q) }
 func (w simWorker) critical(body func())  { w.cs.Critical(w.c, body) }
-func (w simWorker) exclusive(body func()) { w.deg.Critical(w.c, body) }
+func (w simWorker) exclusive(body func()) { w.cs.Exclusive(w.c, body) }
 func (w simWorker) wait(idle func() bool) { w.c.WaitUntil(serverPoll, idle) }

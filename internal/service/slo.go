@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"strings"
 
 	"natle/internal/vtime"
 )
@@ -78,20 +77,6 @@ func (r SLOResult) String() string {
 	}
 	return fmt.Sprintf("%s: sustains %.4g req/s at p%g=%v (target %v, %d probes)",
 		r.Scheme, r.Sustained, 100*r.SLO.Quantile, r.LatencyAt, r.SLO.Target, len(r.Probes))
-}
-
-// ProbeTable renders the probe history, one line per trial.
-func (r SLOResult) ProbeTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%14s %14s %8s %s\n", "rate(r/s)", "latency", "shed", "verdict")
-	for _, p := range r.Probes {
-		v := "over"
-		if p.Sustains {
-			v = "ok"
-		}
-		fmt.Fprintf(&b, "%14.4g %14v %8d %s\n", p.Rate, p.Latency, p.Shed, v)
-	}
-	return b.String()
 }
 
 // SearchSLO binary-searches the maximum sustainable arrival rate for

@@ -6,14 +6,14 @@ import "natle/internal/vtime"
 // retries. The service gives each shard one budget shared by all of
 // the shard's servers: every aborted hardware attempt spends a token,
 // and once the window's tokens are gone the shard stops elided
-// execution (runs its batches under the degraded mutual-exclusion
-// scheme) until the next window refills the bucket. Bounding retries
+// execution (runs its batches under its lock held pessimistically)
+// until the next window refills the bucket. Bounding retries
 // — rather than attempts — caps the wasted work an abort storm can
 // extract from a shard while leaving well-behaved windows untouched.
 //
-// All methods are called under the simulator's serialization token
-// (one shard's servers never run concurrently on the host), so no
-// atomics are needed.
+// All methods are called under the shard's lock (on the simulator, its
+// serialization token: one shard's servers never run concurrently on
+// the host), so no atomics are needed.
 type RetryBudget struct {
 	budget int
 	window vtime.Duration

@@ -301,6 +301,13 @@ func (l *Lock) Critical(c *sim.Ctx, body func()) {
 	l.fallback(c, body)
 }
 
+// Exclusive runs the critical section under the real lock without
+// attempting elision (scheme.Instance.Exclusive).
+func (l *Lock) Exclusive(c *sim.Ctx, body func()) {
+	l.Stats.Ops++
+	l.fallback(c, body)
+}
+
 // fallback runs the critical section under the real lock.
 func (l *Lock) fallback(c *sim.Ctx, body func()) {
 	l.Stats.Fallbacks++

@@ -127,6 +127,10 @@ func (s simInstance) Critical(c backend.Ctx, body func()) {
 	s.inner.Critical(c.(*SimCtx).c, body)
 }
 
+func (s simInstance) Exclusive(c backend.Ctx, body func()) {
+	s.inner.Exclusive(c.(*SimCtx).c, body)
+}
+
 func (s simInstance) Name() string        { return s.inner.Name() }
 func (s simInstance) Stats() scheme.Stats { return s.inner.Stats() }
 
