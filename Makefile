@@ -50,16 +50,20 @@ race-executor:
 	$(GO) test -race -timeout 30m ./internal/sim ./internal/htm ./internal/service ./internal/expt ./internal/harness ./internal/workload
 
 # native-check gates the real-execution backend: the native lock
-# suite, the native KV service and the cross-backend conformance tests
-# under the race detector (real goroutines on real memory are exactly
-# what -race is for) with GOMAXPROCS pinned above 1 so they interleave
-# for real, the natlevet analyzers over the backend split and over the
-# service (whose native host holds a real mutex per shard), and an
-# htmbench smoke run that must report nonzero native throughput.
+# suite, the native KV service, the cross-backend conformance tests and
+# the driver's allocation-free op loop under the race detector (real
+# goroutines on real memory are exactly what -race is for) with
+# GOMAXPROCS pinned above 1 so they interleave for real, one iteration
+# of the native section and driver benchmarks (they must build and
+# finish; nothing is asserted about their timing), the natlevet
+# analyzers over the backend split and over the service (whose native
+# host holds a real mutex per shard), and an htmbench smoke run that
+# must report nonzero native throughput.
 NATIVE_MULTI_PROCS ?= 4
 native-check:
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/native ./internal/service
-	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestSimWorldMatchesKind' ./internal/workload
+	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestSimWorldMatchesKind|TestRunBackendAllocatesNothingPerOperation|TestMemWords' ./internal/workload
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/native ./internal/workload
 	$(GO) run ./cmd/natlevet ./internal/backend/... ./internal/native/... ./internal/workload/... ./internal/service/...
 	@out=$$($(GO) run ./cmd/htmbench -backend=native -lock=native-tle -threads 2 -ops 4096); \
 	echo "$$out"; \
@@ -80,10 +84,11 @@ bench:
 # bench-layers is the per-package ledger under the figure-sized runs of
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early
 # return, spawn and idle poll, of one htm transaction by shape, of
-# generating a service schedule, and of the service pipeline per request
-# on either backend.
+# generating a service schedule, of the service pipeline per request
+# on either backend, of one native critical section by scheme and shape,
+# and of the backend driver's closed loop per operation.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/htm ./internal/service
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/htm ./internal/service ./internal/native ./internal/workload
 
 # chaos runs the fault-injection matrix on both backends: every named
 # fault schedule against every robust synchronization scheme, on the

@@ -1,5 +1,5 @@
 // Package native is the real-execution backend: schemes run on real
-// goroutines over real memory (a []atomic.Uint64 word array) with
+// goroutines over real memory (an array of atomic.Uint64 words) with
 // wall-clock time. Where the simulated backend *predicts* multi-socket
 // HTM behaviour as a pure function of (profile, seed), this backend
 // *proves* numbers on the host it runs on — at the price of being

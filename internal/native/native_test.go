@@ -1,9 +1,11 @@
 package native
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"natle/internal/backend"
 	"natle/internal/scheme"
@@ -59,6 +61,36 @@ func TestAllocOverflowPanics(t *testing.T) {
 	w.Run(0, func(c backend.Ctx) { c.Alloc(9) }, nil)
 }
 
+// TestWordsAcrossChunks: the word array is a list of chunks; an
+// allocation that straddles two of them is one run of addresses, every
+// word is its own, and the array ends where Config.Words says, not where
+// the last chunk would.
+func TestWordsAcrossChunks(t *testing.T) {
+	const words = 2*chunkWords + 5
+	w := NewWorld(Config{Words: words})
+	w.Run(0, func(c backend.Ctx) {
+		c.Alloc(chunkWords - 2)
+		a := c.Alloc(chunkWords + 7) // the rest: chunk 0's last two words to the end
+		for i := 0; i < chunkWords+7; i++ {
+			c.Store(a+i, uint64(a+i))
+		}
+		for i := 0; i < chunkWords+7; i++ {
+			if got := c.Load(a + i); got != uint64(a+i) {
+				t.Fatalf("word %d reads %d", a+i, got)
+			}
+		}
+	}, nil)
+	if got := w.Peek(words - 1); got != words-1 {
+		t.Fatalf("last word reads %d, want %d", got, words-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a read past the last word did not panic")
+		}
+	}()
+	w.Peek(words)
+}
+
 // TestTLEValidationAbort injects one deterministic conflict: the body
 // advances the sequence word between two loads (as a concurrent
 // writer's commit would), which must abort exactly the first
@@ -77,7 +109,7 @@ func TestTLEValidationAbort(t *testing.T) {
 			c.Load(1)
 		})
 	})
-	st := lk.st.tleStats()
+	st := lk.Stats().TLE
 	if st.Ops != 1 || st.Commits != 1 || st.TotalAborts() != 1 || st.Fallbacks != 0 {
 		t.Fatalf("ops=%d commits=%d aborts=%d fallbacks=%d, want 1/1/1/0",
 			st.Ops, st.Commits, st.TotalAborts(), st.Fallbacks)
@@ -104,7 +136,7 @@ func TestTLEFallbackOnPersistentConflict(t *testing.T) {
 	if got := w.Peek(addr); got != 1 {
 		t.Fatalf("counter = %d, want 1", got)
 	}
-	st := lk.st.tleStats()
+	st := lk.Stats().TLE
 	if st.Fallbacks != 1 || st.TotalAborts() != 3 || st.Commits != 0 {
 		t.Fatalf("fallbacks=%d aborts=%d commits=%d, want 1/3/0", st.Fallbacks, st.TotalAborts(), st.Commits)
 	}
@@ -231,7 +263,7 @@ func TestTLESoakContended(t *testing.T) {
 	if got, want := runCounter(w, lk, threads, ops), uint64(threads*ops); got != want {
 		t.Fatalf("counter = %d, want %d", got, want)
 	}
-	st := lk.st.tleStats()
+	st := lk.Stats().TLE
 	if st.Ops != uint64(threads*ops) {
 		t.Fatalf("ops = %d, want %d", st.Ops, threads*ops)
 	}
@@ -282,5 +314,154 @@ func TestMutexAndSpinConservation(t *testing.T) {
 	}
 	if got := s.Stats().Extra["acquires"]; got != 2000 {
 		t.Fatalf("spin acquires = %d, want 2000", got)
+	}
+}
+
+// TestThreadIsTwoCacheLines: the per-thread words the schemes keep in
+// the context (group, counter shard) came out of its padding, not on
+// top of it.
+func TestThreadIsTwoCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(Thread{}); got != 128 {
+		t.Fatalf("native.Thread is %d bytes, want 128", got)
+	}
+	if got := unsafe.Sizeof(shard{}); got != 64 {
+		t.Fatalf("a counter shard is %d bytes, want 64", got)
+	}
+}
+
+// TestShardedCountersLive: the per-thread counter shards, summed, obey
+// the laws one shared block did, while they are being written. Eight
+// threads increment under one lock (the counter workload's shape) or
+// split over two locks of one scheme, a word each (twotrees': disjoint
+// thread sets, so each lock has shards nobody claimed); a ninth
+// goroutine sums the locks throughout and must see every counter
+// monotone, and at the end every section is on the books exactly once.
+func TestShardedCountersLive(t *testing.T) {
+	const threads = 8
+	ops := 6000
+	if testing.Short() {
+		ops = 1500
+	}
+	newTLE := func() *TLE { return NewTLE(0, tle.Backoff{}) }
+	cases := []struct {
+		name string
+		new  func(w *World) scheme.BackendInstance
+	}{
+		{"native-tle", func(*World) scheme.BackendInstance { return newTLE() }},
+		{"native-natle", func(w *World) scheme.BackendInstance {
+			return NewNATLE(newTLE(), w.Sockets(), NATLEConfig{Window: 100_000, Wait: 5_000})
+		}},
+	}
+	for _, tc := range cases {
+		for _, shape := range []string{"counter", "twotrees"} {
+			t.Run(tc.name+"/"+shape, func(t *testing.T) { testShardedCountersLive(t, threads, ops, shape, tc.new) })
+		}
+	}
+}
+
+func testShardedCountersLive(t *testing.T, threads, ops int, shape string, newLock func(*World) scheme.BackendInstance) {
+	w := NewWorld(Config{Sockets: 2})
+	locks := []scheme.BackendInstance{newLock(w)}
+	if shape == "twotrees" {
+		locks = append(locks, newLock(w))
+	}
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		last := make([]tle.Stats, len(locks))
+		n := 0
+		for {
+			for i, lk := range locks {
+				st := lk.Stats().TLE
+				d := st.Sub(last[i])
+				for _, v := range []uint64{d.Ops, d.Attempts, d.Commits, d.Aborts[1], d.Fallbacks, d.LockHeldWaits, d.Starvations} {
+					if int64(v) < 0 {
+						t.Errorf("lock %d went backwards: %v after %v", i, st, last[i])
+					}
+				}
+				last[i] = st
+			}
+			n++
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var addr int
+	w.Run(threads, func(c backend.Ctx) { addr = c.Alloc(len(locks)) }, func(c backend.Ctx) {
+		which := c.Thread() % len(locks)
+		lk, a := locks[which], addr+which
+		incr := func() { c.Store(a, c.Load(a)+1) }
+		for j := 0; j < ops; j++ {
+			lk.Critical(c, incr)
+		}
+	})
+	close(stop)
+	if n := <-polled; n < 2 {
+		t.Fatalf("the poller summed the shards %d times", n)
+	}
+
+	want := uint64(threads / len(locks) * ops)
+	for i, lk := range locks {
+		if got := w.Peek(addr + i); got != want {
+			t.Errorf("lock %d: word = %d, want %d", i, got, want)
+		}
+		full := lk.Stats()
+		st := full.TLE
+		if st.Ops != want || st.Ops != st.Commits+st.Fallbacks || st.Attempts != st.Commits+st.Aborts[1] {
+			t.Errorf("lock %d: %v, want ops = commits+fallbacks = %d and attempts = commits+aborts", i, st, want)
+		}
+		n, ok := lk.(*NATLE)
+		if !ok {
+			continue
+		}
+		if full.Extra["natle_decisions"] < 1 {
+			t.Errorf("lock %d: no window closed in %d sections", i, st.Ops)
+		}
+		// The timeline holds the sections of every closed window by
+		// group; closing the one still open by hand, it holds every
+		// section exactly once.
+		n.decide(n.cfg.Window)
+		var acqs uint64
+		for _, s := range n.Stats().Timeline {
+			for _, a := range s.Acqs {
+				acqs += a
+			}
+		}
+		if acqs != st.Ops {
+			t.Errorf("lock %d: the windows hold %d sections, the lock ran %d", i, acqs, st.Ops)
+		}
+	}
+}
+
+// TestShardsFollowTheRun: a lock does not know the thread count of the
+// Run that uses it — it may be built in one Run and used in a later,
+// wider one — so its shards grow to whatever thread index turns up, and
+// each Run's threads re-register the group they are in now.
+func TestShardsFollowTheRun(t *testing.T) {
+	w := NewWorld(Config{Sockets: 2})
+	lk := NewTLE(0, tle.Backoff{})
+	if got := runCounter(w, lk, 2, 100) + runCounter(w, lk, 6, 100); got != 800 {
+		t.Fatalf("counters = %d over the two runs, want 800", got)
+	}
+	if st := lk.Stats().TLE; st.Ops != 800 {
+		t.Fatalf("%v, want 800 sections", st)
+	}
+	shards := lk.all()
+	if len(shards) != 7 {
+		t.Fatalf("%d shards after a 6-thread run, want 7 (setup context + 6)", len(shards))
+	}
+	// Thread 1 was in group 1 of the 2-thread run and is in group 0 of
+	// the 6-thread one.
+	for i, want := range []uint32{0, 0, 0, 0, 1, 1, 1} {
+		if got := shards[i].group.Load(); got != want {
+			t.Errorf("shard %d: group %d, want %d", i, got, want)
+		}
 	}
 }

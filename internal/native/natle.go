@@ -1,13 +1,13 @@
 package native
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"natle/internal/backend"
 	"natle/internal/natle"
 	"natle/internal/scheme"
+	"natle/internal/tle"
 )
 
 // maxGroups bounds the native stand-in for sockets (thread groups).
@@ -52,14 +52,13 @@ func DefaultNATLEConfig() NATLEConfig {
 	}
 }
 
-// padCounter is a cache-line-padded counter, so per-group commit
-// bumps from different goroutines do not false-share.
-//
-//natlevet:percpu
-type padCounter struct {
-	v atomic.Uint64
-	_ [56]byte
-}
+// sampleEvery is how many of its own sections on a lock a thread lets
+// pass between two looks at the clock for the end of the window. An
+// admitted section otherwise reads no clock, so a window closes late by
+// at most sampleEvery-1 sections of whichever running thread samples
+// first (a throttled thread polls every Wait as well); decide divides
+// by the time that really passed.
+const sampleEvery = 16
 
 // NATLE is native-tle plus per-lock adaptive group throttling driven
 // by a wall-clock EWMA of per-group commit throughput.
@@ -72,28 +71,14 @@ type NATLE struct {
 	groups int
 	cfg    NATLEConfig
 
-	// windowStart and decision are read by every admitted() poll on
-	// every critical section; each owns a line so a window rollover CAS
-	// on one does not invalidate reads of the other.
+	// windowStart and decision are read by every admitted() poll of a
+	// throttled thread, decision by every critical section; each owns a
+	// line so a window rollover CAS on one does not invalidate reads of
+	// the other.
 	windowStart atomic.Int64 // ns; 0 = not started
 	_           [56]byte
 	decision    atomic.Uint64 // pref<<32 | alt<<16 | permille
 	_           [56]byte
-
-	// Per-group commit counters, one line per group: the paper's
-	// per-socket acquisition profile, minus the false sharing.
-	commits [maxGroups]padCounter
-
-	// Everything below windowStart's CAS winner touches once per
-	// window, grouped by writer.
-	ewma [maxGroups]atomic.Uint64 // math.Float64bits of commits/sec
-
-	decider struct { // written only by the elected decider thread
-		lastAttempts atomic.Uint64 // inner counter snapshot at last decision
-		lastAborts   atomic.Uint64
-		decisions    atomic.Uint64
-	}
-	_ [40]byte
 
 	throttle struct { // written by threads that were shaped
 		throttled   atomic.Uint64 // sections that waited at least once
@@ -101,11 +86,20 @@ type NATLE struct {
 	}
 	_ [48]byte
 
-	tl struct {
+	// decider is what the thread elected for an expired window folds
+	// that window into, once per window: the inner lock's counters as
+	// of the last decision (per shard, so that each window's sections
+	// go to the group their thread is in now), the smoothed per-group
+	// throughput and the timeline.
+	decider struct {
 		sync.Mutex
-		samples []natle.ModeSample
+		done     []uint64 // per inner shard: sections completed
+		attempts uint64
+		aborts   uint64
+		ewma     [maxGroups]float64 // sections/sec
+		samples  []natle.ModeSample
 	}
-	_ [32]byte
+	_ [56]byte
 }
 
 // NewNATLE builds a native-natle lock over inner for the given group
@@ -152,24 +146,27 @@ func (n *NATLE) Name() string { return "native-natle(" + n.inner.Name() + ")" }
 // Stats implements scheme.BackendInstance: the inner elision counters
 // plus the decision timeline and the throttling extras.
 func (n *NATLE) Stats() scheme.Stats {
-	n.tl.Lock()
-	timeline := append([]natle.ModeSample(nil), n.tl.samples...)
-	n.tl.Unlock()
+	n.decider.Lock()
+	timeline := append([]natle.ModeSample(nil), n.decider.samples...)
+	n.decider.Unlock()
+	st := n.inner.tleStats()
 	return scheme.Stats{
-		TLE:      n.inner.st.tleStats(),
+		TLE:      st,
 		Timeline: timeline,
 		Extra: map[string]uint64{
-			"natle_decisions":      n.decider.decisions.Load(),
+			"natle_decisions":      uint64(len(timeline)),
 			"natle_throttled":      n.throttle.throttled.Load(),
 			"natle_starvations":    n.throttle.starvations.Load(),
-			"natle_inner_fallback": n.inner.st.fallbacks.Load(),
+			"natle_inner_fallback": st.Fallbacks,
 		},
 	}
 }
 
 // Critical implements backend.CS: wait until the thread's group is
 // admitted by the current decision (bounded by the starvation
-// watchdog), then run under the inner native-tle lock.
+// watchdog), then run under the inner native-tle lock. A section that
+// is admitted at once reads the decision word and its own counters and
+// nothing else of the throttling layer.
 //
 //natlevet:hotpath
 func (n *NATLE) Critical(bc backend.Ctx, body func()) {
@@ -178,10 +175,12 @@ func (n *NATLE) Critical(bc backend.Ctx, body func()) {
 		body()
 		return
 	}
-	g := c.Socket()
-	n.maybeDecide(c)
+	sh := n.inner.shard(c)
+	if (sh.commits.Load()+sh.fallbacks.Load())%sampleEvery == 0 {
+		n.maybeDecide(c)
+	}
 	var waited int64
-	for !n.admitted(c, g) {
+	for !n.admitted(c) {
 		if waited >= n.cfg.MaxWait {
 			n.throttle.starvations.Add(1)
 			break
@@ -193,8 +192,7 @@ func (n *NATLE) Critical(bc backend.Ctx, body func()) {
 	if waited > 0 {
 		n.throttle.throttled.Add(1)
 	}
-	n.inner.Critical(c, body)
-	n.commits[g].v.Add(1)
+	n.inner.critical(c, sh, body)
 }
 
 // Exclusive implements scheme.BackendInstance: the inner lock's; group
@@ -207,12 +205,13 @@ func (n *NATLE) Exclusive(c backend.Ctx, body func()) { n.inner.Exclusive(c, bod
 // split, on wall-clock windows).
 //
 //natlevet:hotpath
-func (n *NATLE) admitted(c *Thread, g int) bool {
+func (n *NATLE) admitted(c *Thread) bool {
 	d := n.decision.Load()
 	pref := int(d >> 32 & 0xffff)
 	if pref >= n.groups {
 		return true
 	}
+	g := c.group
 	alt := int(d >> 16 & 0xffff)
 	permille := int64(d & 0xffff)
 	pos := (c.w.now() - n.windowStart.Load()) % n.cfg.Window
@@ -243,29 +242,38 @@ func (n *NATLE) maybeDecide(c *Thread) {
 	n.decide(now - ws)
 }
 
-// decide folds the expired window's per-group commit counts into the
-// EWMAs and publishes the next admission decision.
+// decide folds the expired window's per-group section counts into the
+// EWMAs and publishes the next admission decision. The counts are the
+// inner lock's own: every shard has one owner and every owner one
+// group, so the paper's per-socket acquisition profile is a sum the
+// sections already paid for.
 func (n *NATLE) decide(elapsed int64) {
+	d := &n.decider
+	d.Lock()
+	defer d.Unlock()
 	sec := float64(elapsed) / 1e9
 	acqs := make([]uint64, n.groups)
-	var total uint64
-	for g := 0; g < n.groups; g++ {
-		acqs[g] = n.commits[g].v.Swap(0)
-		total += acqs[g]
+	var total, att, ab uint64
+	shards := n.inner.all()
+	d.done = append(d.done, make([]uint64, len(shards)-len(d.done))...)
+	for i, sh := range shards {
+		var st tle.Stats
+		sh.addTo(&st)
+		g := min(int(sh.group.Load()), n.groups-1)
+		acqs[g] += st.Ops - d.done[i]
+		total += st.Ops - d.done[i]
+		d.done[i] = st.Ops
+		att += st.Attempts
+		ab += st.Aborts[1]
 	}
-	att := n.inner.st.attempts.Load()
-	ab := n.inner.st.aborts.Load()
-	dAtt := att - n.decider.lastAttempts.Swap(att)
-	dAb := ab - n.decider.lastAborts.Swap(ab)
 	var abortFrac float64
-	if dAtt > 0 {
-		abortFrac = float64(dAb) / float64(dAtt)
+	if dAtt := att - d.attempts; dAtt > 0 {
+		abortFrac = float64(ab-d.aborts) / float64(dAtt)
 	}
-	e := make([]float64, n.groups)
-	for g := 0; g < n.groups; g++ {
-		old := math.Float64frombits(n.ewma[g].Load())
-		e[g] = n.cfg.Alpha*(float64(acqs[g])/sec) + (1-n.cfg.Alpha)*old
-		n.ewma[g].Store(math.Float64bits(e[g]))
+	d.attempts, d.aborts = att, ab
+	e := d.ewma[:n.groups]
+	for g := range e {
+		e[g] = n.cfg.Alpha*(float64(acqs[g])/sec) + (1-n.cfg.Alpha)*e[g]
 	}
 
 	pref, alt, permille := n.groups, n.groups, int64(1000)
@@ -293,10 +301,9 @@ func (n *NATLE) decide(elapsed int64) {
 		}
 	}
 	n.decision.Store(n.pack(pref, alt, permille))
-	cycle := int(n.decider.decisions.Add(1)) - 1
 
 	sample := natle.ModeSample{
-		Cycle:         cycle,
+		Cycle:         len(d.samples),
 		FastestMode:   pref,
 		SlicePerMille: permille,
 		Acqs:          acqs,
@@ -308,7 +315,5 @@ func (n *NATLE) decide(elapsed int64) {
 	if permille < 1000 && admit(alt) {
 		sample.Socket0Share += float64(1000-permille) / 1000
 	}
-	n.tl.Lock()
-	n.tl.samples = append(n.tl.samples, sample)
-	n.tl.Unlock()
+	d.samples = append(d.samples, sample)
 }

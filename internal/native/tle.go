@@ -1,6 +1,7 @@
 package native
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"natle/internal/backend"
@@ -36,44 +37,63 @@ type TLE struct {
 	seq atomic.Uint64
 	_   [56]byte
 
-	// st's counters are bumped by every thread on every attempt — true
-	// sharing, which padding between them cannot fix; the block only
-	// has to stay off seq's line.
-	st stats
-	_  [8]byte
-
-	// Cold, read-only after NewTLE.
+	// Cold, read-only after NewTLE; every section reads it.
 	attempts int
 	backoff  tle.Backoff
 	_        [40]byte
+
+	// shards[i] holds the counters of thread i-1 (0: the setup
+	// context). A section reaches its shard through its Thread, so mu
+	// is taken once per (thread, lock) pairing and by whoever reads the
+	// counters — on a line the sections do not read.
+	mu     sync.Mutex
+	shards []*shard
+	_      [32]byte
 }
 
-// stats is the native schemes' atomic counter block, snapshotted into
-// the uniform scheme.Stats facade.
-type stats struct {
-	ops           atomic.Uint64 // critical sections executed
-	attempts      atomic.Uint64 // optimistic attempts started
+// counters is one thread's share of a lock's counters. Only its owner
+// writes it — thread i of the Run in progress owns shard i+1 of every
+// lock — so a bump is a load and a store of a line no other thread
+// writes, not a read-modify-write of one every thread does; the fields
+// are atomic for the readers (Stats, NATLE.decide), which may run at
+// any time.
+//
+// A section is counted once, when it commits or takes the fallback
+// lock, and an attempt when it commits or aborts: sections and attempts
+// started are those sums (addTo), not words of their own, which leaves
+// a first-try commit one counter to write.
+type counters struct {
 	commits       atomic.Uint64 // optimistic attempts that validated
 	aborts        atomic.Uint64 // validation/upgrade failures
 	lockHeldWaits atomic.Uint64 // attempts deferred on an odd sequence
 	fallbacks     atomic.Uint64 // sections that took the fallback lock
 	starvations   atomic.Uint64 // watchdog-forced fallbacks
+	group         atomic.Uint32 // the owner's thread group (NATLE's profile)
 }
 
-// tleStats renders the counters in the shared tle.Stats shape:
+// shard gives counters a cache line of its own.
+//
+//natlevet:percpu
+type shard struct {
+	counters
+	_ [16]byte
+}
+
+// inc is the owner's bump of one of its shard's counters.
+func inc(n *atomic.Uint64) { n.Store(n.Load() + 1) }
+
+// addTo adds the counters to t, in the shared tle.Stats shape:
 // validation failures count as conflict aborts (index htm.Conflict),
 // which is what they are — another thread's write interfered.
-func (s *stats) tleStats() tle.Stats {
-	t := tle.Stats{
-		Ops:           s.ops.Load(),
-		Attempts:      s.attempts.Load(),
-		Commits:       s.commits.Load(),
-		Fallbacks:     s.fallbacks.Load(),
-		LockHeldWaits: s.lockHeldWaits.Load(),
-		Starvations:   s.starvations.Load(),
-	}
-	t.Aborts[1] = s.aborts.Load()
-	return t
+func (s *counters) addTo(t *tle.Stats) {
+	commits, aborts, fallbacks := s.commits.Load(), s.aborts.Load(), s.fallbacks.Load()
+	t.Ops += commits + fallbacks
+	t.Attempts += commits + aborts
+	t.Commits += commits
+	t.Aborts[1] += aborts
+	t.Fallbacks += fallbacks
+	t.LockHeldWaits += s.lockHeldWaits.Load()
+	t.Starvations += s.starvations.Load()
 }
 
 // NewTLE builds a native-tle lock. attempts <= 0 selects
@@ -90,7 +110,50 @@ func NewTLE(attempts int, backoff tle.Backoff) *TLE {
 func (t *TLE) Name() string { return "native-tle" }
 
 // Stats implements scheme.BackendInstance.
-func (t *TLE) Stats() scheme.Stats { return scheme.Stats{TLE: t.st.tleStats()} }
+func (t *TLE) Stats() scheme.Stats { return scheme.Stats{TLE: t.tleStats()} }
+
+// tleStats sums the shards. Each counter only grows and is read once,
+// so successive sums are monotone under any interleaving with the
+// owners.
+func (t *TLE) tleStats() tle.Stats {
+	var sum tle.Stats
+	for _, sh := range t.all() {
+		sh.addTo(&sum)
+	}
+	return sum
+}
+
+// all returns the shards claimed so far; the shards themselves never
+// move.
+func (t *TLE) all() []*shard {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.shards
+}
+
+// shard returns c's counters on this lock.
+//
+//natlevet:hotpath
+func (t *TLE) shard(c *Thread) *shard {
+	if c.lock != t {
+		t.claim(c)
+	}
+	return c.shard
+}
+
+// claim points c at its shard of this lock, growing the list to reach
+// it: a lock is built before the Run that uses it and may outlive that
+// Run, so it cannot know its thread count.
+func (t *TLE) claim(c *Thread) {
+	t.mu.Lock()
+	for len(t.shards) <= c.thread+1 {
+		t.shards = append(t.shards, &shard{})
+	}
+	sh := t.shards[c.thread+1]
+	t.mu.Unlock()
+	sh.group.Store(uint32(c.group))
+	c.lock, c.shard = t, sh
+}
 
 // Critical implements backend.CS: optimistic attempts with capped
 // full-jitter backoff, then the exclusive fallback.
@@ -105,42 +168,48 @@ func (t *TLE) Critical(bc backend.Ctx, body func()) {
 		body()
 		return
 	}
-	t.st.ops.Add(1)
+	t.critical(c, t.shard(c), body)
+}
+
+// critical is Critical for a thread that is not inside a section, with
+// its shard looked up.
+//
+//natlevet:hotpath
+func (t *TLE) critical(c *Thread, sh *shard, body func()) {
 	waits := 0
 	for attempt := 0; attempt < t.attempts; {
 		s := t.seq.Load()
 		if s&1 == 1 {
 			// A writer holds the sequence lock. Defer without burning
 			// an attempt (anti-lemming), bounded by the watchdog.
-			t.st.lockHeldWaits.Add(1)
+			inc(&sh.lockHeldWaits)
 			waits++
 			if waits > maxLockHeldWaits {
-				t.st.starvations.Add(1)
+				inc(&sh.starvations)
 				break
 			}
 			c.gap(attempt, t.backoff)
 			continue
 		}
-		t.st.attempts.Add(1)
 		if t.try(c, s, body) {
-			t.st.commits.Add(1)
+			inc(&sh.commits)
 			return
 		}
-		t.st.aborts.Add(1)
+		inc(&sh.aborts)
 		attempt++
 		c.gap(attempt, t.backoff)
 	}
-	t.st.fallbacks.Add(1)
+	inc(&sh.fallbacks)
 	t.fallback(c, body)
 }
 
 // Exclusive implements scheme.BackendInstance: the sequence word held
 // as a writer from the start, so no optimistic section validates across
 // it.
-func (t *TLE) Exclusive(c backend.Ctx, body func()) {
-	t.st.ops.Add(1)
-	t.st.fallbacks.Add(1)
-	t.fallback(c.(*Thread), body)
+func (t *TLE) Exclusive(bc backend.Ctx, body func()) {
+	c := bc.(*Thread)
+	inc(&t.shard(c).fallbacks)
+	t.fallback(c, body)
 }
 
 // fallback acquires the sequence word exclusively and runs body

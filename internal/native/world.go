@@ -36,10 +36,27 @@ type Config struct {
 	Fault *fault.Profile
 }
 
+// chunkWords is the size of one piece of a world's memory: 1 MiB.
+const (
+	chunkShift = 17
+	chunkWords = 1 << chunkShift
+)
+
 // World is the native execution backend: real goroutines over a real
 // atomic word array on wall-clock time. It implements backend.World.
+//
+// The array is a list of chunks, not one allocation. A caller that
+// builds a world per trial frees tens of megabytes and asks for them
+// again, and the Go heap places a large object at the lowest address
+// where the whole of it fits: one allocation fits the range the last
+// world left only if nothing took a page off its start meanwhile (a
+// goroutine stack span or a P's page cache does, now and then), and
+// otherwise a second range is mapped beside the first and the process's
+// peak memory doubles in one run out of three. Chunks fill whatever is
+// free, so a page taken displaces one of them.
 type World struct {
-	mem      []atomic.Uint64
+	mem      [][]atomic.Uint64 // chunkWords each, the last one what is left
+	words    int
 	next     int
 	seed     int64
 	sockets  int
@@ -56,9 +73,13 @@ func NewWorld(cfg Config) *World {
 		cfg.Words = 1 << 20
 	}
 	w := &World{
-		mem:   make([]atomic.Uint64, cfg.Words),
+		mem:   make([][]atomic.Uint64, 0, (cfg.Words+chunkWords-1)>>chunkShift),
+		words: cfg.Words,
 		seed:  cfg.Seed,
 		epoch: time.Now(),
+	}
+	for left := cfg.Words; left > 0; left -= chunkWords {
+		w.mem = append(w.mem, make([]atomic.Uint64, min(left, chunkWords)))
 	}
 	switch {
 	case cfg.Sockets > 0:
@@ -84,7 +105,10 @@ func (w *World) FaultStats() fault.Stats { return w.inj.Stats() }
 func (w *World) Kind() backend.Kind { return backend.Native }
 
 // Peek implements backend.World.
-func (w *World) Peek(a int) uint64 { return w.mem[a].Load() }
+func (w *World) Peek(a int) uint64 { return w.word(a).Load() }
+
+// word returns shared word a.
+func (w *World) word(a int) *atomic.Uint64 { return &w.mem[a>>chunkShift][a&(chunkWords-1)] }
 
 // Sockets returns the world's thread-group count (the native stand-in
 // for socket placement).
@@ -106,9 +130,9 @@ func (w *World) now() int64 { return int64(time.Since(w.epoch)) }
 
 // alloc reserves nWords zeroed words.
 func (w *World) alloc(nWords int) int {
-	if w.next+nWords > len(w.mem) {
+	if w.next+nWords > w.words {
 		panic(fmt.Sprintf("native: out of memory (%d words allocated, %d requested, %d capacity)",
-			w.next, nWords, len(w.mem)))
+			w.next, nWords, w.words))
 	}
 	a := w.next
 	w.next += nWords
@@ -142,7 +166,23 @@ func (w *World) ctx(thread int) *Thread {
 	// splitmix64-style seeding: distinct, well-mixed streams per
 	// (world seed, thread).
 	s := uint64(w.seed)*0x9e3779b97f4a7c15 + uint64(thread+1)*0xbf58476d1ce4e5b9
-	return &Thread{w: w, thread: thread, rng: s}
+	return &Thread{w: w, thread: thread, group: w.groupOf(thread), rng: s}
+}
+
+// groupOf maps a worker of the current Run to its thread group: the
+// package of CPU thread%ncpu when the world discovered sysfs topology,
+// fill-first striping otherwise; the setup context is in group 0.
+func (w *World) groupOf(thread int) int {
+	if thread < 0 || w.sockets <= 1 {
+		return 0
+	}
+	if g := w.cpuGroup; len(g) > 0 {
+		return g[thread%len(g)]
+	}
+	if w.threads <= 0 {
+		return 0
+	}
+	return min(thread*w.sockets/w.threads, w.sockets-1)
 }
 
 // Thread is the per-goroutine execution context; it implements
@@ -158,10 +198,17 @@ func (w *World) ctx(thread int) *Thread {
 type Thread struct {
 	w      *World
 	thread int
+	group  int // fixed for the Run: see World.groupOf
 	rng    uint64
 	tx     txn
 	sink   uint64 // Work/spin accumulator, defeats dead-code elimination
-	_      [56]byte
+
+	// The lock this thread last ran a section on and its counter shard
+	// there (see TLE.shard): a section finds its counters without
+	// reading a line another thread writes.
+	lock  *TLE
+	shard *shard
+	_     [32]byte
 }
 
 // txn is one optimistic native-tle attempt in flight on this thread.
@@ -183,25 +230,8 @@ type abortSignal struct{}
 // Thread returns the worker index (-1 for the setup context).
 func (c *Thread) Thread() int { return c.thread }
 
-// Socket returns the thread's group: the package of CPU thread%ncpu
-// when the world discovered sysfs topology, fill-first striping
-// otherwise.
-func (c *Thread) Socket() int {
-	if c.thread < 0 || c.w.sockets <= 1 {
-		return 0
-	}
-	if g := c.w.cpuGroup; len(g) > 0 {
-		return g[c.thread%len(g)]
-	}
-	if c.w.threads <= 0 {
-		return 0
-	}
-	g := c.thread * c.w.sockets / c.w.threads
-	if g >= c.w.sockets {
-		g = c.w.sockets - 1
-	}
-	return g
-}
+// Socket returns the thread's group.
+func (c *Thread) Socket() int { return c.group }
 
 // Rand64 steps the thread's splitmix64 RNG.
 //
@@ -247,7 +277,7 @@ func (c *Thread) Alloc(nWords int) int { return c.w.alloc(nWords) }
 //
 //natlevet:hotpath
 func (c *Thread) Load(a int) uint64 {
-	v := c.w.mem[a].Load()
+	v := c.w.word(a).Load()
 	if c.tx.active && !c.tx.writer {
 		if c.tx.seq.Load() != c.tx.start {
 			panic(abortSignal{})
@@ -274,7 +304,7 @@ func (c *Thread) Store(a int, v uint64) {
 		}
 		c.tx.writer = true
 	}
-	c.w.mem[a].Store(v)
+	c.w.word(a).Store(v)
 }
 
 // spinWait busy-waits for about ns wall-clock nanoseconds, yielding

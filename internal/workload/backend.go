@@ -94,7 +94,7 @@ func (cfg *BackendConfig) defaults() {
 	}
 }
 
-// MemWords estimates the backend words the configured trial can touch,
+// MemWords bounds the backend words the configured trial can touch,
 // for sizing fixed-size native worlds (the simulator's space grows on
 // demand, so sim callers may ignore it). The sets bound is worst-case:
 // every operation an insert, every insert a full allocation.
@@ -113,9 +113,6 @@ func (cfg BackendConfig) MemWords() int {
 			need = half
 		}
 		base += lanes*(need*per+mem.WordsPerLine) + 4*mem.WordsPerLine
-	}
-	if base < 1<<20 {
-		base = 1 << 20
 	}
 	return base
 }
@@ -180,8 +177,9 @@ func RunBackend(w backend.World, cfg BackendConfig) *BackendResult {
 		startNs = c.Now()
 	}, func(c backend.Ctx) {
 		t := c.Thread()
+		op := wl.Worker(c, t)
 		for j := 0; j < cfg.Ops; j++ {
-			wl.Op(c, t, j)
+			op(j)
 			if cfg.ExternalWork > 0 {
 				c.Work(c.Intn(cfg.ExternalWork))
 			}
@@ -220,9 +218,16 @@ func RunBackend(w backend.World, cfg BackendConfig) *BackendResult {
 
 // backendWorkload is one backend-agnostic benchmark: shared-state
 // setup, the per-thread operation, and the final-contents checksum.
+//
+// Worker is called once per thread, before its op loop, and returns the
+// thread's operation j. Section bodies are built there, once per
+// thread, and take the operation's parameters from variables the worker
+// owns: a body built per operation escapes through the Critical
+// interface call, and a heap object per section is most of what a short
+// native section then costs.
 type backendWorkload interface {
 	Setup(w backend.World, c backend.Ctx, desc *scheme.Descriptor)
-	Op(c backend.Ctx, thread, j int)
+	Worker(c backend.Ctx, thread int) func(j int)
 	Sync() []scheme.Stats
 	Check(w backend.World) uint64
 }
@@ -277,10 +282,16 @@ func (b *bkCounter) Setup(w backend.World, c backend.Ctx, desc *scheme.Descripto
 	b.cs = NewInstance(w, c, desc)
 }
 
-func (b *bkCounter) Op(c backend.Ctx, thread, j int) {
-	b.cs.Critical(c, func() {
-		c.Store(b.addr, c.Load(b.addr)+1)
-	})
+func (b *bkCounter) Worker(c backend.Ctx, _ int) func(j int) {
+	cs, addr := b.cs, b.addr
+	//natlevet:hotpath
+	incr := func() {
+		c.Store(addr, c.Load(addr)+1)
+	}
+	//natlevet:hotpath
+	return func(int) {
+		cs.Critical(c, incr)
+	}
 }
 
 func (b *bkCounter) Sync() []scheme.Stats { return []scheme.Stats{b.cs.Stats()} }
@@ -326,34 +337,48 @@ func (b *bkTwoTrees) Setup(w backend.World, c backend.Ctx, desc *scheme.Descript
 	b.schLock = NewInstance(w, c, desc)
 }
 
-func (b *bkTwoTrees) Op(c backend.Ctx, thread, j int) {
-	x := opHash(b.cfg.Seed, thread, j)
-	kr := b.cfg.KeyRange
-	if thread%2 == 0 {
-		// Updater: insert or delete within this updater's partition.
-		u := thread / 2
-		key := int((x>>1)%uint64(kr/b.updaters))*b.updaters + u
-		if x&1 == 0 {
-			b.updLock.Critical(c, func() {
-				if c.Load(b.updMemb+key) == 0 {
-					c.Store(b.updMemb+key, 1)
-					c.Store(b.updSize, c.Load(b.updSize)+1)
-				}
-			})
-		} else {
-			b.updLock.Critical(c, func() {
-				if c.Load(b.updMemb+key) != 0 {
-					c.Store(b.updMemb+key, 0)
-					c.Store(b.updSize, c.Load(b.updSize)-1)
-				}
-			})
-		}
-	} else {
+func (b *bkTwoTrees) Worker(c backend.Ctx, thread int) func(j int) {
+	seed, kr := b.cfg.Seed, b.cfg.KeyRange
+	var key int // of the operation in flight
+	if thread%2 != 0 {
 		// Searcher: a read-only contains on the search set.
-		key := int(x % uint64(kr))
-		b.schLock.Critical(c, func() {
-			_ = c.Load(b.schMemb + key)
-		})
+		lock, memb := b.schLock, b.schMemb
+		//natlevet:hotpath
+		contains := func() {
+			_ = c.Load(memb + key)
+		}
+		//natlevet:hotpath
+		return func(j int) {
+			key = int(opHash(seed, thread, j) % uint64(kr))
+			lock.Critical(c, contains)
+		}
+	}
+	// Updater: insert or delete within this updater's partition.
+	lock, memb, size := b.updLock, b.updMemb, b.updSize
+	u, updaters := thread/2, b.updaters
+	//natlevet:hotpath
+	insert := func() {
+		if c.Load(memb+key) == 0 {
+			c.Store(memb+key, 1)
+			c.Store(size, c.Load(size)+1)
+		}
+	}
+	//natlevet:hotpath
+	remove := func() {
+		if c.Load(memb+key) != 0 {
+			c.Store(memb+key, 0)
+			c.Store(size, c.Load(size)-1)
+		}
+	}
+	//natlevet:hotpath
+	return func(j int) {
+		x := opHash(seed, thread, j)
+		key = int((x>>1)%uint64(kr/updaters))*updaters + u
+		if x&1 == 0 {
+			lock.Critical(c, insert)
+		} else {
+			lock.Critical(c, remove)
+		}
 	}
 }
 
@@ -416,28 +441,38 @@ func (b *bkSets) Setup(w backend.World, c backend.Ctx, desc *scheme.Descriptor) 
 	b.cs = NewInstance(w, c, desc)
 }
 
-func (b *bkSets) Op(c backend.Ctx, thread, j int) {
-	x := opHash(b.cfg.Seed, thread, j)
-	kr := b.cfg.KeyRange
-	th := b.cfg.Threads
-	if x&1 == 0 {
-		// Search: a contains over the whole key range.
-		key := int64((x >> 8) % uint64(kr))
-		b.cs.Critical(c, func() {
-			b.set.Contains(c, key)
-		})
-		return
+func (b *bkSets) Worker(c backend.Ctx, thread int) func(j int) {
+	seed, kr, th := b.cfg.Seed, b.cfg.KeyRange, b.cfg.Threads
+	cs, set := b.cs, b.set
+	var key int64 // of the operation in flight
+	//natlevet:hotpath
+	contains := func() {
+		set.Contains(c, key)
 	}
-	// Update: insert or delete within this thread's partition.
-	key := int64((x>>8)%uint64(kr/th))*int64(th) + int64(thread)
-	if x&2 == 0 {
-		b.cs.Critical(c, func() {
-			b.set.Insert(c, key)
-		})
-	} else {
-		b.cs.Critical(c, func() {
-			b.set.Delete(c, key)
-		})
+	//natlevet:hotpath
+	insert := func() {
+		set.Insert(c, key)
+	}
+	//natlevet:hotpath
+	remove := func() {
+		set.Delete(c, key)
+	}
+	//natlevet:hotpath
+	return func(j int) {
+		x := opHash(seed, thread, j)
+		if x&1 == 0 {
+			// Search: a contains over the whole key range.
+			key = int64((x >> 8) % uint64(kr))
+			cs.Critical(c, contains)
+			return
+		}
+		// Update: insert or delete within this thread's partition.
+		key = int64((x>>8)%uint64(kr/th))*int64(th) + int64(thread)
+		if x&2 == 0 {
+			cs.Critical(c, insert)
+		} else {
+			cs.Critical(c, remove)
+		}
 	}
 }
 

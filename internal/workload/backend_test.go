@@ -1,0 +1,74 @@
+package workload_test
+
+import (
+	"testing"
+
+	"natle/internal/backend"
+	"natle/internal/native"
+	"natle/internal/scheme"
+	"natle/internal/sets"
+	"natle/internal/workload"
+)
+
+// TestRunBackendAllocatesNothingPerOperation: whatever RunBackend
+// allocates is set-up — the world's contexts and goroutines, the
+// workers and their bodies, the result — and does not grow with the
+// trial. Two trials that differ only in length differ by well under one
+// heap object per hundred extra operations, under every native scheme.
+// (A section body built per operation is one object per operation: it
+// escapes through the Critical interface call.)
+func TestRunBackendAllocatesNothingPerOperation(t *testing.T) {
+	const short, long = 1 << 10, 1 << 13
+	for _, wl := range workload.BackendWorkloads() {
+		for _, lock := range scheme.NamesFor(backend.Native) {
+			cfg := workload.BackendConfig{
+				Lock: lock, Workload: wl, Threads: 2, Seed: 1, KeyRange: 512,
+			}
+			cfg.Ops = short
+			_, few := nativeMallocs(cfg)
+			cfg.Ops = long
+			_, many := nativeMallocs(cfg)
+			extra := float64(cfg.Threads * (long - short))
+			if perOp := (float64(many) - float64(few)) / extra; perOp >= 0.01 {
+				t.Errorf("%s/%s: %d allocations for %d ops per thread, %d for %d: %.3f per extra operation",
+					wl, lock, few, short, many, long, perOp)
+			}
+		}
+	}
+}
+
+// TestMemWordsIsTheWorkloadsOwnNeed: a world is sized by what the trial
+// can touch plus fixed slack, with no floor under it (the default size
+// lives in native.Config.Words <= 0 alone) — a counter trial does not
+// zero eight megabytes to touch one word — and the sets bound, the only
+// one that grows with the trial, still holds a trial that inserts at
+// every opportunity.
+func TestMemWordsIsTheWorkloadsOwnNeed(t *testing.T) {
+	if got := (workload.BackendConfig{Workload: workload.BackendCounter, Threads: 2}).MemWords(); got >= 1<<17 {
+		t.Errorf("counter: %d words, want < %d", got, 1<<17)
+	}
+	if got := (workload.BackendConfig{Workload: workload.BackendTwoTrees, Threads: 2, KeyRange: 2048}).MemWords(); got >= 1<<17 {
+		t.Errorf("twotrees: %d words, want < %d", got, 1<<17)
+	}
+	// What the sets bound comes to, pinned: worst case times lanes.
+	for kind, want := range map[sets.Kind]int{
+		sets.KindAVL: 1638456, sets.KindLeafBST: 3211320, sets.KindSkipList: 4784184,
+	} {
+		cfg := workload.BackendConfig{Workload: workload.BackendSets, Threads: 2, Ops: 1 << 16, KeyRange: 2048, Set: kind}
+		if got := cfg.MemWords(); got != want {
+			t.Errorf("sets/%s: %d words, want %d", kind, got, want)
+		}
+	}
+	// A trial of the default size, every structure (the tree kinds come
+	// to less than native.Config's default): it must fit the world
+	// MemWords sizes — Alloc panics on overflow — and finish its schedule.
+	for _, kind := range sets.Kinds() {
+		cfg := workload.BackendConfig{
+			Lock: "native-tle", Workload: workload.BackendSets, Threads: 2, Seed: 3, Set: kind,
+		}
+		w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.MemWords(), Sockets: 2})
+		if r := workload.RunBackend(w, cfg); r.Ops != 2<<14 {
+			t.Errorf("sets/%s: %d ops, want %d", kind, r.Ops, 2<<14)
+		}
+	}
+}
