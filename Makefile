@@ -83,12 +83,14 @@ bench:
 
 # bench-layers is the per-package ledger under the figure-sized runs of
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early
-# return, spawn and idle poll, of one htm transaction by shape, of
-# generating a service schedule, of the service pipeline per request
-# on either backend, of one native critical section by scheme and shape,
-# and of the backend driver's closed loop per operation.
+# return, spawn and idle poll, of one cache-model access by the path it
+# takes, of one htm transaction by shape, of generating a service
+# schedule, of the service pipeline per request on either backend, of
+# one native critical section by scheme and shape, of the backend
+# driver's closed loop per operation, and of one simulated trial's
+# set-up by thread count.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/htm ./internal/service ./internal/native ./internal/workload
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/cache ./internal/htm ./internal/service ./internal/native ./internal/workload
 
 # chaos runs the fault-injection matrix on both backends: every named
 # fault schedule against every robust synchronization scheme, on the

@@ -100,28 +100,14 @@ func Run(cfg Config) *Result {
 		a := newAssembler(cfg, sys, c)
 		// The single lock protecting the shared subsequence map.
 		cs := desc.New(sys, c, 0)
-		started := false
-		var start, finish vtime.Time
-		done := 0
-		for i := 0; i < cfg.Threads; i++ {
-			tid := i
-			e.Spawn(c, func(w *sim.Ctx) {
-				// Align all workers to the common virtual start time
-				// (reads are distributed after thread creation).
-				w.WaitUntil(500*vtime.Nanosecond, func() bool { return started })
-				if d := start.Sub(w.Now()); d > 0 {
-					w.AdvanceIdle(d)
-					w.Checkpoint()
-				}
-				a.work(w, cs, tid, cfg.Threads)
-				if w.Now() > finish {
-					finish = w.Now()
-				}
-				done++
-			})
-		}
-		start = c.Now()
-		started = true
+		var finish vtime.Time
+		// Reads are distributed after thread creation.
+		start := e.SpawnTeam(c, cfg.Threads, func(tid int, w *sim.Ctx) {
+			a.work(w, cs, tid, cfg.Threads)
+			if w.Now() > finish {
+				finish = w.Now()
+			}
+		})
 		c.SetIdle(true)
 		c.WaitOthers(2 * vtime.Microsecond)
 		// Final sequential stage: walk the links into contigs.

@@ -77,47 +77,41 @@ func RunDelegation(sc Scale, threads, batch int) float64 {
 				}
 			})
 		}
-		var started bool
 		var measureStart, deadline vtime.Time
-		for i := 0; i < nClients; i++ {
-			i := i
-			e.Spawn(c, func(w *sim.Ctx) {
-				w.WaitUntil(500*vtime.Nanosecond, func() bool { return started })
-				var counted uint64
-				batches := make([][]delegation.Op, p.Sockets)
-				for {
-					opStart := w.Now()
-					if opStart >= deadline {
-						break
+		start := e.SpawnTeam(c, nClients, func(i int, w *sim.Ctx) {
+			var counted uint64
+			batches := make([][]delegation.Op, p.Sockets)
+			for {
+				opStart := w.Now()
+				if opStart >= deadline {
+					break
+				}
+				// Generate a batch, routed per socket by key half.
+				for s := range batches {
+					batches[s] = batches[s][:0]
+				}
+				for b := 0; b < batch; b++ {
+					key := int64(w.Rand64() % keyRange)
+					code := delegation.OpInsert
+					if w.Rand64()&1 == 0 {
+						code = delegation.OpDelete
 					}
-					// Generate a batch, routed per socket by key half.
-					for s := range batches {
-						batches[s] = batches[s][:0]
-					}
-					for b := 0; b < batch; b++ {
-						key := int64(w.Rand64() % keyRange)
-						code := delegation.OpInsert
-						if w.Rand64()&1 == 0 {
-							code = delegation.OpDelete
-						}
-						s := int(key * int64(p.Sockets) / keyRange)
-						batches[s] = append(batches[s], delegation.MakeOp(code, key))
-					}
-					for s, ob := range batches {
-						if len(ob) > 0 {
-							chans[s].Submit(w, i, ob)
-						}
-					}
-					if opStart >= measureStart && w.Now() <= deadline {
-						counted += uint64(batch)
+					s := int(key * int64(p.Sockets) / keyRange)
+					batches[s] = append(batches[s], delegation.MakeOp(code, key))
+				}
+				for s, ob := range batches {
+					if len(ob) > 0 {
+						chans[s].Submit(w, i, ob)
 					}
 				}
-				ops += counted
-			})
-		}
-		measureStart = c.Now().Add(sc.Warmup)
+				if opStart >= measureStart && w.Now() <= deadline {
+					counted += uint64(batch)
+				}
+			}
+			ops += counted
+		})
+		measureStart = start.Add(sc.Warmup)
 		deadline = measureStart.Add(dur)
-		started = true
 		c.SetIdle(true)
 		// Wait for the clients (servers spin until stop).
 		c.WaitUntil(2*vtime.Microsecond, func() bool { return e.Live() <= 1+p.Sockets })

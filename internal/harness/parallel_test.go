@@ -78,6 +78,30 @@ func TestPlansByteIdenticalAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
+// TestSameSeedSameBytes runs one plan per start-line driver
+// (workload.Run, RunTwoTrees, stamp.Run, cctsa.Run, the delegation
+// baseline) twice from one seed and compares bytes. Every worker of a
+// trial leaves sim.Engine.SpawnTeam's start line at the same virtual
+// instant, so these trials open on as many run-queue ties as they have
+// threads; the order out of a tie must be the thread ID, never the
+// layout the queue happened to have.
+func TestSameSeedSameBytes(t *testing.T) {
+	sc := microScale()
+	for _, build := range []func(Scale) *expt.Plan{
+		PlanFig01,
+		PlanFig16,
+		func(sc Scale) *expt.Plan { return PlanFig17(sc, []string{"ssca2"}) },
+		func(sc Scale) *expt.Plan { return PlanFig18(sc, true) },
+		func(sc Scale) *expt.Plan { return PlanDelegation(sc, []int{4}) },
+	} {
+		a := Exec(build(sc), expt.Options{Workers: 2})
+		b := Exec(build(sc), expt.Options{Workers: 2})
+		if a.String() != b.String() || a.CSV() != b.CSV() {
+			t.Errorf("%s: two runs of one seed differ:\n%s\n%s", a.ID, a.String(), b.String())
+		}
+	}
+}
+
 // TestExecFoldsFailureNotes checks the harness-level contract for a
 // panicking trial: the figure still renders, the surviving series keep
 // their points, and the failure surfaces as a deterministic note.

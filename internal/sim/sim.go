@@ -299,6 +299,33 @@ func (e *Engine) SpawnOn(parent *Ctx, core int, fn func(*Ctx)) *Ctx {
 // pattern is to Spawn all workers from a driver thread. Spawn must be
 // called either before Run or by the currently running thread.
 func (e *Engine) Spawn(parent *Ctx, fn func(*Ctx)) *Ctx {
+	c := e.create(parent, fn)
+	e.push(c)
+	return c
+}
+
+// SpawnTeam is the start line of a trial: it creates n threads exactly
+// as n successive Spawn(parent, ...) calls would (IDs, placement, RNG
+// seeds, the parent's clock advanced by n spawn/pin overheads), thread i
+// running fn(i, ·), and queues them only once the last exists, every
+// clock set to the parent's. That instant is returned. No thread of the
+// team executes anything before it, and holding them costs nothing: they
+// have not run yet, so there is no condition to poll.
+func (e *Engine) SpawnTeam(parent *Ctx, n int, fn func(i int, w *Ctx)) (start vtime.Time) {
+	first := len(e.threads)
+	for i := 0; i < n; i++ {
+		e.create(parent, func(w *Ctx) { fn(i, w) })
+	}
+	for _, c := range e.threads[first:] {
+		c.now = parent.now
+		e.push(c)
+	}
+	return parent.now
+}
+
+// create builds a thread and accounts for it; queueing it is the
+// caller's.
+func (e *Engine) create(parent *Ctx, fn func(*Ctx)) *Ctx {
 	c := &Ctx{
 		ID:     len(e.threads),
 		eng:    e,
@@ -332,7 +359,6 @@ func (e *Engine) Spawn(parent *Ctx, fn func(*Ctx)) *Ctx {
 	e.threads = append(e.threads, c)
 	e.live++
 	e.coreLoad[c.core]++
-	e.push(c)
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		e.body(c, fn)

@@ -193,27 +193,14 @@ func Run(b Benchmark, cfg Config) *Result {
 		// The STAMP adaptation's single process-wide elidable lock.
 		cs := desc.New(sys, c, 0)
 		bar := NewBarrier(cfg.Threads)
-		started := false
-		var start, finish vtime.Time
-		for i := 0; i < cfg.Threads; i++ {
-			tid := i
-			e.Spawn(c, func(w *sim.Ctx) {
-				// Wait for the release flag, then align to the common
-				// virtual start time (threads are created before the
-				// timed region, as in STAMP).
-				w.WaitUntil(500*vtime.Nanosecond, func() bool { return started })
-				if d := start.Sub(w.Now()); d > 0 {
-					w.AdvanceIdle(d)
-					w.Checkpoint()
-				}
-				b.Work(w, cs, bar, tid, cfg.Threads)
-				if w.Now() > finish {
-					finish = w.Now()
-				}
-			})
-		}
-		start = c.Now()
-		started = true
+		var finish vtime.Time
+		// Threads are created before the timed region, as in STAMP.
+		start := e.SpawnTeam(c, cfg.Threads, func(tid int, w *sim.Ctx) {
+			b.Work(w, cs, bar, tid, cfg.Threads)
+			if w.Now() > finish {
+				finish = w.Now()
+			}
+		})
 		c.SetIdle(true)
 		c.WaitOthers(2 * vtime.Microsecond)
 		res.Runtime = finish.Sub(start)

@@ -59,20 +59,14 @@ func (w *SimWorld) Kind() backend.Kind { return backend.Sim }
 func (w *SimWorld) Peek(a int) uint64 { return w.Sys.Mem.Raw(mem.Addr(a)) }
 
 // Run implements backend.World with the repo's standard driver shape:
-// a spawning driver thread runs setup, releases the workers through a
-// started flag, idles, and joins them (see workload.Run).
+// a spawning driver thread runs setup, releases the workers from one
+// start line, idles, and joins them (see workload.Run).
 func (w *SimWorld) Run(threads int, setup func(backend.Ctx), body func(backend.Ctx)) {
 	w.Eng.Spawn(nil, func(c *sim.Ctx) {
 		setup(&SimCtx{w: w, c: c, thread: -1})
-		var started bool
-		for i := 0; i < threads; i++ {
-			i := i
-			w.Eng.Spawn(c, func(wc *sim.Ctx) {
-				wc.WaitUntil(500*vtime.Nanosecond, func() bool { return started })
-				body(&SimCtx{w: w, c: wc, thread: i})
-			})
-		}
-		started = true
+		w.Eng.SpawnTeam(c, threads, func(i int, wc *sim.Ctx) {
+			body(&SimCtx{w: w, c: wc, thread: i})
+		})
 		c.SetIdle(true)
 		c.WaitOthers(2 * vtime.Microsecond)
 	})

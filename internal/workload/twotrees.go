@@ -16,7 +16,9 @@ import (
 // external work to equalize single-thread op cost) on tree S. Threads
 // are pinned so each socket hosts equal numbers from both groups.
 type TwoTreesConfig struct {
-	Base Config // machine, pinning, lock kind, durations, seeds
+	// Base gives machine, pinning, lock kind, seeds and durations;
+	// Warmup counts from the one start line of both groups, as in Run.
+	Base Config
 
 	// SearchWork is the external-work iteration count added to each
 	// search operation so the two groups have comparable single-thread
@@ -78,45 +80,39 @@ func RunTwoTrees(cfg TwoTreesConfig) *TwoTreesResult {
 		sets.Prefill(updTree, c, base.KeyRange)
 		sets.Prefill(schTree, c, base.KeyRange)
 
-		var started bool
 		var measureStart, deadline vtime.Time
-		for i := 0; i < base.Threads; i++ {
-			i := i
-			e.Spawn(c, func(w *sim.Ctx) {
-				w.WaitUntil(500*vtime.Nanosecond, func() bool { return started })
-				var counted uint64
-				for {
-					opStart := w.Now()
-					if opStart >= deadline {
-						break
-					}
-					key := int64(w.Rand64() % uint64(base.KeyRange))
-					if i%2 == 0 {
-						if w.Rand64()&1 == 0 {
-							updLock.Critical(w, func() { updTree.Insert(w, key) })
-						} else {
-							updLock.Critical(w, func() { updTree.Delete(w, key) })
-						}
-					} else {
-						schLock.Critical(w, func() { schTree.Contains(w, key) })
-						if cfg.SearchWork > 0 {
-							w.Work(w.Intn(cfg.SearchWork))
-						}
-					}
-					if opStart >= measureStart && w.Now() <= deadline {
-						counted++
-					}
+		start := e.SpawnTeam(c, base.Threads, func(i int, w *sim.Ctx) {
+			var counted uint64
+			for {
+				opStart := w.Now()
+				if opStart >= deadline {
+					break
 				}
+				key := int64(w.Rand64() % uint64(base.KeyRange))
 				if i%2 == 0 {
-					res.UpdateOps += counted
+					if w.Rand64()&1 == 0 {
+						updLock.Critical(w, func() { updTree.Insert(w, key) })
+					} else {
+						updLock.Critical(w, func() { updTree.Delete(w, key) })
+					}
 				} else {
-					res.SearchOps += counted
+					schLock.Critical(w, func() { schTree.Contains(w, key) })
+					if cfg.SearchWork > 0 {
+						w.Work(w.Intn(cfg.SearchWork))
+					}
 				}
-			})
-		}
-		measureStart = c.Now().Add(base.Warmup)
+				if opStart >= measureStart && w.Now() <= deadline {
+					counted++
+				}
+			}
+			if i%2 == 0 {
+				res.UpdateOps += counted
+			} else {
+				res.SearchOps += counted
+			}
+		})
+		measureStart = start.Add(base.Warmup)
 		deadline = measureStart.Add(base.Duration)
-		started = true
 		c.SetIdle(true)
 		c.WaitOthers(2 * vtime.Microsecond)
 		res.UpdateSync = updLock.Stats()

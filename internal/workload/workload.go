@@ -62,8 +62,14 @@ type Config struct {
 	TLE   tle.Policy    // used by LockTLE and as NATLE's inner lock
 	NATLE *natle.Config // nil selects natle.DefaultConfig
 
-	Warmup   vtime.Duration // virtual time before measurement starts
-	Duration vtime.Duration // measured virtual time
+	// Warmup is the virtual time between the start line — the instant
+	// at which every worker begins, once the last one is created and
+	// pinned (sim.Engine.SpawnTeam) — and the measured window. The
+	// driver's own clock has by then paid Threads spawn/pin overheads,
+	// which are in neither; Result's counters are deltas over the window
+	// alone.
+	Warmup   vtime.Duration
+	Duration vtime.Duration // measured virtual time, right after Warmup
 
 	// CommitDelay inserts a spin of the given virtual duration before
 	// every transactional commit (the Fig 6 injection experiment).
@@ -199,19 +205,14 @@ func Run(cfg Config) *Result {
 
 		sets.Prefill(set, c, cfg.KeyRange)
 
-		// Shared trial state (host-side; safe because execution is
-		// serialized by the simulator token).
-		var started bool
+		// The window is fixed before any worker runs: none does until
+		// the driver first gives way, below.
 		var measureStart, deadline vtime.Time
-		for i := 0; i < cfg.Threads; i++ {
-			e.Spawn(c, func(w *sim.Ctx) {
-				w.WaitUntil(500*vtime.Nanosecond, func() bool { return started })
-				runWorker(w, cfg, set, cs, res, &measureStart, &deadline)
-			})
-		}
-		measureStart = c.Now().Add(cfg.Warmup)
+		start := e.SpawnTeam(c, cfg.Threads, func(_ int, w *sim.Ctx) {
+			runWorker(w, cfg, set, cs, res, measureStart, deadline)
+		})
+		measureStart = start.Add(cfg.Warmup)
 		deadline = measureStart.Add(cfg.Duration)
-		started = true
 		// The driver now just waits (a joined main thread); it should
 		// not contend with the worker sharing its core.
 		c.SetIdle(true)
@@ -242,12 +243,12 @@ func Run(cfg Config) *Result {
 }
 
 func runWorker(w *sim.Ctx, cfg Config, set sets.Set, cs scheme.Instance,
-	res *Result, measureStart, deadline *vtime.Time) {
+	res *Result, measureStart, deadline vtime.Time) {
 	var counted uint64
 	countedSock := make([]uint64, len(res.PerSock))
 	for {
 		opStart := w.Now()
-		if opStart >= *deadline {
+		if opStart >= deadline {
 			break
 		}
 		key := int64(w.Rand64() % uint64(cfg.KeyRange))
@@ -263,7 +264,7 @@ func runWorker(w *sim.Ctx, cfg Config, set sets.Set, cs scheme.Instance,
 		default:
 			cs.Critical(w, func() { set.Contains(w, key) })
 		}
-		if opStart >= *measureStart && w.Now() <= *deadline {
+		if opStart >= measureStart && w.Now() <= deadline {
 			counted++
 			countedSock[w.Socket()]++
 		}
