@@ -92,19 +92,18 @@ bench:
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/cache ./internal/htm ./internal/service ./internal/native ./internal/workload
 
-# chaos runs the fault-injection matrix on both backends: every named
-# fault schedule against every robust synchronization scheme, on the
-# simulator and then on real goroutines, asserting the conservation
-# invariants and fault-free final contents/checksums.
+# chaos runs the one fault-injection matrix: every named fault
+# schedule against every robust scheme of both backends over every
+# backend-agnostic workload, asserting the conservation laws and the
+# fault-free reference checksum in every cell.
 chaos:
 	$(GO) run ./cmd/htmbench -faults
 
-# chaos-native runs the cross-backend chaos suite under the race
-# detector: the native fault adapter drives real goroutines, which is
-# exactly what -race exists to check.
+# chaos-native runs the chaos tests under the race detector with
+# GOMAXPROCS above 1: the native fault adapter drives real goroutines,
+# which is exactly what -race exists to check.
 chaos-native:
-	$(GO) test -race -timeout 15m -run 'TestNativeChaos|TestCrossBackendChaos|TestNativeSweepFault' ./internal/harness
-	$(GO) run ./cmd/htmbench -backend=native -faults
+	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -v -run 'TestChaos|TestCrossBackendChaos|TestNativeSweepFault' ./internal/harness
 
 # bench-snapshot regenerates the committed benchmark snapshots. The
 # service half is deterministic — a diff in BENCH_service.json after

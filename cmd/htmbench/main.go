@@ -18,10 +18,9 @@
 //
 // Fault injection: -fault <schedule> runs the sweep with a named fault
 // schedule injected (on either backend); -faults runs the chaos matrix
-// (every fault schedule against every robust scheme, on the simulator
-// and then on the native backend) and exits nonzero if any cell
-// violates its invariants. -backend=native -faults runs the native
-// matrix alone.
+// (every fault schedule against every robust scheme of both backends
+// over the backend-agnostic workloads) and exits nonzero if any cell
+// violates its invariants.
 //
 // Service overload control (-service, either backend): -deadline arms
 // per-request deadlines with queue-wait shedding, -brownout arms the
@@ -89,7 +88,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "write one telemetry summary CSV row per trial to this file")
 		telem     = flag.Bool("telemetry", false, "print the per-trial telemetry summary")
 		faultName = flag.String("fault", "", "inject the named fault schedule into every trial: "+strings.Join(fault.ScheduleNames(), " | "))
-		chaos     = flag.Bool("faults", false, "run the chaos matrix (fault schedules x robust schemes) instead of a sweep; exits 1 on any invariant violation")
+		chaos     = flag.Bool("faults", false, "run the chaos matrix (fault schedules x robust schemes of both backends x workloads) instead of a sweep; exits 1 on any invariant violation")
 		breaker   = flag.Bool("breaker", false, "arm the TLE circuit breaker: degrade to the plain mutex under pathological abort rates, probe for recovery")
 		jobs      = flag.Int("j", 0, "host worker pool size for the sweep / chaos matrix (<= 0: GOMAXPROCS)")
 		progress  = flag.Bool("progress", false, "report per-trial completion on stderr")
@@ -131,15 +130,6 @@ func main() {
 	}
 
 	if *chaos {
-		if bk == backend.Native {
-			if !runNativeChaos(*seed, *faultName) {
-				os.Exit(1)
-			}
-			return
-		}
-		// Cross-backend chaos: the simulated matrix first, then the
-		// same schedules against the native schemes on real goroutines.
-		// Both must hold their invariants for a zero exit.
 		cfg := harness.ChaosConfig{Seed: *seed, Parallel: *jobs}
 		if *faultName != "" {
 			cfg.Schedules = []string{*faultName}
@@ -150,10 +140,8 @@ func main() {
 			os.Exit(2)
 		}
 		report, ok := harness.ChaosReport(cells)
-		fmt.Println("# chaos matrix, backend=sim")
 		fmt.Print(report)
-		fmt.Println("# chaos matrix, backend=native")
-		if !runNativeChaos(*seed, *faultName) || !ok {
+		if !ok {
 			fmt.Fprintln(os.Stderr, "chaos: invariant violations detected")
 			os.Exit(1)
 		}
@@ -194,10 +182,10 @@ func main() {
 			jobs:        *jobs,
 		}
 		if bk == backend.Native {
-			// The KV service on real goroutines: the same pipeline, with
-			// the fault schedule armed on the world each trial builds.
-			// Trials run one at a time — wall-clock measurements must not
-			// contend with each other for the host.
+			// The KV service on real goroutines: the same pipeline, on a
+			// fresh world per trial. Trials run one at a time —
+			// wall-clock measurements must not contend with each other
+			// for the host.
 			if *sloUs > 0 || *traceOut != "" || *metrics != "" || *telem {
 				fmt.Fprintln(os.Stderr, "-slo, -trace, -metrics and -telemetry are sim-only; the native service takes every other -service flag, -fault included")
 				os.Exit(2)

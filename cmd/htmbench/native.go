@@ -145,32 +145,7 @@ func writeNativeBench(w io.Writer, snap *harness.NativeBench) error {
 }
 
 // nativeServiceTrial runs one service trial on a fresh native world
-// sized for its schedule, with the -fault schedule (if any) armed on the
-// world: natively faults belong to the world, not to service.Config.
+// sized for its schedule.
 func nativeServiceTrial(c service.Config) *service.Result {
-	w := native.NewWorld(native.Config{Seed: c.Seed, Words: c.NativeMemWords(), Fault: c.Fault})
-	c.Fault = nil
-	return service.RunNative(w, c)
-}
-
-// runNativeChaos runs the native half of the chaos matrix: every
-// requested fault schedule against the robust native schemes over the
-// backend-agnostic workloads, invariants checked per cell. Reports to
-// stdout and returns whether every cell held.
-func runNativeChaos(seed int64, only string) bool {
-	cfg := harness.NativeChaosConfig{Seed: seed}
-	if only != "" {
-		cfg.Schedules = []string{only}
-	}
-	cells, err := harness.RunNativeChaos(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	report, ok := harness.NativeChaosReport(cells)
-	fmt.Print(report)
-	if !ok {
-		fmt.Fprintln(os.Stderr, "chaos(native): invariant violations detected")
-	}
-	return ok
+	return service.RunNative(native.NewWorld(native.Config{Seed: c.Seed, Words: c.NativeMemWords()}), c)
 }

@@ -118,7 +118,11 @@ func (p Profile) Enabled() bool {
 
 // Stats counts the faults actually injected (host-side, observational).
 type Stats struct {
-	SpuriousAborts uint64 // spurious-abort countdowns armed
+	// SpuriousAborts counts spurious-abort countdowns armed: one per
+	// transactional attempt started while SpuriousAbortRate > 0, on
+	// either world. A countdown fires only if its attempt makes that
+	// many accesses, so this bounds the injected aborts from above.
+	SpuriousAborts uint64
 	HintLies       uint64 // abort hints flipped
 	Squeezes       uint64 // capacity-squeeze windows opened
 	SqueezedTx     uint64 // capacity queries answered with squeezed bounds
@@ -130,6 +134,29 @@ type Stats struct {
 func (s Stats) String() string {
 	return fmt.Sprintf("spurious=%d hint-lies=%d squeezes=%d squeezed-tx=%d inval-delays=%d stalls=%d",
 		s.SpuriousAborts, s.HintLies, s.Squeezes, s.SqueezedTx, s.InvalDelays, s.Stalls)
+}
+
+// Target is a world a trial's faults are armed on: the simulator's
+// (workload.SimWorld) and the native one (native.World) both are.
+// ArmFaults installs an injector for p before the world runs (a
+// disabled p arms nothing), and FaultStats reports what it injected.
+type Target interface {
+	ArmFaults(p Profile)
+	FaultStats() Stats
+}
+
+// Arm arms *p, when p is non-nil, on w, which must then be a Target,
+// and returns w for the end-of-trial stats query (nil when p is nil).
+func Arm(w any, p *Profile) Target {
+	if p == nil {
+		return nil
+	}
+	t, ok := w.(Target)
+	if !ok {
+		panic(fmt.Sprintf("fault: a %T cannot carry faults", w))
+	}
+	t.ArmFaults(*p)
+	return t
 }
 
 // Fault is the built-in deterministic injector.

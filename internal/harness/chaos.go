@@ -2,79 +2,64 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"natle/internal/backend"
 	"natle/internal/expt"
 	"natle/internal/fault"
-	"natle/internal/htm"
 	"natle/internal/machine"
+	"natle/internal/native"
 	"natle/internal/scheme"
-	"natle/internal/sets"
-	"natle/internal/sim"
 	"natle/internal/telemetry"
-	"natle/internal/vtime"
+	"natle/internal/workload"
 )
 
-// The chaos harness: every registered synchronization scheme runs a
-// fixed, interleaving-independent operation schedule under every named
-// fault schedule (internal/fault), and each cell is checked against
-// the invariants no amount of injected adversity may break:
+// The chaos harness: every named fault schedule (internal/fault) runs
+// against every robust mutual-exclusion scheme of both execution
+// backends, over every backend-agnostic workload, and each cell is
+// checked against the laws no injected adversity may break:
 //
-//   - transaction conservation: starts = commits + aborts;
-//   - critical-section conservation: ops = commits + fallbacks (for
-//     eliding schemes);
-//   - correctness: the final set contents equal the fault-free host
-//     replay of the schedule, and the tree invariants hold.
+//   - operation conservation: every one of the trial's threads x ops
+//     critical sections is counted once, and per lock each either
+//     committed optimistically or took the fallback (ops = commits +
+//     fallbacks);
+//   - transaction conservation on the simulator: starts = commits +
+//     aborts;
+//   - correctness: the workload's checksum (structural invariants
+//     included) equals one fault-free reference, computed once per
+//     workload on the simulator under lock. The checksum depends on
+//     neither backend nor scheme — the cross-backend conformance suite
+//     proves it — so one reference serves every cell.
 //
 // Faults may slow a scheme down arbitrarily; they must never change
-// what it computes.
+// what it computes. Sim cells are deterministic and run on a host pool;
+// native cells measure real goroutines and run one at a time.
 
 // ChaosConfig configures a chaos run. The zero value selects the
 // defaults documented on each field.
 type ChaosConfig struct {
-	Workers      int   // simulated threads (default 8)
-	KeysPerWork  int   // worker key-partition size (default 24)
-	OpsPerWorker int   // deterministic ops per worker (default 160)
-	Seed         int64 // simulator and injector seed (default 1)
+	Threads int   // workers per cell (default 8)
+	Ops     int   // operations per worker (default 256)
+	Seed    int64 // operation-schedule, world and injector seed (default 1)
 
-	// Parallel bounds the host worker pool running the matrix cells
-	// (<= 0 selects GOMAXPROCS). Cells are independent simulations;
-	// results are assembled in matrix order regardless of the pool
-	// size, so the report is byte-identical at any parallelism.
+	// Parallel bounds the host worker pool running the sim cells (<= 0
+	// selects GOMAXPROCS). Results are assembled in matrix order, so
+	// the sim lines of the report are byte-identical at any value.
 	Parallel int
-
-	// Schemes names the registry schemes to run (default: every scheme
-	// with both Mutex and Robust set — non-robust schemes such as raw
-	// HTM have no fallback, so a capacity-squeeze fault genuinely
-	// violates their progress requirement; that is a documented
-	// property, not a harness failure).
-	Schemes []string
 
 	// Schedules names the fault schedules to run (default: all).
 	Schedules []string
 }
 
 func (cfg ChaosConfig) withDefaults() ChaosConfig {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
+	if cfg.Threads <= 0 {
+		cfg.Threads = 8
 	}
-	if cfg.KeysPerWork <= 0 {
-		cfg.KeysPerWork = 24
-	}
-	if cfg.OpsPerWorker <= 0 {
-		cfg.OpsPerWorker = 160
+	if cfg.Ops <= 0 {
+		cfg.Ops = 256
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Schemes == nil {
-		for _, d := range scheme.AllFor(backend.Sim) {
-			if d.Mutex && d.Robust {
-				cfg.Schemes = append(cfg.Schemes, d.Name)
-			}
-		}
 	}
 	if cfg.Schedules == nil {
 		cfg.Schedules = fault.ScheduleNames()
@@ -82,22 +67,21 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	return cfg
 }
 
-// ChaosCell is the outcome of one (schedule, scheme) cell.
+// ChaosCell is the outcome of one (backend, schedule, scheme,
+// workload) cell.
 type ChaosCell struct {
+	Backend  backend.Kind
 	Schedule string
 	Scheme   string
+	Workload string
 
-	Ok       bool
-	Failures []string // invariant violations (empty when Ok)
-
-	Ops       uint64 // critical sections executed
-	Commits   uint64
-	Aborts    uint64
-	Fallbacks uint64
-
-	Sync  scheme.Stats // the scheme's own counters
-	Fault fault.Stats  // what the injector actually did
+	Failures []string       // law violations (empty when the cell held)
+	Sync     []scheme.Stats // each of the workload's locks' counters
+	Fault    fault.Stats    // what the world's injector actually did
 }
+
+// Ok reports whether the cell held every law.
+func (c ChaosCell) Ok() bool { return len(c.Failures) == 0 }
 
 func (c *ChaosCell) fail(format string, args ...any) {
 	c.Failures = append(c.Failures, fmt.Sprintf(format, args...))
@@ -105,192 +89,151 @@ func (c *ChaosCell) fail(format string, args ...any) {
 
 // String renders one result line.
 func (c ChaosCell) String() string {
+	var commits, aborts, fallbacks uint64
+	for _, s := range c.Sync {
+		commits += s.TLE.Commits
+		aborts += s.TLE.TotalAborts()
+		fallbacks += s.TLE.Fallbacks
+	}
 	status := "ok"
-	if !c.Ok {
+	if !c.Ok() {
 		status = "FAIL: " + strings.Join(c.Failures, "; ")
 	}
-	s := fmt.Sprintf("%-10s %-12s commits=%-6d aborts=%-6d fallbacks=%-4d [%s] %s",
-		c.Schedule, c.Scheme, c.Commits, c.Aborts, c.Fallbacks, c.Fault, status)
-	return s
+	return fmt.Sprintf("%-6s %-10s %-12s %-8s commits=%-5d aborts=%-5d fallbacks=%-5d [%s] %s",
+		c.Backend, c.Schedule, c.Scheme, c.Workload, commits, aborts, fallbacks, c.Fault, status)
 }
 
-// chaosOp returns worker tid's j-th operation: a key inside the
-// worker's own partition and whether to insert (vs delete). Derived by
-// integer hashing so the schedule — and therefore the expected final
-// contents — is independent of the simulator's RNG, of thread
-// interleaving, and of any injected fault.
-func chaosOp(cfg ChaosConfig, tid, j int) (key int64, insert bool) {
-	x := uint64(tid)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9 + 0x632be59bd9b4e019
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	key = int64(tid*cfg.KeysPerWork) + int64(x%uint64(cfg.KeysPerWork))
-	insert = x&(1<<40) != 0
-	return
+// chaosWorld builds a fresh world of kind k for bc: on the simulator
+// the two-socket machine with threads alternating sockets (the
+// adversarial placement: every schedule gets cross-socket traffic to
+// amplify), natively a world sized for the trial.
+func chaosWorld(k backend.Kind, bc workload.BackendConfig) backend.World {
+	if k == backend.Sim {
+		return workload.NewSimWorld(machine.LargeX52(), machine.Alternating{}, bc.Threads, bc.Seed, 0)
+	}
+	return native.NewWorld(native.Config{Seed: bc.Seed, Words: bc.MemWords()})
 }
 
-// ChaosExpected replays the schedule on a host map: the contents every
-// scheme must converge to under every fault schedule.
-func ChaosExpected(cfg ChaosConfig) []int64 {
-	cfg = cfg.withDefaults()
-	m := map[int64]bool{}
-	for tid := 0; tid < cfg.Workers; tid++ {
-		for j := 0; j < cfg.OpsPerWorker; j++ {
-			key, ins := chaosOp(cfg, tid, j)
-			if ins {
-				m[key] = true
-			} else {
-				delete(m, key)
-			}
-		}
-	}
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+// chaosReference is the fault-free checksum every cell of bc's workload
+// must reproduce: bc's trial on the simulator under lock.
+func chaosReference(bc workload.BackendConfig) uint64 {
+	bc.Lock, bc.Fault = "lock", nil
+	return workload.RunBackend(chaosWorld(backend.Sim, bc), bc).Check
 }
 
-// RunChaosCell runs one (schedule, scheme) cell on the two-socket
-// machine with threads alternating across sockets (the adversarial
-// placement: every fault schedule gets cross-socket traffic to
-// amplify). rec, when non-nil, receives the cell's telemetry — the
-// determinism test exports two runs' traces and compares bytes.
-func RunChaosCell(cfg ChaosConfig, sched fault.Schedule, desc *scheme.Descriptor,
-	rec telemetry.Recorder) ChaosCell {
-	cfg = cfg.withDefaults()
-	cell := ChaosCell{Schedule: sched.Name, Scheme: desc.Name}
-
-	e := sim.New(machine.LargeX52(), machine.Alternating{}, cfg.Workers, cfg.Seed)
-	sys := htm.NewSystem(e, 1<<20)
-	if rec != nil {
-		sys.SetRecorder(rec)
-	}
-	inj := fault.New(sched.Profile, cfg.Seed)
-	sys.SetInjector(inj)
-
-	var keys []int64
-	e.Spawn(nil, func(c *sim.Ctx) {
-		set := sets.NewAVL(sys, c)
-		cs := desc.New(sys, c, 0)
-		work := func(w *sim.Ctx, tid int) {
-			for j := 0; j < cfg.OpsPerWorker; j++ {
-				key, ins := chaosOp(cfg, tid, j)
-				if ins {
-					cs.Critical(w, func() { set.Insert(w, key) })
-				} else {
-					cs.Critical(w, func() { set.Delete(w, key) })
-				}
-			}
+// runChaosCell runs bc under sched on a fresh world of kind k and
+// checks the cell's laws against want, the fault-free checksum of its
+// workload. rec, when non-nil, receives a sim cell's telemetry.
+func runChaosCell(k backend.Kind, sched fault.Schedule, bc workload.BackendConfig,
+	want uint64, rec telemetry.Recorder) (cell ChaosCell) {
+	cell = ChaosCell{Backend: k, Schedule: sched.Name, Scheme: bc.Lock, Workload: bc.Workload}
+	defer func() {
+		// A workload's Check panics on a broken structure: that is this
+		// cell's failure, not the matrix's.
+		if r := recover(); r != nil {
+			cell.fail("panic: %v", r)
 		}
-		if desc.Mutex {
-			for i := 0; i < cfg.Workers; i++ {
-				tid := i
-				e.Spawn(c, func(w *sim.Ctx) { work(w, tid) })
-			}
-			c.SetIdle(true)
-			c.WaitOthers(vtime.Microsecond)
-		} else {
-			// Without mutual exclusion concurrent updates would corrupt
-			// the tree by design; run the schedule sequentially so the
-			// contents check still applies.
-			for tid := 0; tid < cfg.Workers; tid++ {
-				work(c, tid)
-			}
-		}
-		if err := set.CheckInvariants(); err != nil {
-			cell.fail("tree invariants violated: %v", err)
-		}
-		keys = set.Keys()
-		cell.Sync = cs.Stats()
-	})
-	e.Run()
+	}()
+	w := chaosWorld(k, bc)
+	sw, _ := w.(*workload.SimWorld)
+	if sw != nil && rec != nil {
+		sw.Sys.SetRecorder(rec)
+	}
+	bc.Fault = &sched.Profile
+	r := workload.RunBackend(w, bc)
+	cell.Sync, cell.Fault = r.Sync, r.Fault
 
-	hs := sys.Stats
-	cell.Commits = hs.Commits
-	cell.Aborts = hs.TotalAborts()
-	cell.Fallbacks = cell.Sync.TLE.Fallbacks
-	cell.Ops = cell.Sync.TLE.Ops
-	cell.Fault = inj.Stats
-
-	if hs.Starts != hs.Commits+hs.TotalAborts() {
-		cell.fail("HTM conservation broken: %d starts != %d commits + %d aborts",
-			hs.Starts, hs.Commits, hs.TotalAborts())
+	var elided uint64
+	for i, s := range r.Sync {
+		if s.TLE.Ops != s.TLE.Commits+s.TLE.Fallbacks {
+			cell.fail("CS conservation broken on lock %d: %d ops != %d commits + %d fallbacks",
+				i, s.TLE.Ops, s.TLE.Commits, s.TLE.Fallbacks)
+		}
+		elided += s.TLE.Ops
 	}
-	if ops := cell.Sync.TLE.Ops; ops > 0 && ops != cell.Sync.TLE.Commits+cell.Sync.TLE.Fallbacks {
-		cell.fail("CS conservation broken: %d ops != %d commits + %d fallbacks",
-			ops, cell.Sync.TLE.Commits, cell.Sync.TLE.Fallbacks)
+	// Lock baselines keep no section ledger; every eliding scheme's
+	// locks together see each operation exactly once.
+	if ops := uint64(bc.Threads) * uint64(bc.Ops); elided != 0 && elided != ops {
+		cell.fail("op conservation broken: locks counted %d sections, want %d", elided, ops)
 	}
-	want := ChaosExpected(cfg)
-	if !equalKeys(keys, want) {
-		cell.fail("final contents diverge from fault-free replay: got %d keys, want %d",
-			len(keys), len(want))
+	if sw != nil {
+		if hs := sw.Sys.Stats; hs.Starts != hs.Commits+hs.TotalAborts() {
+			cell.fail("HTM conservation broken: %d starts != %d commits + %d aborts",
+				hs.Starts, hs.Commits, hs.TotalAborts())
+		}
 	}
-	cell.Ok = len(cell.Failures) == 0
+	if r.Check != want {
+		cell.fail("checksum diverges from fault-free run: got %#x, want %#x", r.Check, want)
+	}
 	return cell
 }
 
-func equalKeys(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RunChaos runs the full (schedules × schemes) matrix on a bounded
-// host worker pool (cfg.Parallel) and returns one cell per
-// combination, schedules outermost (the order of cfg.Schedules and
-// cfg.Schemes). Every name is resolved before any cell runs, so
-// lookup errors surface without burning simulation time.
+// RunChaos runs the full matrix and returns one cell per combination:
+// backend outermost (sim, then native), then schedule (the order of
+// cfg.Schedules), scheme and workload. Schedule names are resolved and
+// the fault-free references computed before any cell runs.
 func RunChaos(cfg ChaosConfig) ([]ChaosCell, error) {
 	cfg = cfg.withDefaults()
-	type cellSpec struct {
-		sched fault.Schedule
-		desc  *scheme.Descriptor
-	}
-	var specs []cellSpec
-	for _, sn := range cfg.Schedules {
-		sched, err := fault.LookupSchedule(sn)
+	scheds := make([]fault.Schedule, len(cfg.Schedules))
+	for i, name := range cfg.Schedules {
+		s, err := fault.LookupSchedule(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, name := range cfg.Schemes {
-			desc, err := scheme.LookupFor(backend.Sim, name)
-			if err != nil {
-				return nil, err
+		scheds[i] = s
+	}
+	base := workload.BackendConfig{Threads: cfg.Threads, Ops: cfg.Ops, Seed: cfg.Seed}
+	want := map[string]uint64{}
+	for _, wl := range workload.BackendWorkloads() {
+		bc := base
+		bc.Workload = wl
+		want[wl] = chaosReference(bc)
+	}
+
+	type spec struct {
+		k     backend.Kind
+		sched fault.Schedule
+		bc    workload.BackendConfig
+	}
+	var specs []spec
+	var nSim int
+	for _, k := range []backend.Kind{backend.Sim, backend.Native} {
+		for _, s := range scheds {
+			for _, d := range scheme.AllFor(k) {
+				if !d.Mutex || !d.Robust {
+					continue
+				}
+				for _, wl := range workload.BackendWorkloads() {
+					bc := base
+					bc.Lock, bc.Workload = d.Name, wl
+					specs = append(specs, spec{k, s, bc})
+				}
 			}
-			specs = append(specs, cellSpec{sched, desc})
+		}
+		if k == backend.Sim {
+			nSim = len(specs)
 		}
 	}
-	return expt.Map(cfg.Parallel, len(specs), func(i int) ChaosCell {
-		return RunChaosCell(cfg, specs[i].sched, specs[i].desc, nil)
-	}), nil
+	run := func(i int) ChaosCell {
+		s := specs[i]
+		return runChaosCell(s.k, s.sched, s.bc, want[s.bc.Workload], nil)
+	}
+	cells := expt.Map(cfg.Parallel, nSim, run)
+	for i := nSim; i < len(specs); i++ {
+		cells = append(cells, run(i))
+	}
+	return cells, nil
 }
 
-// ChaosReport renders the matrix and reports whether every cell held
-// its invariants.
+// ChaosReport renders the matrix one line per cell and reports whether
+// every cell held its laws.
 func ChaosReport(cells []ChaosCell) (string, bool) {
 	var b strings.Builder
 	ok := true
 	for _, c := range cells {
 		b.WriteString(c.String())
 		b.WriteByte('\n')
-		if !c.Ok {
-			ok = false
-		}
+		ok = ok && c.Ok()
 	}
 	return b.String(), ok
-}
-
-// BreakerStats extracts the hardened-TLE counters from a cell (zero
-// for schemes without the breaker).
-func BreakerStats(c ChaosCell) (trips, recoveries, skips uint64) {
-	s := c.Sync.TLE
-	return s.BreakerTrips, s.BreakerRecoveries, s.BreakerSkips
 }

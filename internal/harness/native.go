@@ -43,9 +43,8 @@ type NativeSweepConfig struct {
 	Sockets int
 	// TLE overrides the scheme's retry policy (zero keeps defaults).
 	TLE tle.Policy
-	// Fault, if non-nil and enabled, arms the native fault adapter on
-	// every trial's world (see native.Fault); the per-trial injected
-	// counters land in BackendResult.Fault.
+	// Fault, if non-nil and enabled, arms these faults on every trial
+	// (see workload.BackendConfig.Fault).
 	Fault *fault.Profile
 }
 
@@ -78,16 +77,13 @@ func NativeSweep(cfg NativeSweepConfig) []*workload.BackendResult {
 			Set:          cfg.Set,
 			ExternalWork: cfg.ExternalWork,
 			TLE:          cfg.TLE,
+			Fault:        cfg.Fault,
 		}
 		// The world is sized from the workload's own estimate: the sets
 		// trials allocate structure nodes from backend words, and the
 		// default capacity is not enough for long sweeps.
-		w := native.NewWorld(native.Config{
-			Seed: cfg.Seed, Sockets: cfg.Sockets, Fault: cfg.Fault, Words: bc.MemWords(),
-		})
-		r := workload.RunBackend(w, bc)
-		r.Fault = w.FaultStats()
-		out = append(out, r)
+		w := native.NewWorld(native.Config{Seed: cfg.Seed, Sockets: cfg.Sockets, Words: bc.MemWords()})
+		out = append(out, workload.RunBackend(w, bc))
 	}
 	return out
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"natle/internal/backend"
+	"natle/internal/fault"
 	"natle/internal/scheme"
+	"natle/internal/vtime"
 	"natle/internal/workload"
 )
 
@@ -87,5 +89,27 @@ func TestCommittedNativeBenchParses(t *testing.T) {
 	checkBenchShape(t, &b)
 	if b.Host.GoVersion == "" || b.Host.GOOS == "" || b.Host.GOARCH == "" || b.Host.CPUs <= 0 {
 		t.Errorf("host fingerprint incomplete: %+v", b.Host)
+	}
+}
+
+// TestNativeSweepFaultPlumbing: a fault-armed native sweep reports
+// injected-fault counters on its results; a fault-free sweep reports
+// none.
+func TestNativeSweepFaultPlumbing(t *testing.T) {
+	p := fault.Profile{StallProb: 1, StallLen: vtime.Microsecond}
+	rs := NativeSweep(NativeSweepConfig{
+		Lock: "native-mutex", Threads: []int{2}, Ops: 64, Seed: 1, Fault: &p,
+	})
+	if len(rs) != 1 {
+		t.Fatalf("got %d results, want 1", len(rs))
+	}
+	if rs[0].Fault.Stalls == 0 {
+		t.Error("certain stalls on every acquisition never fired")
+	}
+	clean := NativeSweep(NativeSweepConfig{
+		Lock: "native-mutex", Threads: []int{2}, Ops: 64, Seed: 1,
+	})
+	if clean[0].Fault != (fault.Stats{}) {
+		t.Errorf("fault-free sweep reported injected faults: %+v", clean[0].Fault)
 	}
 }

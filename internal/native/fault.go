@@ -15,14 +15,15 @@ import (
 //
 // The mapping, per profile knob:
 //
-//   - SpuriousAbortRate: a geometric per-access countdown armed at
-//     each optimistic attempt; when it fires, the attempt unwinds via
-//     the same abortSignal a seqlock validation failure uses. Native
-//     attempts have no hardware to interrupt them, so this models
-//     spurious validation failures. Upgraded writers publish their
-//     stores directly and cannot roll back, so (exactly like real
-//     TSX, which cannot abort a committed transaction) the countdown
-//     only fires while the attempt is still abortable.
+//   - SpuriousAbortRate: a geometric per-access countdown armed (and
+//     counted, as on the simulator) at each optimistic attempt; when
+//     it fires, the attempt unwinds via the same abortSignal a seqlock
+//     validation failure uses. Native attempts have no hardware to
+//     interrupt them, so this models spurious validation failures.
+//     Upgraded writers publish their stores directly and cannot roll
+//     back, so (exactly like real TSX, which cannot abort a committed
+//     transaction) the countdown only fires while the attempt is
+//     still abortable.
 //   - SqueezeProb/SqueezeFactor/SqueezeLen: wall-clock capacity
 //     squeeze windows during which every attempt gets a small access
 //     budget (txAccessBudget / SqueezeFactor); exhausting it aborts
@@ -46,15 +47,15 @@ import (
 type Fault struct {
 	hot faultHot
 
-	// Cold configuration, read-only after NewFault; faultHot is a
+	// Cold configuration, read-only after newFault; faultHot is a
 	// multiple of 64 bytes, so these never share its lines.
 	p         fault.Profile
 	squeezeNs int64 // squeeze window length, wall ns
 }
 
 // faultCounters groups the injected-fault event counters. They are
-// bumped only when a (rare) fault draw fires, by whichever thread drew
-// it, so they may share lines with each other but with nothing hotter.
+// bumped only on the armed path, by whichever thread drew the fault, so
+// they may share lines with each other but with nothing hotter.
 type faultCounters struct {
 	spurious   atomic.Uint64
 	squeezes   atomic.Uint64
@@ -81,11 +82,11 @@ type faultHot struct {
 // squeeze's divided budget ever bites.
 const txAccessBudget = 1 << 12
 
-// NewFault builds the adapter for a profile (fault.New's defaults
+// newFault builds the adapter for a profile (fault.New's defaults
 // applied: SqueezeFactor 64, SqueezeLen 20µs, InvalDelayLen 300ns,
 // StallLen 30µs; one virtual nanosecond reads as one wall nanosecond,
 // the same convention the backoff reuse established).
-func NewFault(p fault.Profile) *Fault {
+func newFault(p fault.Profile) *Fault {
 	p = fault.New(p, 0).Profile()
 	return &Fault{p: p, squeezeNs: int64(p.SqueezeLen / vtime.Nanosecond)}
 }
@@ -144,6 +145,7 @@ func (f *Fault) txStart(c *Thread) (countdown, budget int) {
 		if countdown < 1 {
 			countdown = 1
 		}
+		f.hot.counters.spurious.Add(1)
 	}
 	return countdown, budget
 }
@@ -176,16 +178,13 @@ func (f *Fault) csStall(c *Thread) {
 // txAccess charges one transactional access against the attempt's
 // spurious-abort countdown and access budget, aborting the attempt
 // when either runs out. Called only while the attempt is active and
-// not yet upgraded to writer, so SpuriousAborts counts aborts that
-// actually fired (attempts short enough to outrun their countdown
-// are not charged).
+// not yet upgraded to writer.
 //
 //natlevet:hotpath
 func (c *Thread) txAccess() {
 	if c.tx.spurious > 0 {
 		c.tx.spurious--
 		if c.tx.spurious == 0 {
-			c.w.inj.hot.counters.spurious.Add(1)
 			panic(abortSignal{})
 		}
 	}

@@ -30,10 +30,6 @@ type Config struct {
 	// (non-Linux, stripped containers) it falls back to fill-first
 	// striping over 2 groups.
 	Sockets int
-	// Fault, if non-nil and enabled, installs the native fault
-	// adapter (see Fault): the chaos schedules stress real goroutines
-	// exactly as they stress the simulator.
-	Fault *fault.Profile
 }
 
 // chunkWords is the size of one piece of a world's memory: 1 MiB.
@@ -64,7 +60,7 @@ type World struct {
 	groupSrc string // "sysfs" or "stripe"
 	threads  int    // workers of the current Run (socket striping)
 	epoch    time.Time
-	inj      *Fault // nil unless Config.Fault armed one
+	inj      *Fault // nil unless ArmFaults armed one
 }
 
 // NewWorld builds a native world.
@@ -91,14 +87,19 @@ func NewWorld(cfg Config) *World {
 			w.sockets, w.groupSrc = 2, "stripe"
 		}
 	}
-	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		w.inj = NewFault(*cfg.Fault)
-	}
 	return w
 }
 
-// FaultStats reports the counters of the installed fault adapter
-// (zero when no faults are armed).
+// ArmFaults implements fault.Target: the native fault adapter (see
+// Fault), so the chaos schedules stress real goroutines exactly as they
+// stress the simulator. Call before Run.
+func (w *World) ArmFaults(p fault.Profile) {
+	if p.Enabled() {
+		w.inj = newFault(p)
+	}
+}
+
+// FaultStats implements fault.Target.
 func (w *World) FaultStats() fault.Stats { return w.inj.Stats() }
 
 // Kind implements backend.World.

@@ -7,6 +7,7 @@ import (
 
 	"natle/internal/arena"
 	"natle/internal/backend"
+	"natle/internal/fault"
 	"natle/internal/mem"
 	"natle/internal/scheme"
 	"natle/internal/simmap"
@@ -23,19 +24,21 @@ import (
 // one server per shard and no shedding, the final store contents match
 // the simulator's run of the same Config (Result.StoreCheck).
 //
-// Faults are armed on the world (native.Config.Fault), not through
-// Config.Fault, and telemetry recorders are not wired natively yet;
-// RunNative panics rather than silently ignoring either.
+// Telemetry recorders are not wired natively yet; RunNative panics
+// rather than silently ignoring one.
 func RunNative(w backend.World, cfg Config) *Result {
 	switch {
 	case w.Kind() != backend.Native:
 		panic("service: RunNative requires a native world, got " + string(w.Kind()))
-	case cfg.Fault != nil && cfg.Fault.Enabled():
-		panic("service: Config.Fault is sim-only; arm faults on the native world")
 	case cfg.Recorder != nil:
 		panic("service: telemetry recorders are not supported on the native backend")
 	}
-	return newPipeline(backend.Native, cfg).run(nativeHost(w))
+	faults := fault.Arm(w, cfg.Fault)
+	res := newPipeline(backend.Native, cfg).run(nativeHost(w))
+	if faults != nil {
+		res.Fault = faults.FaultStats()
+	}
+	return res
 }
 
 // nativeHost hosts the pipeline on world: thread 0 dispatches, threads

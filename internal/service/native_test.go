@@ -159,9 +159,36 @@ func TestNativeServiceConservationUnderPressure(t *testing.T) {
 	}
 }
 
+// TestRunNativeArmsFaults: Config.Fault means on the native host what
+// it means on the simulator — certain stalls on every lock acquisition
+// fire and are counted on the result — and the request ledgers still
+// balance under them. A spurious abort on every access sends every
+// batch to the fallback lock, so the stalls cannot miss.
+func TestRunNativeArmsFaults(t *testing.T) {
+	cfg := nativeConfBase()
+	cfg.Scheme = "native-tle"
+	cfg.Fault = &fault.Profile{StallProb: 1, StallLen: vtime.Microsecond, SpuriousAbortRate: 1}
+	res := service.RunNative(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()}), cfg)
+	if res.Fault.Stalls == 0 {
+		t.Errorf("no stall reported under StallProb 1: %v", res.Fault)
+	}
+	if uint64(res.Requests) != res.Arrivals {
+		t.Fatalf("schedule length %d != arrivals %d", res.Requests, res.Arrivals)
+	}
+	if res.Arrivals != res.Admitted+res.Shed {
+		t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
+	}
+	if res.Admitted != res.Completed+res.DeadlineShed {
+		t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
+	}
+	if res.E2E.Count() != res.Completed {
+		t.Fatalf("e2e histogram count %d != completed %d", res.E2E.Count(), res.Completed)
+	}
+}
+
 // TestRunNativeRejections: what the native host cannot honour must be
-// refused loudly, not silently dropped — Config.Fault (faults are armed
-// on the world) and recorders (not wired natively yet).
+// refused loudly, not silently dropped — recorders (not wired natively
+// yet) and anything that is not a native scheme on a native world.
 func TestRunNativeRejections(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -181,9 +208,6 @@ func TestRunNativeRejections(t *testing.T) {
 			service.RunNative(w, cfg)
 		}
 	}
-	mustPanic("fault", run(func(c *service.Config) {
-		c.Fault = &fault.Profile{StallProb: 1, StallLen: vtime.Microsecond}
-	}))
 	mustPanic("recorder", run(func(c *service.Config) { c.Recorder = telemetry.NewCollector(telemetry.Config{}) }))
 	mustPanic("sim-scheme", run(func(c *service.Config) { c.Scheme = "tle" }))
 	mustPanic("sim-world", func() {

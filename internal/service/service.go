@@ -120,11 +120,9 @@ type Config struct {
 
 	LogBuckets int // per-shard hash buckets = 1<<LogBuckets (default 8)
 
-	// Fault, if non-nil and enabled, installs a deterministic fault
-	// injector (seeded from Seed) for the whole trial — the chaos
-	// schedules stress the service exactly as they stress the
-	// microbenchmarks. Sim only: a native world carries its own
-	// (native.Config.Fault).
+	// Fault, if non-nil and enabled, arms these faults on the trial's
+	// world for the whole trial, setup included; the result's Fault
+	// counts what was injected (see internal/fault).
 	Fault *fault.Profile
 
 	// Recorder, if non-nil, receives the trial's telemetry events.

@@ -74,6 +74,10 @@ type BackendConfig struct {
 	// TLE overrides the scheme's retry policy (zero keeps the
 	// descriptor default).
 	TLE tle.Policy
+	// Fault, if non-nil and enabled, arms these faults on the trial's
+	// world for the whole trial, setup included; the result's Fault
+	// counts what was injected (see internal/fault).
+	Fault *fault.Profile
 }
 
 func (cfg *BackendConfig) defaults() {
@@ -137,8 +141,8 @@ type BackendResult struct {
 	// contents; for a fixed config it is backend- and
 	// interleaving-independent.
 	Check uint64
-	// Fault holds the injected-fault counters of the trial's world
-	// (zero when no injector was armed).
+	// Fault counts the faults injected over the whole trial (zero
+	// without BackendConfig.Fault).
 	Fault fault.Stats
 	// Groups is the world's thread-group (socket/package) count and
 	// GroupSource how it was obtained — "sysfs" when the native world
@@ -169,6 +173,7 @@ func RunBackend(w backend.World, cfg BackendConfig) *BackendResult {
 	if err != nil {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
+	faults := fault.Arm(w, cfg.Fault)
 
 	finish := make([]int64, cfg.Threads)
 	var startNs int64
@@ -212,6 +217,9 @@ func RunBackend(w backend.World, cfg BackendConfig) *BackendResult {
 		GroupSource() string
 	}); ok {
 		res.Groups, res.GroupSource = g.Groups(), g.GroupSource()
+	}
+	if faults != nil {
+		res.Fault = faults.FaultStats()
 	}
 	return res
 }

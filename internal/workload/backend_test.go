@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"natle/internal/backend"
+	"natle/internal/fault"
 	"natle/internal/native"
 	"natle/internal/scheme"
 	"natle/internal/sets"
@@ -69,6 +70,32 @@ func TestMemWordsIsTheWorkloadsOwnNeed(t *testing.T) {
 		w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.MemWords(), Sockets: 2})
 		if r := workload.RunBackend(w, cfg); r.Ops != 2<<14 {
 			t.Errorf("sets/%s: %d ops, want %d", kind, r.Ops, 2<<14)
+		}
+	}
+}
+
+// TestSpuriousAbortsCountArmedCountdowns: fault.Stats.SpuriousAborts
+// means the same on both worlds, one countdown armed per transactional
+// attempt, fired or not: the count is the simulator's HTM starts and
+// the native lock's commits + aborts. At rate 1 every countdown fires
+// on the first access; at rate 0.5 many outlast the counter's two.
+func TestSpuriousAbortsCountArmedCountdowns(t *testing.T) {
+	for _, rate := range []float64{1, 0.5} {
+		p := fault.Profile{SpuriousAbortRate: rate}
+		cfg := workload.BackendConfig{Workload: workload.BackendCounter, Threads: 2, Ops: 256, Seed: 1, Fault: &p}
+
+		cfg.Lock = "tle"
+		sw := workload.NewSimWorld(nil, nil, cfg.Threads, cfg.Seed, 0)
+		r := workload.RunBackend(sw, cfg)
+		if got, want := r.Fault.SpuriousAborts, sw.Sys.Stats.Starts; got == 0 || got != want {
+			t.Errorf("rate %g, sim: %d spurious aborts counted, want HTM starts = %d", rate, got, want)
+		}
+
+		cfg.Lock = "native-tle"
+		r = workload.RunBackend(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.MemWords()}), cfg)
+		s := r.Sync[0].TLE
+		if got, want := r.Fault.SpuriousAborts, s.Commits+s.TotalAborts(); got == 0 || got != want {
+			t.Errorf("rate %g, native: %d spurious aborts counted, want commits + aborts = %d", rate, got, want)
 		}
 	}
 }

@@ -19,6 +19,9 @@ import (
 type SimWorld struct {
 	Eng *sim.Engine
 	Sys *htm.System
+
+	seed int64
+	inj  *fault.Fault // nil unless ArmFaults armed one
 }
 
 // NewSimWorld builds a simulated world. Nil/zero arguments select the
@@ -35,21 +38,24 @@ func NewSimWorld(prof *machine.Profile, pin machine.PinPolicy, threads int, seed
 		memWords = 1 << 20
 	}
 	e := sim.New(prof, pin, threads, seed)
-	return &SimWorld{Eng: e, Sys: htm.NewSystem(e, memWords)}
+	return &SimWorld{Eng: e, Sys: htm.NewSystem(e, memWords), seed: seed}
 }
 
-// InjectFaults installs a deterministic fault injector (seeded from
-// seed) on the world's HTM system and returns it for stats queries —
-// the sim half of the cross-backend chaos matrix (the native half is
-// native.Config.Fault). Call before Run; a disabled profile installs
-// nothing and returns nil.
-func (w *SimWorld) InjectFaults(p fault.Profile, seed int64) *fault.Fault {
-	if !p.Enabled() {
-		return nil
+// ArmFaults implements fault.Target: a deterministic injector seeded
+// from the world's seed, installed on its HTM system. Call before Run.
+func (w *SimWorld) ArmFaults(p fault.Profile) {
+	if p.Enabled() {
+		w.inj = fault.New(p, w.seed)
+		w.Sys.SetInjector(w.inj)
 	}
-	inj := fault.New(p, seed)
-	w.Sys.SetInjector(inj)
-	return inj
+}
+
+// FaultStats implements fault.Target.
+func (w *SimWorld) FaultStats() fault.Stats {
+	if w.inj == nil {
+		return fault.Stats{}
+	}
+	return w.inj.Stats
 }
 
 // Kind implements backend.World.

@@ -75,9 +75,9 @@ type Config struct {
 	// every transactional commit (the Fig 6 injection experiment).
 	CommitDelay vtime.Duration
 
-	// Fault, if non-nil and enabled, installs a deterministic fault
-	// injector (seeded from Seed) for the whole trial, prefill and
-	// warmup included. See internal/fault for the available faults.
+	// Fault, if non-nil and enabled, arms these faults on the trial's
+	// world for the whole trial, setup included; the result's Fault
+	// counts what was injected (see internal/fault).
 	Fault *fault.Profile
 
 	// MemWords pre-sizes the simulated memory (grown on demand).

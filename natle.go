@@ -154,10 +154,11 @@ type (
 	FaultSchedule = fault.Schedule
 	// FaultStats counts what an injector actually did during a run.
 	FaultStats = fault.Stats
-	// ChaosConfig configures the chaos matrix (fault schedules ×
-	// robust schemes with conservation and contents invariants).
+	// ChaosConfig configures the chaos matrix (backends × fault
+	// schedules × robust schemes × backend workloads).
 	ChaosConfig = harness.ChaosConfig
-	// ChaosCell is one (schedule, scheme) outcome of the chaos matrix.
+	// ChaosCell is one (backend, schedule, scheme, workload) outcome of
+	// the chaos matrix.
 	ChaosCell = harness.ChaosCell
 	// TLEBreakerConfig tunes the per-lock circuit breaker
 	// (TLEPolicy.Breaker) that degrades TLE to the plain mutex under
@@ -377,8 +378,9 @@ func LookupFaultSchedule(name string) (FaultSchedule, error) {
 func DefaultBreakerConfig() TLEBreakerConfig { return tle.DefaultBreakerConfig() }
 
 // RunChaos runs the chaos matrix: every requested fault schedule
-// against every requested robust scheme, checking conservation and
-// final-contents invariants per cell.
+// against every robust scheme of both backends over every backend
+// workload, checking the conservation laws and the fault-free
+// reference checksum per cell.
 func RunChaos(cfg ChaosConfig) ([]ChaosCell, error) { return harness.RunChaos(cfg) }
 
 // ChaosReport renders chaos cells one line each and reports whether
