@@ -70,12 +70,15 @@ native-check:
 	echo "$$out" | awk 'NR>3 && $$2+0 > 0 { ok = 1 } END { exit !ok }' || \
 		{ echo "native smoke run reported zero throughput"; exit 1; }
 
-# The full gate: everything must build, lint clean (gofmt + vet), and
-# pass under the race detector.
+# The full gate: everything must build, lint clean (gofmt + vet), pass
+# under the race detector, and survive ten seconds of fuzzing the
+# structure cores with attempts that die at every access (go test runs
+# only the seed corpus).
 check:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(GO) test -race -timeout 30m ./...
+	$(GO) test -run '^$$' -fuzz FuzzDeadAttempt -fuzztime 10s ./internal/sets
 	$(MAKE) native-check
 
 bench:
@@ -84,7 +87,8 @@ bench:
 # bench-layers is the per-package ledger under the figure-sized runs of
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early
 # return, spawn and idle poll, of one cache-model access by the path it
-# takes, of one htm transaction by shape, of generating a service
+# takes, of one htm transaction by shape and of one aborted half-way
+# down a tree descent, of generating a service
 # schedule, of the service pipeline per request on either backend, of
 # one native critical section by scheme and shape, of the backend
 # driver's closed loop per operation, and of one simulated trial's

@@ -13,9 +13,10 @@
 //   - simulated results must be a pure function of (profile, seed) —
 //     wall-clock reads or unseeded global randomness silently break
 //     the fault injector's byte-identical replays (determinism);
-//   - transaction bodies unwind via an htm.AbortSignal panic — a
+//   - an aborted transaction body runs on to its end on zeros, or
+//     leaves by a panic htm.System.Try recovers, and is re-run — a
 //     recover, go statement, or channel operation inside one swallows
-//     or escapes the unwind (txnsafe);
+//     that panic or escapes the abortable region (txnsafe);
 //   - telemetry and fault hooks are only zero-cost-when-disabled if
 //     every call site keeps the nil-check / Nop-default discipline
 //     (hookcost);
@@ -145,9 +146,10 @@ const HotpathDirective = "//natlevet:hotpath"
 
 // SeqlockDirective marks a function whose dynamic extent is an
 // optimistic seqlock read section (internal/native's TLE.try): blocking
-// lock acquisition inside it can wedge forever, because the section
-// unwinds via panic with the lock still held and is re-executed an
-// arbitrary number of times. The lockorder analyzer forbids
+// lock acquisition inside it can wedge forever, because a writer that
+// holds the sequence odd may be waiting for that same lock while the
+// section fails validation and is re-executed an arbitrary number of
+// times. The lockorder analyzer forbids
 // acquisitions within it; the directive is only meaningful in
 // //natlevet:backend native packages.
 const SeqlockDirective = "//natlevet:seqlock"

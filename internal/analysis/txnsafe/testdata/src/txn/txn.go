@@ -12,7 +12,7 @@ import (
 func unsafeBody(sys *htm.System, c *sim.Ctx, ch chan int) {
 	sys.Try(c, func() {
 		defer func() {
-			recover() // want `swallow the AbortSignal`
+			recover() // want `swallow the panic that leaves an aborted attempt`
 		}()
 		go work()      // want `go statement`
 		ch <- 1        // want `channel send`
@@ -51,7 +51,7 @@ func outsideBody(ch chan int) {
 func allowedProbe(sys *htm.System, c *sim.Ctx) {
 	sys.Try(c, func() {
 		defer func() {
-			recover() //natlevet:allow txnsafe(fixture: testing the unwind machinery itself)
+			recover() //natlevet:allow txnsafe(fixture: testing the abort machinery itself)
 		}()
 		work()
 	})

@@ -1,6 +1,6 @@
 // Package txnnative is the backend-gating fixture: the package-level
 // directive below declares it a native-backend package, so operations
-// that would be unwind-unsafe in simulated transaction bodies (see the
+// that would be abort-unsafe in simulated transaction bodies (see the
 // txn fixture, which stays strict) must produce no diagnostics here.
 // There are deliberately no want comments in this file.
 //

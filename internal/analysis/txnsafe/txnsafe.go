@@ -1,18 +1,21 @@
-// Package txnsafe defines the natlevet analyzer guarding the abort
-// unwind of transaction bodies. htm.System.Try runs its body func and
-// unwinds aborts by panicking with an htm.AbortSignal, which Try
-// recovers; the elision layers (tle/natle/cohort Lock.Critical) build
-// on the same mechanism. Inside such a body:
+// Package txnsafe defines the natlevet analyzer guarding transaction
+// bodies. htm.System.Try runs its body func; an aborted attempt's body
+// runs on to its end with every Load returning 0 and every Store
+// dropped, unless a direct access (Read, Write) or an explicit Abort
+// leaves it first by a panic that Try recovers. The elision layers
+// (tle/natle/cohort Lock.Critical) build on the same mechanism and
+// re-run the body. Inside such a body:
 //
-//   - recover() can swallow the AbortSignal, turning an aborted
-//     attempt into a silently half-executed critical section;
+//   - recover() can swallow that panic, turning an aborted attempt
+//     into a silently half-executed critical section;
 //   - a go statement escapes the abortable region — the goroutine's
 //     effects survive an abort that was supposed to discard them, and
 //     the simulator's cooperative scheduler never runs real
 //     goroutines deterministically anyway;
 //   - channel operations (send, receive, select, close, range-over-
-//     channel) block or publish state across a region that may be
-//     re-executed an arbitrary number of times.
+//     channel) block or publish state across a region that may run
+//     on zeros after an abort and be re-executed an arbitrary number
+//     of times.
 package txnsafe
 
 import (
@@ -29,10 +32,11 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `forbid recover, go, and channel operations in transaction bodies
 
 Closures passed to htm.System.Try or to the Critical methods of the
-lock-elision layers unwind via an AbortSignal panic and may be re-run
-any number of times; recover(), go statements, and channel operations
-break that contract. Bodies that deliberately probe the unwind (tests
-of the machinery itself) carry //natlevet:allow txnsafe(reason).`,
+lock-elision layers run on to their end after an abort, or leave by a
+panic Try recovers, and may be re-run any number of times; recover(),
+go statements, and channel operations break that contract. Bodies that
+deliberately probe the abort machinery itself carry
+//natlevet:allow txnsafe(reason).`,
 	Run: run,
 }
 
@@ -51,9 +55,9 @@ var bodyMethods = map[string]bool{"Try": true, "Critical": true}
 
 func run(pass *analysis.Pass) error {
 	if analysis.PackageBackend(pass.Files) == "native" {
-		// Native critical sections unwind through their own recover
-		// (internal/native's abortSignal) and run real goroutines by
-		// design; the sim unwind contract does not apply.
+		// Native critical sections keep their own abort state
+		// (internal/native's dead attempts) and run real goroutines by
+		// design; the simulator's contract does not apply.
 		return nil
 	}
 	reported := make(map[token.Pos]bool) // dedup when bodies nest
@@ -104,15 +108,15 @@ func checkBody(pass *analysis.Pass, body ast.Node, reported map[token.Pos]bool) 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			report(n.Pos(), "go statement inside a transaction body: the goroutine escapes the abortable region and its effects survive an AbortSignal unwind")
+			report(n.Pos(), "go statement inside a transaction body: the goroutine escapes the abortable region and its effects survive the attempt's abort")
 		case *ast.SendStmt:
-			report(n.Pos(), "channel send inside a transaction body: it publishes state from a region that may be unwound and re-executed")
+			report(n.Pos(), "channel send inside a transaction body: it publishes state from a region that may be aborted and re-executed")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				report(n.Pos(), "channel receive inside a transaction body: it can block and consumes state from a region that may be unwound and re-executed")
+				report(n.Pos(), "channel receive inside a transaction body: it can block and consumes state from a region that may be aborted and re-executed")
 			}
 		case *ast.SelectStmt:
-			report(n.Pos(), "select inside a transaction body: channel operations break the AbortSignal unwind contract")
+			report(n.Pos(), "select inside a transaction body: channel operations break the abort contract of a region that may be re-executed")
 		case *ast.RangeStmt:
 			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
@@ -124,9 +128,9 @@ func checkBody(pass *analysis.Pass, body ast.Node, reported map[token.Pos]bool) 
 				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 					switch b.Name() {
 					case "recover":
-						report(n.Pos(), "recover inside a transaction body can swallow the AbortSignal unwind, leaving a half-executed critical section committed")
+						report(n.Pos(), "recover inside a transaction body can swallow the panic that leaves an aborted attempt, leaving a half-executed critical section committed")
 					case "close":
-						report(n.Pos(), "close of a channel inside a transaction body: it publishes state from a region that may be unwound and re-executed")
+						report(n.Pos(), "close of a channel inside a transaction body: it publishes state from a region that may be aborted and re-executed")
 					}
 				}
 			}

@@ -78,16 +78,18 @@ type Ctx interface {
 	Alloc(nWords int) int
 	// Load reads shared word a. Inside a Critical body the access is
 	// transactional on backends with optimistic schemes (tracked and
-	// validated; it may abort and re-run the body).
+	// validated). Once the attempt has aborted, it returns 0 until the
+	// body returns, and the scheme then re-runs the body.
 	Load(a int) uint64
 	// Store writes shared word a, transactionally inside a Critical
-	// body.
+	// body; an aborted attempt's stores are dropped.
 	Store(a int, v uint64)
 }
 
 // CS executes critical sections on a backend (the backend-agnostic
-// mirror of lock.CS). Bodies must be restartable: optimistic schemes
-// unwind aborted attempts and re-run them.
+// mirror of lock.CS). Bodies must be restartable, and must end on
+// zeros: optimistic schemes run an aborted attempt's body on to its end
+// with every Load returning 0, then re-run it.
 type CS interface {
 	Critical(c Ctx, body func())
 	// Name identifies the scheme in benchmark output.

@@ -19,9 +19,17 @@
 //     the hint clear and *still* succeed when retried — the effect the
 //     paper documents in Figure 2.
 //
-// Aborts unwind the transaction body with a panic carrying an
-// AbortSignal; System.Try recovers it and reports the outcome, which is
-// how the lock-elision layers (packages tle and natle) retry.
+// An attempt learns that it aborted at its next access (or at commit),
+// does the abort's bookkeeping there, and is dead from then on: Load
+// returns 0, Store and Alloc are dropped, and its thread is frozen (see
+// sim.Ctx.Freeze), so the rest of the body runs to its end at no
+// virtual cost and with no effect. System.Try then reports the outcome,
+// which is how the lock-elision layers (packages tle and natle) retry.
+// Code written against arena.Mem must therefore end every walk on the
+// zero address (arena.Nil), as the sets and simmap cores do. The direct
+// accesses (Read, Write) and Abort instead leave a dead attempt's body
+// at once, by a panic Try recovers, for callers whose bodies were not
+// written to run on zeros.
 package htm
 
 import (
@@ -72,12 +80,9 @@ func (c Code) String() string {
 	return fmt.Sprintf("code(%d)", uint8(c))
 }
 
-// AbortSignal is the panic payload used to unwind an aborted
-// transaction body. It is recovered by System.Try.
-type AbortSignal struct {
-	Code Code
-	Hint bool // hardware hint: retry may succeed
-}
+// abortSignal is the panic payload with which Read, Write and Abort
+// leave the body of a dead attempt. It is recovered by System.Try.
+type abortSignal struct{}
 
 // Outcome describes one transactional attempt.
 type Outcome struct {
@@ -191,8 +196,9 @@ func NewSystem(e *sim.Engine, capWords int) *System {
 
 type txState struct {
 	slot       int16
-	active     bool
-	aborted    bool
+	active     bool // inside Try, dead or not
+	aborted    bool // doomed, possibly by another thread; noticed at the next access
+	dead       bool // the abort is complete: every access is a no-op until Try returns
 	code       Code
 	hint       bool
 	spuriousIn int // accesses until an injected spurious abort (0 = unarmed)
@@ -257,8 +263,14 @@ func (s *System) Alloc(c *sim.Ctx, nWords int) mem.Addr {
 	return s.AllocHome(c, nWords, c.Socket())
 }
 
-// AllocHome is Alloc with an explicit home socket.
+// AllocHome is Alloc with an explicit home socket. A dead attempt's
+// allocation is dropped and returns 0.
 func (s *System) AllocHome(c *sim.Ctx, nWords, socket int) mem.Addr {
+	// Not s.state(c): a thread's first allocation must not claim it a
+	// slot, or slots would be handed out in a different order.
+	if t, ok := c.TxSlot.(*txState); ok && t.dead {
+		return 0
+	}
 	c.Advance(s.allocCost)
 	a := s.Mem.Alloc(nWords, socket)
 	s.ensureLines(s.Mem.Lines())
@@ -378,10 +390,9 @@ func (s *System) abortConflictors(line int32, self int16, write bool) {
 }
 
 // finishAbort completes an abort on the victim's own thread: it
-// discards the write buffer, charges the abort cost, and unwinds the
-// transaction body.
+// discards the write buffer, charges the abort cost, and leaves the
+// attempt dead and its thread frozen until Try returns.
 func (s *System) finishAbort(c *sim.Ctx, t *txState) {
-	t.active = false
 	s.clearSets(t)
 	c.Advance(s.prof.TxAbortCost)
 	if s.inj != nil {
@@ -391,7 +402,8 @@ func (s *System) finishAbort(c *sim.Ctx, t *txState) {
 	}
 	s.rec.TxAbort(c.Now(), int(t.slot), c.Socket(), t.lock,
 		telemetry.Code(t.code), t.hint, c.Now().Sub(t.beginAt))
-	panic(AbortSignal{Code: t.code, Hint: t.hint})
+	t.dead = true
+	c.Freeze()
 }
 
 func (s *System) clearSets(t *txState) {
@@ -416,52 +428,74 @@ func (s *System) caps(c *sim.Ctx) (writeCap, readCap int) {
 
 // trackNewLine performs the capacity accounting for a line newly added
 // to the transaction's footprint and triggers a capacity abort (hint
-// clear) on overflow or transient eviction.
-func (s *System) trackNewLine(c *sim.Ctx, t *txState) {
+// clear) on overflow or transient eviction. It reports whether the
+// attempt died.
+func (s *System) trackNewLine(c *sim.Ctx, t *txState) bool {
 	writeCap, readCap := s.caps(c)
-	if len(t.writeLines) > writeCap || len(t.readLines) > readCap {
+	if len(t.writeLines) > writeCap || len(t.readLines) > readCap ||
+		c.SiblingActive() && s.prof.TransientEvictProb > 0 &&
+			c.Float64() < s.prof.TransientEvictProb {
 		s.doAbort(t, CodeCapacity, false)
 		s.finishAbort(c, t)
+		return true
 	}
-	if c.SiblingActive() && s.prof.TransientEvictProb > 0 &&
-		c.Float64() < s.prof.TransientEvictProb {
-		s.doAbort(t, CodeCapacity, false)
-		s.finishAbort(c, t)
-	}
+	return false
 }
 
 // injTick counts down an armed spurious abort on each transactional
-// access and fires it when the countdown ends. Spurious aborts carry
-// the conflict code with the hint set, as TSX reports interrupts and
-// other environmental aborts; the injector's AbortHint filter may
-// still lie about the hint afterwards.
-func (s *System) injTick(c *sim.Ctx, t *txState) {
+// access and fires it when the countdown ends, reporting whether the
+// attempt died. Spurious aborts carry the conflict code with the hint
+// set, as TSX reports interrupts and other environmental aborts; the
+// injector's AbortHint filter may still lie about the hint afterwards.
+func (s *System) injTick(c *sim.Ctx, t *txState) bool {
 	t.spuriousIn--
 	if t.spuriousIn == 0 {
 		s.doAbort(t, CodeConflict, true)
 		s.finishAbort(c, t)
+		return true
 	}
+	return false
 }
 
 // --- the access API ---
 
-// Read performs one simulated word read, transactional if the thread is
-// inside a transaction.
+// Load performs one simulated word read, transactional if the thread is
+// inside a transaction. The load that finds its attempt aborted, and
+// every later one of that attempt, returns 0.
+func (s *System) Load(c *sim.Ctx, a mem.Addr) uint64 {
+	v, _ := s.load(c, a)
+	return v
+}
+
+// Read is Load for bodies that must not run past their abort: a dead
+// attempt's Read leaves the body by a panic, which Try recovers.
 func (s *System) Read(c *sim.Ctx, a mem.Addr) uint64 {
-	c.Checkpoint()
+	v, t := s.load(c, a)
+	if t.dead {
+		panic(abortSignal{})
+	}
+	return v
+}
+
+func (s *System) load(c *sim.Ctx, a mem.Addr) (uint64, *txState) {
+	c.Checkpoint() // inert once the attempt is dead: its thread is frozen
 	t := s.state(c)
+	if t.dead {
+		return 0, t
+	}
 	line := mem.LineOf(a)
 	if t.active {
 		if t.aborted {
 			s.finishAbort(c, t)
+			return 0, t
 		}
-		if t.spuriousIn > 0 {
-			s.injTick(c, t)
+		if t.spuriousIn > 0 && s.injTick(c, t) {
+			return 0, t
 		}
 		if s.regWriter[line] == t.slot {
 			if b, w := &t.wb[s.wbAt[line]], a%mem.WordsPerLine; b.mask>>w&1 != 0 {
 				c.Advance(s.prof.L1Hit + s.prof.BaseOp)
-				return b.val[w]
+				return b.val[w], t
 			}
 		}
 		s.abortConflictors(line, t.slot, false)
@@ -469,27 +503,45 @@ func (s *System) Read(c *sim.Ctx, a mem.Addr) uint64 {
 			w, b := readerBit(t.slot)
 			s.regReaders[line][w] |= b
 			t.readLines = append(t.readLines, line)
-			s.trackNewLine(c, t)
+			if s.trackNewLine(c, t) {
+				return 0, t
+			}
 		}
 	} else {
 		s.abortConflictors(line, t.slot, false)
 	}
 	lat := s.Cache.Access(c.Now(), c.Core(), c.Socket(), s.Mem.Home(a), line, false)
 	c.Advance(lat + s.prof.BaseOp)
-	return s.Mem.Raw(a)
+	return s.Mem.Raw(a), t
 }
 
-// Write performs one simulated word write, buffered if transactional.
+// Store performs one simulated word write, buffered if transactional.
+// The store that finds its attempt aborted, and every later one of that
+// attempt, is dropped.
+func (s *System) Store(c *sim.Ctx, a mem.Addr, v uint64) { s.store(c, a, v) }
+
+// Write is Store for bodies that must not run past their abort: a dead
+// attempt's Write leaves the body by a panic, which Try recovers.
 func (s *System) Write(c *sim.Ctx, a mem.Addr, v uint64) {
-	c.Checkpoint()
+	if s.store(c, a, v).dead {
+		panic(abortSignal{})
+	}
+}
+
+func (s *System) store(c *sim.Ctx, a mem.Addr, v uint64) *txState {
+	c.Checkpoint() // inert once the attempt is dead: its thread is frozen
 	t := s.state(c)
+	if t.dead {
+		return t
+	}
 	line := mem.LineOf(a)
 	if t.active {
 		if t.aborted {
 			s.finishAbort(c, t)
+			return t
 		}
-		if t.spuriousIn > 0 {
-			s.injTick(c, t)
+		if t.spuriousIn > 0 && s.injTick(c, t) {
+			return t
 		}
 		s.abortConflictors(line, t.slot, true)
 		if s.regWriter[line] != t.slot {
@@ -497,7 +549,9 @@ func (s *System) Write(c *sim.Ctx, a mem.Addr, v uint64) {
 			s.wbAt[line] = int32(len(t.writeLines))
 			t.writeLines = append(t.writeLines, line)
 			t.wb = append(t.wb, wbLine{})
-			s.trackNewLine(c, t)
+			if s.trackNewLine(c, t) {
+				return t
+			}
 		}
 		b, w := &t.wb[s.wbAt[line]], a%mem.WordsPerLine
 		b.mask |= 1 << w
@@ -508,6 +562,7 @@ func (s *System) Write(c *sim.Ctx, a mem.Addr, v uint64) {
 	}
 	lat := s.Cache.Access(c.Now(), c.Core(), c.Socket(), s.Mem.Home(a), line, true)
 	c.Advance(lat + s.prof.BaseOp)
+	return t
 }
 
 // CAS performs a non-transactional atomic compare-and-swap (used by the
@@ -549,16 +604,20 @@ func (s *System) Add(c *sim.Ctx, a mem.Addr, delta uint64) uint64 {
 
 // Abort explicitly aborts the calling thread's transaction with the
 // given condition code (XABORT). The hint bit is clear, as on Intel
-// explicit aborts.
+// explicit aborts. Like XABORT it transfers control: the body is left
+// by a panic, which Try recovers.
 func (s *System) Abort(c *sim.Ctx, code Code) {
 	t := s.state(c)
 	if !t.active {
 		panic("htm: Abort outside a transaction")
 	}
-	if !t.aborted {
-		s.doAbort(t, code, false)
+	if !t.dead {
+		if !t.aborted {
+			s.doAbort(t, code, false)
+		}
+		s.finishAbort(c, t)
 	}
-	s.finishAbort(c, t)
+	panic(abortSignal{})
 }
 
 func (s *System) begin(c *sim.Ctx, t *txState) {
@@ -579,16 +638,20 @@ func (s *System) begin(c *sim.Ctx, t *txState) {
 	c.Advance(s.prof.TxBeginCost)
 }
 
-func (s *System) commit(c *sim.Ctx, t *txState) {
+// commit publishes the write buffer, or reports false, leaving the
+// attempt dead, if the attempt turns out to have aborted.
+func (s *System) commit(c *sim.Ctx, t *txState) bool {
 	c.Checkpoint()
 	if t.aborted {
 		s.finishAbort(c, t)
+		return false
 	}
 	if s.CommitDelay != nil {
 		s.CommitDelay(c)
 		c.Checkpoint()
 		if t.aborted {
 			s.finishAbort(c, t)
+			return false
 		}
 	}
 	for i, line := range t.writeLines {
@@ -608,24 +671,34 @@ func (s *System) commit(c *sim.Ctx, t *txState) {
 	s.Stats.CommitDurTotal += dur
 	s.rec.TxCommit(c.Now(), int(t.slot), c.Socket(), t.lock, dur, readSet, writeSet)
 	c.Advance(s.prof.TxCommitCost)
+	return true
 }
 
 // Try runs body inside one best-effort transaction attempt and reports
-// the outcome. The body must be restartable: it is unwound on abort and
-// may be re-run by the caller.
-func (s *System) Try(c *sim.Ctx, body func()) (o Outcome) {
+// the outcome. The body must be restartable, since the caller may re-run
+// it, and must end on zeros: an aborted attempt's body runs on to its
+// end with every Load returning 0 (see the package comment).
+func (s *System) Try(c *sim.Ctx, body func()) Outcome {
 	t := s.state(c)
+	s.begin(c, t)
+	run(body)
+	if t.dead || !s.commit(c, t) {
+		t.active, t.dead = false, false
+		c.Thaw()
+		return Outcome{Code: t.code, Hint: t.hint}
+	}
+	return Outcome{Committed: true}
+}
+
+// run calls body, stopping the panic with which Read, Write or Abort
+// leaves a dead attempt's body.
+func run(body func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			a, ok := r.(AbortSignal)
-			if !ok {
+			if _, ok := r.(abortSignal); !ok {
 				panic(r)
 			}
-			o = Outcome{Committed: false, Code: a.Code, Hint: a.Hint}
 		}
 	}()
-	s.begin(c, t)
 	body()
-	s.commit(c, t)
-	return Outcome{Committed: true}
 }

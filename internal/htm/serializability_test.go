@@ -1,12 +1,15 @@
 package htm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"natle/internal/cache"
 	"natle/internal/machine"
 	"natle/internal/mem"
 	"natle/internal/sim"
+	"natle/internal/telemetry"
 	"natle/internal/vtime"
 )
 
@@ -94,48 +97,171 @@ func retryBank(s *System, c *sim.Ctx, body func()) {
 	}
 }
 
-// TestZombieTransactionCausesNoHarm aborts a transaction from outside
-// and lets the victim keep issuing reads; the victim must unwind at
-// its next access and must not have aborted anyone else meanwhile.
+// TestZombieTransactionCausesNoHarm dooms a transaction from outside
+// and lets the victim's body run on past the access that finds it
+// aborted: loads and a store of the line an in-flight bystander is
+// writing, an allocation, external work, random draws and checkpoints.
+// From that access to the end of the body nothing changes — the
+// victim's clock, the access counters, the telemetry, the line
+// registrations, memory —
+// after Try the victim's clock and RNG are where a body that stopped at
+// its abort point leaves them, and the bystander commits.
 func TestZombieTransactionCausesNoHarm(t *testing.T) {
-	e := sim.New(machine.LargeX52(), machine.FillSocketFirst{}, 3, 7)
-	s := NewSystem(e, 1<<12)
-	e.Spawn(nil, func(c *sim.Ctx) {
-		a := s.Alloc(c, 1)
-		b := s.Alloc(c, 1)
-		victimAborted := false
-		bystanderOK := true
-		e.Spawn(c, func(w *sim.Ctx) { // victim
-			o := s.Try(w, func() {
-				_ = s.Read(w, a)
-				for i := 0; i < 1000; i++ {
-					w.AdvanceIdle(200 * vtime.Nanosecond)
+	run := func(zombie bool) (after vtime.Time, draw uint64) {
+		e := sim.New(machine.LargeX52(), machine.FillSocketFirst{}, 3, 7)
+		s := NewSystem(e, 1<<12)
+		s.SetRecorder(telemetry.NewCollector(telemetry.Config{}))
+		e.Spawn(nil, func(c *sim.Ctx) {
+			a := s.Alloc(c, 1)
+			b := s.Alloc(c, 1)
+			victimAborted := false
+			bystanderOK := false
+			e.Spawn(c, func(w *sim.Ctx) { // victim
+				o := s.Try(w, func() {
+					s.Load(w, a)
+					for i := 0; i < 1000; i++ {
+						w.AdvanceIdle(200 * vtime.Nanosecond)
+						w.Checkpoint()
+					}
+					if s.Load(w, b) != 0 { // the abort point
+						t.Error("the load that found the attempt aborted returned data")
+					}
+					if !zombie {
+						return
+					}
+					before := observe(s, w)
+					s.Store(w, b, 7)
+					if s.Load(w, a) != 0 || s.Load(w, b) != 0 {
+						t.Error("a dead attempt's load returned data")
+					}
+					if got := s.Alloc(w, mem.WordsPerLine); got != 0 {
+						t.Errorf("a dead attempt allocated %d", got)
+					}
+					w.Work(1000)
+					w.Advance(vtime.Microsecond)
 					w.Checkpoint()
-				}
-				_ = s.Read(w, b) // must panic here after the abort
-				t.Error("zombie transaction executed past its abort point")
+					if w.Rand64() != 0 {
+						t.Error("a dead attempt drew from its thread's RNG")
+					}
+					if got := observe(s, w); !reflect.DeepEqual(got, before) {
+						t.Errorf("the dead attempt had effects:\nat its abort %+v\nat its end   %+v", before, got)
+					}
+				})
+				victimAborted = !o.Committed
+				after, draw = w.Now(), w.Rand64()
 			})
-			victimAborted = !o.Committed
+			e.Spawn(c, func(w *sim.Ctx) { // attacker + bystander
+				w.AdvanceIdle(2 * vtime.Microsecond)
+				w.Checkpoint()
+				s.Write(w, a, 1) // aborts the victim
+				// The bystander's transaction writes b and stays in flight
+				// past the victim's abort point: a zombie store to b would
+				// abort it (requester wins).
+				o := s.Try(w, func() {
+					s.Store(w, b, 2)
+					for i := 0; i < 2000; i++ {
+						w.AdvanceIdle(200 * vtime.Nanosecond)
+						w.Checkpoint()
+					}
+				})
+				bystanderOK = o.Committed
+			})
+			c.SetIdle(true)
+			c.WaitOthers(vtime.Microsecond)
+			if !victimAborted {
+				t.Error("victim survived a conflicting write")
+			}
+			if !bystanderOK {
+				t.Error("bystander transaction was aborted by a zombie")
+			}
+			if got := s.Mem.Raw(b); got != 2 {
+				t.Errorf("b = %d after the bystander's commit, want 2", got)
+			}
 		})
-		e.Spawn(c, func(w *sim.Ctx) { // attacker + bystander
-			w.AdvanceIdle(2 * vtime.Microsecond)
-			w.Checkpoint()
-			s.Write(w, a, 1) // aborts the victim
-			// Bystander transaction on b must be untouched by the
-			// victim's pending unwind.
-			o := s.Try(w, func() { s.Write(w, b, 2) })
-			bystanderOK = o.Committed
+		e.Run()
+		return after, draw
+	}
+	stopNow, stopDraw := run(false)
+	goNow, goDraw := run(true)
+	if goNow != stopNow || goDraw != stopDraw {
+		t.Errorf("after Try the victim is at %v with next draw %#x; a body that stopped at its abort point leaves %v, %#x",
+			goNow, goDraw, stopNow, stopDraw)
+	}
+}
+
+// observation is what a dead attempt must leave unchanged.
+type observation struct {
+	Now        vtime.Time
+	Cache      cache.Stats
+	HTM        Stats
+	Telemetry  telemetry.Summary
+	Words      []uint64
+	RegReaders [][2]uint64
+	RegWriter  []int16
+}
+
+func observe(s *System, c *sim.Ctx) observation {
+	o := observation{
+		Now:        c.Now(),
+		Cache:      s.Cache.Stats,
+		HTM:        s.Stats,
+		Telemetry:  s.Recorder().(*telemetry.Collector).Summary(),
+		RegReaders: append([][2]uint64(nil), s.regReaders...),
+		RegWriter:  append([]int16(nil), s.regWriter...),
+	}
+	for a := 0; a < s.Mem.Words(); a++ {
+		o.Words = append(o.Words, s.Mem.Raw(mem.Addr(a)))
+	}
+	return o
+}
+
+// TestDeadAttemptFreezesItsThread: a body that calls Work and draws
+// random numbers after a dead Load leaves its thread's clock and RNG at
+// their values at the abort instant. Inside the body the clock does not
+// move and every draw is 0 without consuming the stream; after Try the
+// clock is still the abort instant and the next draw is the one a body
+// that stopped at its abort point sees.
+func TestDeadAttemptFreezesItsThread(t *testing.T) {
+	run := func(more bool) (abortAt, after vtime.Time, next uint64) {
+		e := sim.New(machine.LargeX52(), nil, 1, 3)
+		s := NewSystem(e, 1<<10)
+		e.Spawn(nil, func(c *sim.Ctx) {
+			x := s.Alloc(c, 1)
+			o := s.Try(c, func() {
+				// Doomed, as by another thread's conflicting write; the
+				// next access finds it.
+				s.doAbort(s.state(c), CodeConflict, true)
+				s.Load(c, x)
+				abortAt = c.Now()
+				if !more {
+					return
+				}
+				c.Work(1000)
+				c.AdvanceIdle(vtime.Microsecond)
+				if c.Rand64() != 0 || c.Intn(10) != 0 || c.Float64() != 0 {
+					t.Error("a frozen thread drew a random number")
+				}
+				if c.Now() != abortAt {
+					t.Errorf("a frozen thread's clock moved from %v to %v", abortAt, c.Now())
+				}
+			})
+			if o.Committed || o.Code != CodeConflict || !o.Hint {
+				t.Errorf("outcome %+v, want a conflict abort with the hint set", o)
+			}
+			after, next = c.Now(), c.Rand64()
 		})
-		c.SetIdle(true)
-		c.WaitOthers(vtime.Microsecond)
-		if !victimAborted {
-			t.Error("victim survived a conflicting write")
-		}
-		if !bystanderOK {
-			t.Error("bystander transaction was aborted by a zombie")
-		}
-	})
-	e.Run()
+		e.Run()
+		return abortAt, after, next
+	}
+	stopAt, stopAfter, stopNext := run(false)
+	goAt, goAfter, goNext := run(true)
+	if goAt != stopAt || goAfter != goAt || stopAfter != stopAt {
+		t.Errorf("abort instants %v and %v, clocks after Try %v and %v: want all equal",
+			stopAt, goAt, stopAfter, goAfter)
+	}
+	if goNext != stopNext {
+		t.Errorf("next draw after Try %#x, want %#x as after a body that stopped at its abort", goNext, stopNext)
+	}
 }
 
 // TestAbortStorm injects constant explicit aborts and checks that the

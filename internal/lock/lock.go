@@ -15,8 +15,9 @@ import (
 // by any number of simulated threads.
 type CS interface {
 	// Critical runs body as one critical section. body may be executed
-	// more than once (transactional attempts are unwound on abort and
-	// retried), so it must be restartable.
+	// more than once (an aborted transactional attempt runs on to its
+	// end with its accesses no-ops, and is retried), so it must be
+	// restartable.
 	Critical(c *sim.Ctx, body func())
 	// Name identifies the scheme in benchmark output.
 	Name() string

@@ -17,9 +17,9 @@ import (
 //
 //   - SpuriousAbortRate: a geometric per-access countdown armed (and
 //     counted, as on the simulator) at each optimistic attempt; when
-//     it fires, the attempt unwinds via the same abortSignal a seqlock
-//     validation failure uses. Native attempts have no hardware to
-//     interrupt them, so this models spurious validation failures.
+//     it fires, the attempt dies exactly as on a failed seqlock
+//     validation. Native attempts have no hardware to interrupt them,
+//     so this models spurious validation failures.
 //     Upgraded writers publish their stores directly and cannot roll
 //     back, so (exactly like real TSX, which cannot abort a committed
 //     transaction) the countdown only fires while the attempt is
@@ -176,22 +176,25 @@ func (f *Fault) csStall(c *Thread) {
 }
 
 // txAccess charges one transactional access against the attempt's
-// spurious-abort countdown and access budget, aborting the attempt
-// when either runs out. Called only while the attempt is active and
-// not yet upgraded to writer.
+// spurious-abort countdown and access budget, killing the attempt when
+// either runs out, and reports whether it did. Called only while the
+// attempt is live and not yet upgraded to writer.
 //
 //natlevet:hotpath
-func (c *Thread) txAccess() {
+func (c *Thread) txAccess() bool {
 	if c.tx.spurious > 0 {
 		c.tx.spurious--
 		if c.tx.spurious == 0 {
-			panic(abortSignal{})
+			c.tx.dead = true
+			return true
 		}
 	}
 	if c.tx.budget > 0 {
 		c.tx.budget--
 		if c.tx.budget == 0 {
-			panic(abortSignal{})
+			c.tx.dead = true
+			return true
 		}
 	}
+	return false
 }

@@ -197,8 +197,11 @@ func TestTLEBodyPanicReleasesLock(t *testing.T) {
 // pessimistic path of any native scheme must release the lock before
 // the panic propagates. The eliding schemes are forced there by
 // failing their one optimistic attempt (a foreign commit bumps the
-// sequence between snapshot and load); a second section on another
-// goroutine must then complete within a bounded wait.
+// sequence between snapshot and load, and the dead attempt's body
+// returns); a second section on another goroutine must then complete
+// within a bounded wait. The eliding schemes also run a body that
+// panics in an optimistic attempt upgraded to writer by its first
+// store: that attempt holds the sequence odd, and must leave it even.
 func TestFallbackBodyPanicReleasesLock(t *testing.T) {
 	lk := NewTLE(1, tle.Backoff{})
 	inner := NewTLE(1, tle.Backoff{})
@@ -212,40 +215,64 @@ func TestFallbackBodyPanicReleasesLock(t *testing.T) {
 		{NewNATLE(inner, 2, NATLEConfig{}), &inner.seq},
 	}
 	for _, tc := range cases {
-		t.Run(tc.cs.Name(), func(t *testing.T) {
-			w := NewWorld(Config{Sockets: 2})
-			var addr int
-			w.Run(1, func(c backend.Ctx) { addr = c.Alloc(1) }, func(c backend.Ctx) {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("workload panic swallowed")
+		for _, writer := range []bool{false, true} {
+			if writer && tc.seq == nil {
+				continue
+			}
+			name := tc.cs.Name()
+			if writer {
+				name += "/upgraded-writer"
+			}
+			t.Run(name, func(t *testing.T) {
+				w := NewWorld(Config{Sockets: 2})
+				var addr int
+				w.Run(1, func(c backend.Ctx) { addr = c.Alloc(1) }, func(c backend.Ctx) {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("workload panic swallowed")
+						}
+					}()
+					nc := c.(*Thread)
+					tc.cs.Critical(c, func() {
+						if writer {
+							c.Store(addr, 1) // upgrades the optimistic attempt
+							if !nc.tx.writer {
+								t.Errorf("first store of an uncontended attempt did not upgrade it")
+							}
+						} else if nc.tx.active {
+							tc.seq.Add(2)
+							c.Load(addr) // fails validation: the attempt is dead
+							return
+						}
+						panic("workload bug")
+					})
+				})
+				if tc.seq != nil {
+					if got := tc.seq.Load(); got%2 != 0 {
+						t.Fatalf("sequence left odd (%d) after the panic", got)
 					}
+				}
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					w.Run(1, func(backend.Ctx) {}, func(c backend.Ctx) {
+						tc.cs.Critical(c, func() { c.Store(addr, c.Load(addr)+1) })
+					})
 				}()
-				nc := c.(*Thread)
-				tc.cs.Critical(c, func() {
-					if nc.tx.active {
-						tc.seq.Add(2)
-						c.Load(addr) // fails validation, aborts the attempt
-					}
-					panic("workload bug")
-				})
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("section after a panicking section never completed: lock leaked")
+				}
+				want := uint64(1)
+				if writer {
+					want = 2 // the upgraded writer's store was published
+				}
+				if got := w.Peek(addr); got != want {
+					t.Fatalf("word = %d, want %d", got, want)
+				}
 			})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				w.Run(1, func(backend.Ctx) {}, func(c backend.Ctx) {
-					tc.cs.Critical(c, func() { c.Store(addr, c.Load(addr)+1) })
-				})
-			}()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("section after a fallback-path panic never completed: lock leaked")
-			}
-			if got := w.Peek(addr); got != 1 {
-				t.Fatalf("word = %d, want 1", got)
-			}
-		})
+		}
 	}
 }
 

@@ -213,18 +213,22 @@ type Thread struct {
 }
 
 // txn is one optimistic native-tle attempt in flight on this thread.
+// An attempt that fails validation or its upgrade, or draws an injected
+// abort, is dead: its remaining loads return 0 and its stores are
+// dropped until the body returns (the native mirror of the simulator's
+// dead attempt, see package htm), and the attempt then reports the
+// abort. Upgraded writers publish directly and never die. Only active
+// is cleared when the attempt ends: the other fields mean nothing
+// without it, and the next attempt overwrites them all.
 type txn struct {
 	active   bool
 	writer   bool
+	dead     bool
 	start    uint64
 	seq      *atomic.Uint64
 	spurious int // injected spurious-abort countdown (0 = unarmed)
 	budget   int // injected access budget (0 = unlimited)
 }
-
-// abortSignal unwinds an optimistic attempt whose sequence validation
-// failed (the native mirror of htm.AbortSignal).
-type abortSignal struct{}
 
 // Thread implements backend.Ctx.
 
@@ -273,18 +277,20 @@ func (c *Thread) Work(n int) {
 func (c *Thread) Alloc(nWords int) int { return c.w.alloc(nWords) }
 
 // Load reads shared word a. Inside an optimistic attempt it validates
-// the lock sequence after the read (seqlock discipline) and aborts
-// the attempt on interference.
+// the lock sequence after the read (seqlock discipline); on
+// interference the attempt dies and the load, like every later one of
+// the attempt, returns 0.
 //
 //natlevet:hotpath
 func (c *Thread) Load(a int) uint64 {
 	v := c.w.word(a).Load()
 	if c.tx.active && !c.tx.writer {
-		if c.tx.seq.Load() != c.tx.start {
-			panic(abortSignal{})
+		if c.tx.dead || c.tx.seq.Load() != c.tx.start {
+			c.tx.dead = true
+			return 0
 		}
-		if c.tx.spurious > 0 || c.tx.budget > 0 {
-			c.txAccess()
+		if (c.tx.spurious > 0 || c.tx.budget > 0) && c.txAccess() {
+			return 0
 		}
 	}
 	return v
@@ -292,16 +298,18 @@ func (c *Thread) Load(a int) uint64 {
 
 // Store writes shared word a. The first store of an optimistic
 // attempt upgrades it to writer by acquiring the sequence word with a
-// CAS; failure to upgrade aborts the attempt.
+// CAS; failure to upgrade kills the attempt, and a dead attempt's
+// stores are dropped.
 //
 //natlevet:hotpath
 func (c *Thread) Store(a int, v uint64) {
 	if c.tx.active && !c.tx.writer {
-		if c.tx.spurious > 0 || c.tx.budget > 0 {
-			c.txAccess()
+		if c.tx.dead || (c.tx.spurious > 0 || c.tx.budget > 0) && c.txAccess() {
+			return
 		}
 		if !c.tx.seq.CompareAndSwap(c.tx.start, c.tx.start+1) {
-			panic(abortSignal{})
+			c.tx.dead = true
+			return
 		}
 		c.tx.writer = true
 	}

@@ -107,6 +107,7 @@ type Ctx struct {
 
 	pinIdx   int    // index given to the pinning policy
 	idle     bool   // excluded from core contention (see SetIdle)
+	frozen   bool   // clock, RNG and checkpoints inert (see Freeze)
 	accesses uint64 // shared-memory accesses, drives periodic migration
 
 	// Payload slots for higher layers (e.g. the HTM runtime keeps its
@@ -148,9 +149,24 @@ func (c *Ctx) SetIdle(idle bool) {
 	}
 }
 
+// Freeze makes the thread's clock, RNG and checkpoints inert until Thaw:
+// Advance, AdvanceIdle, Work, Checkpoint and Yield do nothing, and
+// Rand64, Intn and Float64 return 0 without drawing. The HTM runtime
+// freezes a thread whose transaction attempt has aborted, so the rest
+// of the attempt's body, which runs on to its end with every access a
+// no-op, costs no virtual time, consumes no random bits and gives way
+// to no one: the thread resumes exactly where the abort left it.
+func (c *Ctx) Freeze() { c.frozen = true }
+
+// Thaw ends Freeze.
+func (c *Ctx) Thaw() { c.frozen = false }
+
 // Advance adds execution cost d to the local clock, inflated by the
 // hyperthread-sibling slowdown when the core is shared.
 func (c *Ctx) Advance(d vtime.Duration) {
+	if c.frozen {
+		return
+	}
 	if c.SiblingActive() {
 		d = d.Scale(c.eng.Prof.SiblingSlowdown)
 	}
@@ -159,7 +175,11 @@ func (c *Ctx) Advance(d vtime.Duration) {
 
 // AdvanceIdle adds waiting time d to the local clock without the
 // sibling slowdown (an idle hyperthread does not contend for the core).
-func (c *Ctx) AdvanceIdle(d vtime.Duration) { c.now = c.now.Add(d) }
+func (c *Ctx) AdvanceIdle(d vtime.Duration) {
+	if !c.frozen {
+		c.now = c.now.Add(d)
+	}
+}
 
 // Work simulates n iterations of the microbenchmarks' external-work
 // function.
@@ -170,6 +190,9 @@ func (c *Ctx) Work(n int) {
 // Rand64 returns the next value of the thread's deterministic RNG
 // (xorshift64*).
 func (c *Ctx) Rand64() uint64 {
+	if c.frozen {
+		return 0
+	}
 	x := c.rng
 	x ^= x >> 12
 	x ^= x << 25
@@ -195,7 +218,11 @@ func (c *Ctx) Float64() float64 {
 // an earlier virtual time. Every simulated shared-memory access calls
 // this before taking effect, which is what gives the simulation its
 // strict global ordering.
-func (c *Ctx) Checkpoint() { c.checkpoint(false) }
+func (c *Ctx) Checkpoint() {
+	if !c.frozen {
+		c.checkpoint(false)
+	}
+}
 
 // checkpoint does the per-access bookkeeping and, if c has run past the
 // earliest waiting thread by Slack or more, gives way to it. With

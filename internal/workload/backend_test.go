@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"runtime"
 	"testing"
 
 	"natle/internal/backend"
@@ -8,6 +9,7 @@ import (
 	"natle/internal/native"
 	"natle/internal/scheme"
 	"natle/internal/sets"
+	"natle/internal/vtime"
 	"natle/internal/workload"
 )
 
@@ -98,4 +100,47 @@ func TestSpuriousAbortsCountArmedCountdowns(t *testing.T) {
 			t.Errorf("rate %g, native: %d spurious aborts counted, want commits + aborts = %d", rate, got, want)
 		}
 	}
+}
+
+// TestRunAllocatesNothingPerOperation is the same law for the simulated
+// closed loop: two trials of Run that differ only in the length of
+// their window differ by well under one heap object per hundred extra
+// operations, under each of the paper's core schemes and both operation
+// mixes (the unsynchronized baseline runs only the search-and-replace
+// mix, which leaves the tree's shape alone).
+func TestRunAllocatesNothingPerOperation(t *testing.T) {
+	for _, lock := range []workload.LockKind{
+		workload.LockPlain, workload.LockTLE, workload.LockNATLE, workload.LockCohort, workload.LockNoSync,
+	} {
+		for _, sr := range []bool{false, true} {
+			if lock == workload.LockNoSync && !sr {
+				continue
+			}
+			cfg := workload.Config{
+				Threads: 8, Seed: 1, KeyRange: 512, UpdatePct: 50, SearchReplace: sr,
+				Lock: lock, Warmup: 10 * vtime.Microsecond,
+			}
+			cfg.Duration = 100 * vtime.Microsecond
+			few, fewOps := simMallocs(cfg)
+			cfg.Duration = 800 * vtime.Microsecond
+			many, manyOps := simMallocs(cfg)
+			if manyOps <= fewOps {
+				t.Fatalf("%s: %d ops in the long window, %d in the short one", lock, manyOps, fewOps)
+			}
+			if perOp := (float64(many) - float64(few)) / float64(manyOps-fewOps); perOp >= 0.01 {
+				t.Errorf("%s (search-replace %v): %d allocations for %d ops, %d for %d: %.3f per extra operation",
+					lock, sr, few, fewOps, many, manyOps, perOp)
+			}
+		}
+	}
+}
+
+// simMallocs runs one simulated trial and returns the heap objects it
+// allocated and the operations it counted.
+func simMallocs(cfg workload.Config) (mallocs, ops uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := workload.Run(cfg)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, r.Ops
 }

@@ -83,20 +83,25 @@ func RunTwoTrees(cfg TwoTreesConfig) *TwoTreesResult {
 		var measureStart, deadline vtime.Time
 		start := e.SpawnTeam(c, base.Threads, func(i int, w *sim.Ctx) {
 			var counted uint64
+			// Bodies built once per worker, as in Run.
+			var key int64
+			insert := func() { updTree.Insert(w, key) }
+			remove := func() { updTree.Delete(w, key) }
+			contains := func() { schTree.Contains(w, key) }
 			for {
 				opStart := w.Now()
 				if opStart >= deadline {
 					break
 				}
-				key := int64(w.Rand64() % uint64(base.KeyRange))
+				key = int64(w.Rand64() % uint64(base.KeyRange))
 				if i%2 == 0 {
 					if w.Rand64()&1 == 0 {
-						updLock.Critical(w, func() { updTree.Insert(w, key) })
+						updLock.Critical(w, insert)
 					} else {
-						updLock.Critical(w, func() { updTree.Delete(w, key) })
+						updLock.Critical(w, remove)
 					}
 				} else {
-					schLock.Critical(w, func() { schTree.Contains(w, key) })
+					schLock.Critical(w, contains)
 					if cfg.SearchWork > 0 {
 						w.Work(w.Intn(cfg.SearchWork))
 					}

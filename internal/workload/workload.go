@@ -246,23 +246,32 @@ func runWorker(w *sim.Ctx, cfg Config, set sets.Set, cs scheme.Instance,
 	res *Result, measureStart, deadline vtime.Time) {
 	var counted uint64
 	countedSock := make([]uint64, len(res.PerSock))
+	// The section bodies, built once per worker: each operates on the key
+	// of the operation in progress. A literal per operation would be a
+	// heap object per operation, escaping through the Critical interface
+	// call.
+	var key int64
+	searchReplace := func() { set.SearchReplace(w, key) }
+	insert := func() { set.Insert(w, key) }
+	remove := func() { set.Delete(w, key) }
+	contains := func() { set.Contains(w, key) }
 	for {
 		opStart := w.Now()
 		if opStart >= deadline {
 			break
 		}
-		key := int64(w.Rand64() % uint64(cfg.KeyRange))
+		key = int64(w.Rand64() % uint64(cfg.KeyRange))
 		switch {
 		case cfg.SearchReplace:
-			cs.Critical(w, func() { set.SearchReplace(w, key) })
+			cs.Critical(w, searchReplace)
 		case int(w.Rand64()%100) < cfg.UpdatePct:
 			if w.Rand64()&1 == 0 {
-				cs.Critical(w, func() { set.Insert(w, key) })
+				cs.Critical(w, insert)
 			} else {
-				cs.Critical(w, func() { set.Delete(w, key) })
+				cs.Critical(w, remove)
 			}
 		default:
-			cs.Critical(w, func() { set.Contains(w, key) })
+			cs.Critical(w, contains)
 		}
 		if opStart >= measureStart && w.Now() <= deadline {
 			counted++
