@@ -71,14 +71,18 @@ native-check:
 		{ echo "native smoke run reported zero throughput"; exit 1; }
 
 # The full gate: everything must build, lint clean (gofmt + vet), pass
-# under the race detector, and survive ten seconds of fuzzing the
-# structure cores with attempts that die at every access (go test runs
-# only the seed corpus).
+# under the race detector, survive ten seconds of fuzzing the structure
+# cores with attempts that die at every access (go test runs only the
+# seed corpus), and run one iteration of the htm, arena, sets and
+# telemetry per-layer benchmarks (they must build and finish; nothing is
+# asserted about their timing; native-check does the same for native
+# and workload).
 check:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -run '^$$' -fuzz FuzzDeadAttempt -fuzztime 10s ./internal/sets
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/htm ./internal/arena ./internal/sets ./internal/telemetry
 	$(MAKE) native-check
 
 bench:
@@ -88,13 +92,16 @@ bench:
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early
 # return, spawn and idle poll, of one cache-model access by the path it
 # takes, of one htm transaction by shape and of one aborted half-way
-# down a tree descent, of generating a service
-# schedule, of the service pipeline per request on either backend, of
-# one native critical section by scheme and shape, of the backend
-# driver's closed loop per operation, and of one simulated trial's
-# set-up by thread count.
+# down a tree descent, of one arena load, store and allocation through
+# the sim and the backend adapter, of one contains, insert and delete
+# per set kind through the sim wrapper and BackendSet, of one telemetry
+# histogram observation and collector commit event, of generating a
+# service schedule, of the service pipeline per request on either
+# backend, of one native critical section by scheme and shape, of the
+# backend driver's closed loop per operation, and of one simulated
+# trial's set-up by thread count.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/cache ./internal/htm ./internal/service ./internal/native ./internal/workload
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/cache ./internal/htm ./internal/arena ./internal/sets ./internal/telemetry ./internal/service ./internal/native ./internal/workload
 
 # chaos runs the one fault-injection matrix: every named fault
 # schedule against every robust scheme of both backends over every

@@ -13,10 +13,9 @@
 //   - simulated results must be a pure function of (profile, seed) —
 //     wall-clock reads or unseeded global randomness silently break
 //     the fault injector's byte-identical replays (determinism);
-//   - an aborted transaction body runs on to its end on zeros, or
-//     leaves by a panic htm.System.Try recovers, and is re-run — a
-//     recover, go statement, or channel operation inside one swallows
-//     that panic or escapes the abortable region (txnsafe);
+//   - an aborted transaction body runs on to its end on zeros and is
+//     re-run — a go statement or channel operation inside one escapes
+//     the abortable region (txnsafe);
 //   - telemetry and fault hooks are only zero-cost-when-disabled if
 //     every call site keeps the nil-check / Nop-default discipline
 //     (hookcost);

@@ -11,9 +11,6 @@ import (
 
 func unsafeBody(sys *htm.System, c *sim.Ctx, ch chan int) {
 	sys.Try(c, func() {
-		defer func() {
-			recover() // want `swallow the panic that leaves an aborted attempt`
-		}()
 		go work()      // want `go statement`
 		ch <- 1        // want `channel send`
 		<-ch           // want `channel receive`
@@ -46,15 +43,6 @@ func outsideBody(ch chan int) {
 	go work()
 	ch <- 1
 	close(ch)
-}
-
-func allowedProbe(sys *htm.System, c *sim.Ctx) {
-	sys.Try(c, func() {
-		defer func() {
-			recover() //natlevet:allow txnsafe(fixture: testing the abort machinery itself)
-		}()
-		work()
-	})
 }
 
 func work() {}

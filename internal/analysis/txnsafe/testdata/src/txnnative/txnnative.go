@@ -14,7 +14,6 @@ import (
 
 func nativeStyleBody(l *tle.Lock, c *sim.Ctx, ch chan int) {
 	l.Critical(c, func() {
-		defer func() { recover() }()
 		go func() { ch <- 1 }()
 		<-ch
 	})

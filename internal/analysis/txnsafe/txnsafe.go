@@ -1,13 +1,9 @@
 // Package txnsafe defines the natlevet analyzer guarding transaction
 // bodies. htm.System.Try runs its body func; an aborted attempt's body
-// runs on to its end with every Load returning 0 and every Store
-// dropped, unless a direct access (Read, Write) or an explicit Abort
-// leaves it first by a panic that Try recovers. The elision layers
-// (tle/natle/cohort Lock.Critical) build on the same mechanism and
-// re-run the body. Inside such a body:
+// runs on to its end with every Read returning 0 and every Write
+// dropped. The elision layers (tle/natle/cohort Lock.Critical) build on
+// the same mechanism and re-run the body. Inside such a body:
 //
-//   - recover() can swallow that panic, turning an aborted attempt
-//     into a silently half-executed critical section;
 //   - a go statement escapes the abortable region — the goroutine's
 //     effects survive an abort that was supposed to discard them, and
 //     the simulator's cooperative scheduler never runs real
@@ -26,17 +22,16 @@ import (
 	"natle/internal/analysis"
 )
 
-// Analyzer flags unwind-unsafe operations in transaction bodies.
+// Analyzer flags abort-unsafe operations in transaction bodies.
 var Analyzer = &analysis.Analyzer{
 	Name: "txnsafe",
-	Doc: `forbid recover, go, and channel operations in transaction bodies
+	Doc: `forbid go and channel operations in transaction bodies
 
 Closures passed to htm.System.Try or to the Critical methods of the
-lock-elision layers run on to their end after an abort, or leave by a
-panic Try recovers, and may be re-run any number of times; recover(),
-go statements, and channel operations break that contract. Bodies that
-deliberately probe the abort machinery itself carry
-//natlevet:allow txnsafe(reason).`,
+lock-elision layers run on to their end after an abort and may be
+re-run any number of times; go statements and channel operations break
+that contract. Bodies that deliberately probe the abort machinery
+itself carry //natlevet:allow txnsafe(reason).`,
 	Run: run,
 }
 
@@ -125,13 +120,8 @@ func checkBody(pass *analysis.Pass, body ast.Node, reported map[token.Pos]bool) 
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok {
-				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "recover":
-						report(n.Pos(), "recover inside a transaction body can swallow the panic that leaves an aborted attempt, leaving a half-executed critical section committed")
-					case "close":
-						report(n.Pos(), "close of a channel inside a transaction body: it publishes state from a region that may be aborted and re-executed")
-					}
+				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
+					report(n.Pos(), "close of a channel inside a transaction body: it publishes state from a region that may be aborted and re-executed")
 				}
 			}
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Sim adapts the simulator's HTM runtime to the Mem contract: loads and
-// stores go through System.Load/Store (transactional inside an attempt,
+// stores go through System.Read/Write (transactional inside an attempt,
 // coherence-timed outside, no-ops once the attempt is dead), and Alloc
 // goes through the simulator's line-aligned allocator, homing lines on
 // the calling thread's socket exactly as the structures' direct sys
@@ -18,10 +18,10 @@ type Sim struct {
 }
 
 // Load reads one simulated word.
-func (m Sim) Load(a uint64) uint64 { return m.Sys.Load(m.C, mem.Addr(a)) }
+func (m Sim) Load(a uint64) uint64 { return m.Sys.Read(m.C, mem.Addr(a)) }
 
 // Store writes one simulated word.
-func (m Sim) Store(a, v uint64) { m.Sys.Store(m.C, mem.Addr(a), v) }
+func (m Sim) Store(a, v uint64) { m.Sys.Write(m.C, mem.Addr(a), v) }
 
 // Alloc reserves line-aligned simulated words homed on the calling
 // thread's socket.

@@ -1,9 +1,10 @@
 // Package backend makes *which world a scheme executes in* a
-// first-class axis of the substrate. A backend bundles the four
-// capabilities every synchronization scheme and workload driver
-// consumes — a time source, thread spawn/join, word-addressed shared
-// memory, and critical-section entry — behind interfaces small enough
-// that the same workload code runs unchanged on either side:
+// first-class axis of the substrate. A backend bundles the capabilities
+// every synchronization scheme and workload driver consumes — a time
+// source, thread spawn/join and word-addressed shared memory — behind
+// interfaces small enough that the same workload code runs unchanged on
+// either side (critical sections on a backend are
+// scheme.BackendInstance):
 //
 //   - the sim backend (internal/workload.SimWorld) executes on the
 //     deterministic discrete-event simulator: virtual time, simulated
@@ -84,16 +85,6 @@ type Ctx interface {
 	// Store writes shared word a, transactionally inside a Critical
 	// body; an aborted attempt's stores are dropped.
 	Store(a int, v uint64)
-}
-
-// CS executes critical sections on a backend (the backend-agnostic
-// mirror of lock.CS). Bodies must be restartable, and must end on
-// zeros: optimistic schemes run an aborted attempt's body on to its end
-// with every Load returning 0, then re-run it.
-type CS interface {
-	Critical(c Ctx, body func())
-	// Name identifies the scheme in benchmark output.
-	Name() string
 }
 
 // World is one constructed execution backend: a shared memory plus

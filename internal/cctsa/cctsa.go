@@ -19,7 +19,6 @@ import (
 
 	"natle/internal/backend"
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/machine"
 	"natle/internal/natle"
 	"natle/internal/scheme"
@@ -175,7 +174,7 @@ func (a *assembler) kmerAt(off int) uint64 {
 // section per read inserts all its k-mers into the shared map (the
 // long critical sections that make this workload collapse across
 // sockets under plain TLE), then a second pass links reads by overlap.
-func (a *assembler) work(c *sim.Ctx, cs lock.CS, tid, threads int) {
+func (a *assembler) work(c *sim.Ctx, cs scheme.Instance, tid, threads int) {
 	per := len(a.reads) / threads
 	lo := tid * per
 	hi := lo + per

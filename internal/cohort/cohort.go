@@ -26,7 +26,7 @@ import (
 // lock papers use values in the tens to hundreds).
 const DefaultMaxPass = 64
 
-// Lock is a two-level cohort lock. It implements lock.CS.
+// Lock is a two-level cohort lock.
 type Lock struct {
 	sys     *htm.System
 	global  *spinlock.Lock
@@ -60,7 +60,7 @@ func New(sys *htm.System, c *sim.Ctx, maxPass int) *Lock {
 	return l
 }
 
-// Name implements lock.CS.
+// Name identifies the lock in benchmark output.
 func (l *Lock) Name() string { return "cohort" }
 
 // Acquire takes the lock.
@@ -95,7 +95,7 @@ func (l *Lock) Release(c *sim.Ctx) {
 	l.local[s].Release(c)
 }
 
-// Critical implements lock.CS.
+// Critical runs body under the lock.
 func (l *Lock) Critical(c *sim.Ctx, body func()) {
 	l.Acquire(c)
 	body()

@@ -35,7 +35,7 @@ var sharedStateAllowlist = map[string]string{
 // tooling (go/analysis passes) that never executes during a trial.
 var trialPathPackages = []string{
 	"cache", "cctsa", "cohort", "delegation", "expt", "fault", "harness",
-	"htm", "lock", "machine", "mem", "natle", "paraheap", "scheme",
+	"htm", "machine", "mem", "natle", "paraheap", "scheme",
 	"service", "sets", "sim", "simmap", "spinlock", "stamp", "telemetry",
 	"tle", "vtime", "workload",
 }

@@ -65,45 +65,33 @@ func BenchmarkTx(b *testing.B) {
 // half-way down a tree descent (ns/op is per attempt, begin to abort
 // reported): the body follows a chain of 33 lines, each holding the
 // address of the next, and at depth 16 another thread's write to the
-// root line dooms it; the next access finds that. load descends with
-// Load, as the arena.Mem cores do, so the dead attempt's load returns
-// 0 (nil) and the walk ends; read descends with Read, whose dead access
-// leaves the body by the panic Try recovers.
+// root line dooms it; the next Read finds that and returns 0 (nil), as
+// every later one of the dead attempt would, and the walk ends.
 func BenchmarkAbort(b *testing.B) {
 	const lines, doomAt = 33, 16
-	for _, bc := range []struct {
-		name string
-		load func(s *System, c *sim.Ctx, a mem.Addr) uint64
-	}{
-		{"load", (*System).Load},
-		{"read", (*System).Read},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := sim.New(machine.LargeX52(), nil, 1, 1)
-			s := NewSystem(e, 1<<12)
-			base := s.Mem.Alloc(lines*mem.WordsPerLine, 0)
-			for i := mem.Addr(0); i < lines-1; i++ {
-				s.Mem.SetRaw(base+i*mem.WordsPerLine, uint64(base+(i+1)*mem.WordsPerLine))
-			}
-			e.Spawn(nil, func(c *sim.Ctx) {
-				body := func() {
-					a := base
-					for depth := 0; a != 0; depth++ {
-						if depth == doomAt {
-							s.abortConflictors(mem.LineOf(base), -1, true)
-						}
-						a = mem.Addr(bc.load(s, c, a))
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if s.Try(c, body).Committed {
-						b.Fatal("doomed transaction committed")
-					}
-				}
-			})
-			e.Run()
-		})
+	e := sim.New(machine.LargeX52(), nil, 1, 1)
+	s := NewSystem(e, 1<<12)
+	base := s.Mem.Alloc(lines*mem.WordsPerLine, 0)
+	for i := mem.Addr(0); i < lines-1; i++ {
+		s.Mem.SetRaw(base+i*mem.WordsPerLine, uint64(base+(i+1)*mem.WordsPerLine))
 	}
+	e.Spawn(nil, func(c *sim.Ctx) {
+		body := func() {
+			a := base
+			for depth := 0; a != 0; depth++ {
+				if depth == doomAt {
+					s.abortConflictors(mem.LineOf(base), -1, true)
+				}
+				a = mem.Addr(s.Read(c, a))
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if s.Try(c, body).Committed {
+				b.Fatal("doomed transaction committed")
+			}
+		}
+	})
+	e.Run()
 }

@@ -19,17 +19,15 @@
 //     the hint clear and *still* succeed when retried — the effect the
 //     paper documents in Figure 2.
 //
-// An attempt learns that it aborted at its next access (or at commit),
-// does the abort's bookkeeping there, and is dead from then on: Load
-// returns 0, Store and Alloc are dropped, and its thread is frozen (see
-// sim.Ctx.Freeze), so the rest of the body runs to its end at no
-// virtual cost and with no effect. System.Try then reports the outcome,
-// which is how the lock-elision layers (packages tle and natle) retry.
-// Code written against arena.Mem must therefore end every walk on the
-// zero address (arena.Nil), as the sets and simmap cores do. The direct
-// accesses (Read, Write) and Abort instead leave a dead attempt's body
-// at once, by a panic Try recovers, for callers whose bodies were not
-// written to run on zeros.
+// An attempt learns that it aborted at its next access (or at commit,
+// or at its own Abort), does the abort's bookkeeping there, and is dead
+// from then on: Read returns 0, Write and Alloc are dropped, and its
+// thread is frozen (see sim.Ctx.Freeze), so the rest of the body runs
+// to its end at no virtual cost and with no effect. System.Try then
+// reports the outcome, which is how the lock-elision layers (packages
+// tle and natle) retry. Every transactional body must therefore end on
+// zeros: a loop over loaded values stops on 0, as the sets and simmap
+// cores stop on the zero address (arena.Nil).
 package htm
 
 import (
@@ -79,10 +77,6 @@ func (c Code) String() string {
 	}
 	return fmt.Sprintf("code(%d)", uint8(c))
 }
-
-// abortSignal is the panic payload with which Read, Write and Abort
-// leave the body of a dead attempt. It is recovered by System.Try.
-type abortSignal struct{}
 
 // Outcome describes one transactional attempt.
 type Outcome struct {
@@ -459,43 +453,28 @@ func (s *System) injTick(c *sim.Ctx, t *txState) bool {
 
 // --- the access API ---
 
-// Load performs one simulated word read, transactional if the thread is
-// inside a transaction. The load that finds its attempt aborted, and
+// Read performs one simulated word read, transactional if the thread is
+// inside a transaction. The read that finds its attempt aborted, and
 // every later one of that attempt, returns 0.
-func (s *System) Load(c *sim.Ctx, a mem.Addr) uint64 {
-	v, _ := s.load(c, a)
-	return v
-}
-
-// Read is Load for bodies that must not run past their abort: a dead
-// attempt's Read leaves the body by a panic, which Try recovers.
 func (s *System) Read(c *sim.Ctx, a mem.Addr) uint64 {
-	v, t := s.load(c, a)
-	if t.dead {
-		panic(abortSignal{})
-	}
-	return v
-}
-
-func (s *System) load(c *sim.Ctx, a mem.Addr) (uint64, *txState) {
 	c.Checkpoint() // inert once the attempt is dead: its thread is frozen
 	t := s.state(c)
 	if t.dead {
-		return 0, t
+		return 0
 	}
 	line := mem.LineOf(a)
 	if t.active {
 		if t.aborted {
 			s.finishAbort(c, t)
-			return 0, t
+			return 0
 		}
 		if t.spuriousIn > 0 && s.injTick(c, t) {
-			return 0, t
+			return 0
 		}
 		if s.regWriter[line] == t.slot {
 			if b, w := &t.wb[s.wbAt[line]], a%mem.WordsPerLine; b.mask>>w&1 != 0 {
 				c.Advance(s.prof.L1Hit + s.prof.BaseOp)
-				return b.val[w], t
+				return b.val[w]
 			}
 		}
 		s.abortConflictors(line, t.slot, false)
@@ -504,7 +483,7 @@ func (s *System) load(c *sim.Ctx, a mem.Addr) (uint64, *txState) {
 			s.regReaders[line][w] |= b
 			t.readLines = append(t.readLines, line)
 			if s.trackNewLine(c, t) {
-				return 0, t
+				return 0
 			}
 		}
 	} else {
@@ -512,36 +491,26 @@ func (s *System) load(c *sim.Ctx, a mem.Addr) (uint64, *txState) {
 	}
 	lat := s.Cache.Access(c.Now(), c.Core(), c.Socket(), s.Mem.Home(a), line, false)
 	c.Advance(lat + s.prof.BaseOp)
-	return s.Mem.Raw(a), t
+	return s.Mem.Raw(a)
 }
 
-// Store performs one simulated word write, buffered if transactional.
-// The store that finds its attempt aborted, and every later one of that
+// Write performs one simulated word write, buffered if transactional.
+// The write that finds its attempt aborted, and every later one of that
 // attempt, is dropped.
-func (s *System) Store(c *sim.Ctx, a mem.Addr, v uint64) { s.store(c, a, v) }
-
-// Write is Store for bodies that must not run past their abort: a dead
-// attempt's Write leaves the body by a panic, which Try recovers.
 func (s *System) Write(c *sim.Ctx, a mem.Addr, v uint64) {
-	if s.store(c, a, v).dead {
-		panic(abortSignal{})
-	}
-}
-
-func (s *System) store(c *sim.Ctx, a mem.Addr, v uint64) *txState {
 	c.Checkpoint() // inert once the attempt is dead: its thread is frozen
 	t := s.state(c)
 	if t.dead {
-		return t
+		return
 	}
 	line := mem.LineOf(a)
 	if t.active {
 		if t.aborted {
 			s.finishAbort(c, t)
-			return t
+			return
 		}
 		if t.spuriousIn > 0 && s.injTick(c, t) {
-			return t
+			return
 		}
 		s.abortConflictors(line, t.slot, true)
 		if s.regWriter[line] != t.slot {
@@ -550,7 +519,7 @@ func (s *System) store(c *sim.Ctx, a mem.Addr, v uint64) *txState {
 			t.writeLines = append(t.writeLines, line)
 			t.wb = append(t.wb, wbLine{})
 			if s.trackNewLine(c, t) {
-				return t
+				return
 			}
 		}
 		b, w := &t.wb[s.wbAt[line]], a%mem.WordsPerLine
@@ -562,7 +531,6 @@ func (s *System) store(c *sim.Ctx, a mem.Addr, v uint64) *txState {
 	}
 	lat := s.Cache.Access(c.Now(), c.Core(), c.Socket(), s.Mem.Home(a), line, true)
 	c.Advance(lat + s.prof.BaseOp)
-	return t
 }
 
 // CAS performs a non-transactional atomic compare-and-swap (used by the
@@ -604,20 +572,20 @@ func (s *System) Add(c *sim.Ctx, a mem.Addr, delta uint64) uint64 {
 
 // Abort explicitly aborts the calling thread's transaction with the
 // given condition code (XABORT). The hint bit is clear, as on Intel
-// explicit aborts. Like XABORT it transfers control: the body is left
-// by a panic, which Try recovers.
+// explicit aborts. The attempt is dead from here on, as after any other
+// abort, so the body should return: whatever it still runs is a no-op.
 func (s *System) Abort(c *sim.Ctx, code Code) {
 	t := s.state(c)
 	if !t.active {
 		panic("htm: Abort outside a transaction")
 	}
-	if !t.dead {
-		if !t.aborted {
-			s.doAbort(t, code, false)
-		}
-		s.finishAbort(c, t)
+	if t.dead {
+		return
 	}
-	panic(abortSignal{})
+	if !t.aborted {
+		s.doAbort(t, code, false)
+	}
+	s.finishAbort(c, t)
 }
 
 func (s *System) begin(c *sim.Ctx, t *txState) {
@@ -677,28 +645,15 @@ func (s *System) commit(c *sim.Ctx, t *txState) bool {
 // Try runs body inside one best-effort transaction attempt and reports
 // the outcome. The body must be restartable, since the caller may re-run
 // it, and must end on zeros: an aborted attempt's body runs on to its
-// end with every Load returning 0 (see the package comment).
+// end with every Read returning 0 (see the package comment).
 func (s *System) Try(c *sim.Ctx, body func()) Outcome {
 	t := s.state(c)
 	s.begin(c, t)
-	run(body)
+	body()
 	if t.dead || !s.commit(c, t) {
 		t.active, t.dead = false, false
 		c.Thaw()
 		return Outcome{Code: t.code, Hint: t.hint}
 	}
 	return Outcome{Committed: true}
-}
-
-// run calls body, stopping the panic with which Read, Write or Abort
-// leaves a dead attempt's body.
-func run(body func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortSignal); !ok {
-				panic(r)
-			}
-		}
-	}()
-	body()
 }

@@ -118,20 +118,20 @@ func TestZombieTransactionCausesNoHarm(t *testing.T) {
 			bystanderOK := false
 			e.Spawn(c, func(w *sim.Ctx) { // victim
 				o := s.Try(w, func() {
-					s.Load(w, a)
+					s.Read(w, a)
 					for i := 0; i < 1000; i++ {
 						w.AdvanceIdle(200 * vtime.Nanosecond)
 						w.Checkpoint()
 					}
-					if s.Load(w, b) != 0 { // the abort point
+					if s.Read(w, b) != 0 { // the abort point
 						t.Error("the load that found the attempt aborted returned data")
 					}
 					if !zombie {
 						return
 					}
 					before := observe(s, w)
-					s.Store(w, b, 7)
-					if s.Load(w, a) != 0 || s.Load(w, b) != 0 {
+					s.Write(w, b, 7)
+					if s.Read(w, a) != 0 || s.Read(w, b) != 0 {
 						t.Error("a dead attempt's load returned data")
 					}
 					if got := s.Alloc(w, mem.WordsPerLine); got != 0 {
@@ -158,7 +158,7 @@ func TestZombieTransactionCausesNoHarm(t *testing.T) {
 				// past the victim's abort point: a zombie store to b would
 				// abort it (requester wins).
 				o := s.Try(w, func() {
-					s.Store(w, b, 2)
+					s.Write(w, b, 2)
 					for i := 0; i < 2000; i++ {
 						w.AdvanceIdle(200 * vtime.Nanosecond)
 						w.Checkpoint()
@@ -216,7 +216,7 @@ func observe(s *System, c *sim.Ctx) observation {
 }
 
 // TestDeadAttemptFreezesItsThread: a body that calls Work and draws
-// random numbers after a dead Load leaves its thread's clock and RNG at
+// random numbers after a dead Read leaves its thread's clock and RNG at
 // their values at the abort instant. Inside the body the clock does not
 // move and every draw is 0 without consuming the stream; after Try the
 // clock is still the abort instant and the next draw is the one a body
@@ -231,7 +231,7 @@ func TestDeadAttemptFreezesItsThread(t *testing.T) {
 				// Doomed, as by another thread's conflicting write; the
 				// next access finds it.
 				s.doAbort(s.state(c), CodeConflict, true)
-				s.Load(c, x)
+				s.Read(c, x)
 				abortAt = c.Now()
 				if !more {
 					return

@@ -26,7 +26,7 @@ type Mutex struct {
 // NewMutex builds a native-mutex instance.
 func NewMutex() *Mutex { return &Mutex{} }
 
-// Critical implements backend.CS.
+// Critical implements scheme.BackendInstance.
 //
 //natlevet:hotpath
 func (m *Mutex) Critical(bc backend.Ctx, body func()) {
@@ -46,7 +46,7 @@ func (m *Mutex) Critical(bc backend.Ctx, body func()) {
 // Exclusive implements scheme.BackendInstance: the mutex is never elided.
 func (m *Mutex) Exclusive(c backend.Ctx, body func()) { m.Critical(c, body) }
 
-// Name implements backend.CS.
+// Name implements scheme.BackendInstance.
 func (m *Mutex) Name() string { return "native-mutex" }
 
 // Stats implements scheme.BackendInstance. Lock baselines have no
@@ -73,7 +73,7 @@ type Spin struct {
 // NewSpin builds a native-spin instance.
 func NewSpin() *Spin { return &Spin{} }
 
-// Critical implements backend.CS.
+// Critical implements scheme.BackendInstance.
 //
 //natlevet:hotpath
 func (s *Spin) Critical(bc backend.Ctx, body func()) {
@@ -100,7 +100,7 @@ func (s *Spin) Critical(bc backend.Ctx, body func()) {
 // Exclusive implements scheme.BackendInstance: the lock is never elided.
 func (s *Spin) Exclusive(c backend.Ctx, body func()) { s.Critical(c, body) }
 
-// Name implements backend.CS.
+// Name implements scheme.BackendInstance.
 func (s *Spin) Name() string { return "native-spin" }
 
 // Stats implements scheme.BackendInstance.

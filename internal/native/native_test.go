@@ -206,7 +206,7 @@ func TestFallbackBodyPanicReleasesLock(t *testing.T) {
 	lk := NewTLE(1, tle.Backoff{})
 	inner := NewTLE(1, tle.Backoff{})
 	cases := []struct {
-		cs  backend.CS
+		cs  scheme.BackendInstance
 		seq *atomic.Uint64 // elided sequence word, nil for plain locks
 	}{
 		{NewMutex(), nil},

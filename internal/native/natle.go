@@ -140,7 +140,7 @@ func (n *NATLE) pack(pref, alt int, permille int64) uint64 {
 	return uint64(pref)<<32 | uint64(alt)<<16 | uint64(permille)
 }
 
-// Name implements backend.CS.
+// Name implements scheme.BackendInstance.
 func (n *NATLE) Name() string { return "native-natle(" + n.inner.Name() + ")" }
 
 // Stats implements scheme.BackendInstance: the inner elision counters
@@ -162,7 +162,7 @@ func (n *NATLE) Stats() scheme.Stats {
 	}
 }
 
-// Critical implements backend.CS: wait until the thread's group is
+// Critical implements scheme.BackendInstance: wait until the thread's group is
 // admitted by the current decision (bounded by the starvation
 // watchdog), then run under the inner native-tle lock. A section that
 // is admitted at once reads the decision word and its own counters and

@@ -120,7 +120,7 @@ func NewTLE(attempts int, backoff tle.Backoff) *TLE {
 	return &TLE{attempts: attempts, backoff: backoff}
 }
 
-// Name implements backend.CS.
+// Name implements scheme.BackendInstance.
 func (t *TLE) Name() string { return "native-tle" }
 
 // Stats implements scheme.BackendInstance.
@@ -169,7 +169,7 @@ func (t *TLE) claim(c *Thread) {
 	c.lock, c.shard = t, sh
 }
 
-// Critical implements backend.CS: optimistic attempts with capped
+// Critical implements scheme.BackendInstance: optimistic attempts with capped
 // full-jitter backoff, then the exclusive fallback.
 //
 //natlevet:hotpath

@@ -24,10 +24,10 @@ package natle
 
 import (
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/mem"
 	"natle/internal/sim"
 	"natle/internal/telemetry"
+	"natle/internal/tle"
 	"natle/internal/vtime"
 )
 
@@ -114,10 +114,9 @@ type ModeSample struct {
 }
 
 // Lock is a NATLE lock: TLE plus per-lock adaptive socket throttling.
-// It implements lock.CS.
 type Lock struct {
 	sys   *htm.System
-	inner lock.CS // underlying TLE lock (any lock.CS works)
+	inner *tle.Lock // the elided lock whose admission the modes shape
 	cfg   Config
 	id    telemetry.LockID // telemetry id for throttle-wait attribution
 
@@ -153,9 +152,9 @@ type Lock struct {
 	Starvations uint64
 }
 
-// New builds a NATLE lock wrapping inner (normally a *tle.Lock). Its
-// metadata lines are homed on socket 0.
-func New(sys *htm.System, c *sim.Ctx, inner lock.CS, cfg Config) *Lock {
+// New builds a NATLE lock wrapping the TLE lock inner. Its metadata
+// lines are homed on socket 0.
+func New(sys *htm.System, c *sim.Ctx, inner *tle.Lock, cfg Config) *Lock {
 	if cfg.Quanta <= 0 {
 		cfg = DefaultConfig()
 	}
@@ -191,11 +190,11 @@ func New(sys *htm.System, c *sim.Ctx, inner lock.CS, cfg Config) *Lock {
 	return l
 }
 
-// Name implements lock.CS.
+// Name identifies the lock and its inner policy in benchmark output.
 func (l *Lock) Name() string { return "NATLE(" + l.inner.Name() + ")" }
 
-// Inner returns the wrapped lock.
-func (l *Lock) Inner() lock.CS { return l.inner }
+// Inner returns the wrapped TLE lock.
+func (l *Lock) Inner() *tle.Lock { return l.inner }
 
 func (l *Lock) acqAddr(tid, mode int) mem.Addr {
 	return l.acq + mem.Addr(tid*mem.WordsPerLine+mode)
@@ -253,9 +252,9 @@ func (l *Lock) socketOf(c *sim.Ctx) int {
 	return int(l.threadSocket[slot])
 }
 
-// Critical implements lock.CS, following the paper's Figure 9
-// LockAcquire: check the lock's current mode, proceed if this thread's
-// socket is admitted, otherwise wait and re-check (bounded by
+// Critical runs body as one critical section, following the paper's
+// Figure 9 LockAcquire: check the lock's current mode, proceed if this
+// thread's socket is admitted, otherwise wait and re-check (bounded by
 // RepetitionThreshold).
 func (l *Lock) Critical(c *sim.Ctx, body func()) {
 	sock := l.socketOf(c)

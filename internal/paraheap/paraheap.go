@@ -92,7 +92,12 @@ func Run(cfg Config) *Result {
 		cfg.Threads = 1
 	}
 	e := sim.New(cfg.Prof, cfg.Pin, cfg.Threads+1, cfg.Seed)
-	sys := htm.NewSystem(e, 1<<22)
+	return run(cfg, htm.NewSystem(e, 1<<22))
+}
+
+// run is Run on a caller-built system for a defaulted cfg.
+func run(cfg Config, sys *htm.System) *Result {
+	e := sys.Eng
 	res := &Result{Threads: cfg.Threads}
 
 	e.Spawn(nil, func(c *sim.Ctx) {

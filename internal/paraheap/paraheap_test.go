@@ -3,8 +3,11 @@ package paraheap
 import (
 	"testing"
 
+	"natle/internal/fault"
+	"natle/internal/htm"
 	"natle/internal/machine"
 	"natle/internal/natle"
+	"natle/internal/sim"
 	"natle/internal/vtime"
 )
 
@@ -13,6 +16,24 @@ func smallConfig() Config {
 	cfg.Points = 1024
 	cfg.MaxIters = 6
 	return cfg
+}
+
+// TestBodiesEndOnZeros injects a spurious abort at 5% of transactional
+// accesses, so that the counter and heap attempts die at every kind of
+// access and their bodies run on to their end with every read
+// returning 0. The run must still finish without a panic and pass its
+// validation (run panics otherwise).
+func TestBodiesEndOnZeros(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Prof, cfg.Pin = machine.LargeX52(), machine.FillSocketFirst{}
+	cfg.Threads, cfg.Seed, cfg.Lock = 4, 6, "tle"
+	sys := htm.NewSystem(sim.New(cfg.Prof, cfg.Pin, cfg.Threads+1, cfg.Seed), 1<<22)
+	sys.SetInjector(fault.New(fault.Profile{SpuriousAbortRate: 0.05}, cfg.Seed))
+	r := run(cfg, sys)
+	t.Log(r.HTM)
+	if r.HTM.TotalAborts() == 0 {
+		t.Errorf("no attempt aborted (%v)", r.HTM)
+	}
 }
 
 func TestSingleThreadClusters(t *testing.T) {

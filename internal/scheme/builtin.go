@@ -3,7 +3,6 @@ package scheme
 import (
 	"natle/internal/cohort"
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/natle"
 	"natle/internal/sim"
 	"natle/internal/spinlock"
@@ -21,7 +20,7 @@ func init() {
 		Robust:  true,
 		Batch:   true,
 		Make: func(sys *htm.System, c *sim.Ctx, socket int, _ Options) Instance {
-			return statless{lock.Plain{L: spinlock.New(sys, c, socket)}}
+			return plain{spinlock.New(sys, c, socket), "lock"}
 		},
 	})
 	Register(&Descriptor{
@@ -42,10 +41,7 @@ func init() {
 		Batch:   true,
 		Make: func(sys *htm.System, c *sim.Ctx, socket int, opt Options) Instance {
 			inner := tle.New(sys, c, socket, resolveTLE(opt.TLE))
-			return natleInstance{
-				Lock:  natle.New(sys, c, inner, ResolveNATLE(opt.NATLE)),
-				inner: inner,
-			}
+			return natleInstance{natle.New(sys, c, inner, ResolveNATLE(opt.NATLE))}
 		},
 	})
 	Register(&Descriptor{
@@ -55,7 +51,7 @@ func init() {
 		Robust:  true,
 		Batch:   true,
 		Make: func(sys *htm.System, c *sim.Ctx, _ int, _ Options) Instance {
-			return statless{cohort.New(sys, c, 0)}
+			return plain{cohort.New(sys, c, 0), "cohort"}
 		},
 	})
 	Register(&Descriptor{
@@ -64,7 +60,39 @@ func init() {
 		Mutex:   false,
 		Robust:  true,
 		Make: func(_ *htm.System, _ *sim.Ctx, _ int, _ Options) Instance {
-			return statless{lock.NoSync{}}
+			return noSync{}
 		},
 	})
 }
+
+// plain guards critical sections with a lock it never elides: the spin
+// lock of "lock" or the cohort lock of "cohort". It has no counters of
+// its own; its lock's accesses show in htm.Stats and the telemetry
+// recorder.
+type plain struct {
+	l interface {
+		Acquire(c *sim.Ctx)
+		Release(c *sim.Ctx)
+	}
+	name string
+}
+
+func (p plain) Critical(c *sim.Ctx, body func()) {
+	p.l.Acquire(c)
+	body()
+	p.l.Release(c)
+}
+
+func (p plain) Exclusive(c *sim.Ctx, body func()) { p.Critical(c, body) }
+func (p plain) Name() string                      { return p.name }
+func (plain) Stats() Stats                        { return Stats{} }
+
+// noSync runs bodies with no synchronization at all (the
+// unsynchronized baseline of the paper's Fig 4 search-and-replace
+// experiment).
+type noSync struct{}
+
+func (noSync) Critical(_ *sim.Ctx, body func())  { body() }
+func (noSync) Exclusive(_ *sim.Ctx, body func()) { body() }
+func (noSync) Name() string                      { return "none" }
+func (noSync) Stats() Stats                      { return Stats{} }

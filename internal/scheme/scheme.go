@@ -20,7 +20,6 @@ import (
 
 	"natle/internal/backend"
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/natle"
 	"natle/internal/sim"
 	"natle/internal/tle"
@@ -73,29 +72,36 @@ func (s Stats) Sub(t Stats) Stats {
 }
 
 // Instance is a constructed scheme on the simulated backend: a
-// critical-section executor plus the uniform stats facade.
-// Snapshot/delta measurement is inst.Stats() before the window and
-// inst.Stats().Sub(before) after.
+// critical-section executor plus the uniform stats facade, safe for use
+// by any number of simulated threads. Snapshot/delta measurement is
+// inst.Stats() before the window and inst.Stats().Sub(before) after.
 type Instance interface {
-	lock.CS
+	// Critical runs body as one critical section. body may run more
+	// than once, so it must be restartable, and must end on zeros: an
+	// aborted transactional attempt runs on to its end with every access
+	// a no-op (reads return 0), and is then retried.
+	Critical(c *sim.Ctx, body func())
 	// Exclusive runs body once under the scheme's own lock held
 	// pessimistically — the lock its optimistic sections subscribe to,
 	// so it excludes them and every other Exclusive or fallback section.
 	// Schemes that never elide run it as an ordinary Critical.
 	Exclusive(c *sim.Ctx, body func())
+	// Name identifies the scheme in benchmark output.
+	Name() string
 	// Stats returns the cumulative counters since construction.
 	Stats() Stats
 }
 
-// BackendInstance is a constructed scheme on an arbitrary execution
-// backend: the backend-agnostic critical-section executor plus the
-// same uniform stats facade. Sim instances are adapted to this shape
-// by the sim world (internal/workload); native schemes implement it
-// directly.
+// BackendInstance is Instance on an arbitrary execution backend. Sim
+// instances are adapted to this shape by the sim world
+// (internal/workload); native schemes implement it directly.
 type BackendInstance interface {
-	backend.CS
+	// Critical is Instance.Critical on an arbitrary backend.
+	Critical(c backend.Ctx, body func())
 	// Exclusive is Instance.Exclusive on an arbitrary backend.
 	Exclusive(c backend.Ctx, body func())
+	// Name identifies the scheme in benchmark output.
+	Name() string
 	// Stats returns the cumulative counters since construction.
 	Stats() Stats
 }
@@ -345,26 +351,14 @@ type tleInstance struct{ *tle.Lock }
 
 func (t tleInstance) Stats() Stats { return Stats{TLE: t.Lock.Stats} }
 
-// natleInstance adapts *natle.Lock (with its inner TLE lock) to the
-// stats facade.
-type natleInstance struct {
-	*natle.Lock
-	inner *tle.Lock
-}
+// natleInstance adapts *natle.Lock to the stats facade: the elision
+// counters are its inner TLE lock's.
+type natleInstance struct{ *natle.Lock }
 
 func (n natleInstance) Stats() Stats {
-	return Stats{TLE: n.inner.Stats, Timeline: n.Lock.Timeline}
+	return Stats{TLE: n.Inner().Stats, Timeline: n.Lock.Timeline}
 }
 
 // Exclusive takes the inner TLE lock; the throttling mode shapes only
 // optimistic admission.
-func (n natleInstance) Exclusive(c *sim.Ctx, body func()) { n.inner.Exclusive(c, body) }
-
-// statless adapts schemes without counters of their own (plain,
-// cohort, none, raw HTM); their transactional activity, if any, is
-// visible in htm.Stats and the telemetry recorder.
-type statless struct{ lock.CS }
-
-func (statless) Stats() Stats { return Stats{} }
-
-func (s statless) Exclusive(c *sim.Ctx, body func()) { s.Critical(c, body) }
+func (n natleInstance) Exclusive(c *sim.Ctx, body func()) { n.Inner().Exclusive(c, body) }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"natle/internal/arena"
+	"natle/internal/backend"
 	"natle/internal/mem"
 	"natle/internal/simmap"
 )
@@ -115,11 +117,29 @@ func (c deadCtx) Alloc(nWords int) int  { return int(c.m.Alloc(nWords)) }
 func (c deadCtx) Load(a int) uint64     { return c.m.Load(uint64(a)) }
 func (c deadCtx) Store(a int, v uint64) { c.m.Store(uint64(a), v) }
 
-// deadOp is one structure operation under test: setup builds its
-// prefilled structure in m (live) and returns the operation bound to it.
+// deadWorld presents a deadMem's words as a quiesced backend.World, so
+// simmap's PeekEach can walk the map's final contents.
+type deadWorld struct{ m *deadMem }
+
+func (deadWorld) Kind() backend.Kind                            { return backend.Sim }
+func (deadWorld) Run(int, func(backend.Ctx), func(backend.Ctx)) {}
+func (w deadWorld) Peek(a int) uint64                           { return w.m.words[a] }
+
+// result is what one operation returns: ok is the bool every operation
+// but searchreplace reports, v the value simmap's Get finds.
+type result struct {
+	v  uint64
+	ok bool
+}
+
+// deadOp is one structure operation under test. setup builds its
+// prefilled structure in m (live) and returns the operation bound to it
+// and a walk of the structure's keys; model applies the operation to a
+// set of keys and returns what the operation should.
 type deadOp struct {
 	name  string
-	setup func(m *deadMem) func(key int64)
+	setup func(m *deadMem) (run func(key int64) result, keys func() []int64)
+	model func(set map[int64]bool, key int64) result
 }
 
 // prefillKeys is the structure every operation runs against: 32 keys
@@ -133,18 +153,33 @@ func prefillKeys() []int64 {
 	return keys
 }
 
+func modelContains(set map[int64]bool, key int64) result { return result{ok: set[key]} }
+
+func modelInsert(set map[int64]bool, key int64) result {
+	r := result{ok: !set[key]}
+	set[key] = true
+	return r
+}
+
+func modelDelete(set map[int64]bool, key int64) result {
+	r := result{ok: set[key]}
+	delete(set, key)
+	return r
+}
+
 // deadOps lists every set kind's four operations over the cores the sim
 // Set wrappers use, then simmap's Get, Put and Delete.
 func deadOps() []deadOp {
 	type core struct {
 		insert, delete, contains func(*deadMem, uint64, int64) bool
 		searchReplace            func(*deadMem, uint64, int64)
+		keys                     func(*deadMem, uint64) []int64
 	}
 	cores := map[Kind]core{
-		KindAVL:      {avlInsert[*deadMem], avlDelete[*deadMem], avlContains[*deadMem], avlSearchReplace[*deadMem]},
-		KindBST:      {bstInsert[*deadMem], bstDelete[*deadMem], bstContains[*deadMem], bstSearchReplace[*deadMem]},
-		KindLeafBST:  {lbInsert[*deadMem], lbDelete[*deadMem], lbContains[*deadMem], lbSearchReplace[*deadMem]},
-		KindSkipList: {slInsert[*deadMem], slDelete[*deadMem], slContains[*deadMem], slSearchReplace[*deadMem]},
+		KindAVL:      {avlInsert[*deadMem], avlDelete[*deadMem], avlContains[*deadMem], avlSearchReplace[*deadMem], avlKeys[*deadMem]},
+		KindBST:      {bstInsert[*deadMem], bstDelete[*deadMem], bstContains[*deadMem], bstSearchReplace[*deadMem], bstKeys[*deadMem]},
+		KindLeafBST:  {lbInsert[*deadMem], lbDelete[*deadMem], lbContains[*deadMem], lbSearchReplace[*deadMem], lbKeys[*deadMem]},
+		KindSkipList: {slInsert[*deadMem], slDelete[*deadMem], slContains[*deadMem], slSearchReplace[*deadMem], slKeys[*deadMem]},
 	}
 	var ops []deadOp
 	for _, kind := range Kinds() {
@@ -158,32 +193,54 @@ func deadOps() []deadOp {
 			return head
 		}
 		for _, op := range []struct {
-			name string
-			run  func(m *deadMem, root uint64, key int64)
+			name  string
+			run   func(m *deadMem, root uint64, key int64) result
+			model func(set map[int64]bool, key int64) result
 		}{
-			{"contains", func(m *deadMem, root uint64, key int64) { cr.contains(m, root, key) }},
-			{"insert", func(m *deadMem, root uint64, key int64) { cr.insert(m, root, key) }},
-			{"delete", func(m *deadMem, root uint64, key int64) { cr.delete(m, root, key) }},
-			{"searchreplace", cr.searchReplace},
+			{"contains", func(m *deadMem, root uint64, key int64) result { return result{ok: cr.contains(m, root, key)} }, modelContains},
+			{"insert", func(m *deadMem, root uint64, key int64) result { return result{ok: cr.insert(m, root, key)} }, modelInsert},
+			{"delete", func(m *deadMem, root uint64, key int64) result { return result{ok: cr.delete(m, root, key)} }, modelDelete},
+			{"searchreplace", func(m *deadMem, root uint64, key int64) result {
+				cr.searchReplace(m, root, key)
+				return result{}
+			}, func(map[int64]bool, int64) result { return result{} }},
 		} {
-			ops = append(ops, deadOp{string(kind) + "/" + op.name, func(m *deadMem) func(int64) {
+			ops = append(ops, deadOp{string(kind) + "/" + op.name, func(m *deadMem) (func(int64) result, func() []int64) {
 				root := build(m)
 				for _, k := range prefillKeys() {
 					cr.insert(m, root, k)
 				}
-				return func(key int64) { op.run(m, root, key) }
-			}})
+				return func(key int64) result { return op.run(m, root, key) },
+					func() []int64 { return cr.keys(m, root) }
+			}, op.model})
 		}
 	}
 	for _, op := range []struct {
-		name string
-		run  func(mp *simmap.BackendMap, c deadCtx, key uint64)
+		name  string
+		run   func(mp *simmap.BackendMap, c deadCtx, key uint64) result
+		model func(set map[int64]bool, key int64) result
 	}{
-		{"get", func(mp *simmap.BackendMap, c deadCtx, key uint64) { mp.Get(c, key) }},
-		{"put", func(mp *simmap.BackendMap, c deadCtx, key uint64) { mp.Put(c, key, key+1) }},
-		{"delete", func(mp *simmap.BackendMap, c deadCtx, key uint64) { mp.Delete(c, key) }},
+		{"get", func(mp *simmap.BackendMap, c deadCtx, key uint64) result {
+			v, ok := mp.Get(c, key)
+			return result{v, ok}
+		}, func(set map[int64]bool, key int64) result {
+			if set[key] {
+				return result{uint64(key), true} // prefilled with its own key as value
+			}
+			return result{}
+		}},
+		{"put", func(mp *simmap.BackendMap, c deadCtx, key uint64) result {
+			return result{ok: mp.Put(c, key, key+1)}
+		}, func(set map[int64]bool, key int64) result {
+			r := result{ok: set[key]} // Put reports whether the key was present
+			set[key] = true
+			return r
+		}},
+		{"delete", func(mp *simmap.BackendMap, c deadCtx, key uint64) result {
+			return result{ok: mp.Delete(c, key)}
+		}, modelDelete},
 	} {
-		ops = append(ops, deadOp{"simmap/" + op.name, func(m *deadMem) func(int64) {
+		ops = append(ops, deadOp{"simmap/" + op.name, func(m *deadMem) (func(int64) result, func() []int64) {
 			c := deadCtx{m}
 			keys := prefillKeys()
 			ar := arena.New(c, 2, (len(keys)+1)*simmap.NodeWords())
@@ -191,8 +248,13 @@ func deadOps() []deadOp {
 			for _, k := range keys {
 				mp.Put(c, uint64(k), uint64(k))
 			}
-			return func(key int64) { op.run(mp, c, uint64(key)) }
-		}})
+			return func(key int64) result { return op.run(mp, c, uint64(key)) },
+				func() []int64 {
+					var ks []int64
+					mp.PeekEach(deadWorld{m}, func(k, _ uint64) { ks = append(ks, int64(k)) })
+					return ks
+				}
+		}, op.model})
 	}
 	return ops
 }
@@ -201,15 +263,18 @@ func deadOps() []deadOp {
 // k loads, at every point a transaction can find itself aborted. The
 // operation must return without a panic, within maxDeadAccesses further
 // accesses, and its dead part must leave memory, the allocator and the
-// RNG exactly as its death found them. The seed corpus covers every k up
-// to each operation's load count for a few keys, present and absent, so
-// plain go test runs every abort point once.
+// RNG exactly as its death found them. Then, as Try's retry does, the
+// attempt's stores are discarded and the operation runs again, live: its
+// result and the structure's final keys must be those of a map model of
+// the prefilled keys. The seed corpus covers every k up to each
+// operation's load count for a few keys, present and absent, so plain go
+// test runs every abort point once.
 func FuzzDeadAttempt(f *testing.F) {
 	ops := deadOps()
 	for i, op := range ops {
 		for _, key := range []int64{-1, 5, 40, 63, 1 << 40} {
 			m := newDeadMem()
-			run := op.setup(m)
+			run, _ := op.setup(m)
 			m.loads = 0
 			run(key)
 			for k := 0; k <= m.loads; k++ {
@@ -220,21 +285,44 @@ func FuzzDeadAttempt(f *testing.F) {
 	f.Fuzz(func(t *testing.T, i uint8, key int64, k uint16) {
 		op := ops[int(i)%len(ops)]
 		m := newDeadMem()
-		run := op.setup(m)
+		run, keys := op.setup(m)
+		start := m.state()
 		m.loads, m.k = 0, int(k)
+		var got result
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("%s(%d), dead after %d loads: %v", op.name, key, k, r)
 				}
 			}()
-			run(key)
+			got = run(key)
 		}()
-		if !m.dead {
-			return // k is past the operation's loads: it ran live
+		m.k = -1
+		if m.dead {
+			if st := m.state(); !reflect.DeepEqual(st, m.atDeath) {
+				t.Fatalf("%s(%d), dead after %d loads: the dead part had effects", op.name, key, k)
+			}
+			// The retry: what the dead attempt allocated or drew stays
+			// taken, as on the simulator.
+			m.words, m.dead = start.Words, false
+			got = run(key)
 		}
-		if got := m.state(); !reflect.DeepEqual(got, m.atDeath) {
-			t.Fatalf("%s(%d), dead after %d loads: the dead part had effects", op.name, key, k)
+		set := map[int64]bool{}
+		for _, pk := range prefillKeys() {
+			set[pk] = true
+		}
+		if want := op.model(set, key); got != want {
+			t.Fatalf("%s(%d), dead after %d loads: the retry returned %+v, want %+v", op.name, key, k, got, want)
+		}
+		want := make([]int64, 0, len(set))
+		for sk := range set {
+			want = append(want, sk)
+		}
+		have := keys()
+		slices.Sort(want)
+		slices.Sort(have)
+		if !slices.Equal(have, want) {
+			t.Fatalf("%s(%d), dead after %d loads: keys after the retry %v, want %v", op.name, key, k, have, want)
 		}
 	})
 }

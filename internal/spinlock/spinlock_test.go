@@ -64,6 +64,7 @@ func TestLockSubscriptionAbortsElidingTx(t *testing.T) {
 			outcome = s.Try(w, func() {
 				if l.Held(w) {
 					s.Abort(w, htm.CodeLockHeld)
+					return
 				}
 				for i := 0; i < 2000; i++ { // stay in flight ~200us
 					w.AdvanceIdle(100 * vtime.Nanosecond)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 	"natle/internal/simmap"
 )
@@ -70,7 +70,7 @@ func (g *genome) Setup(sys *htm.System, c *sim.Ctx, threads int) {
 }
 
 // Work implements Benchmark.
-func (g *genome) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (g *genome) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	lo, hi := share(len(g.segments), threads, tid)
 	// Phase 1: deduplicate segments; also publish each offset's
 	// prefixes at every overlap length used by the matching phase

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/mem"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 	"natle/internal/simmap"
 )
@@ -78,7 +78,7 @@ func (b *intruder) flowHash(flow int) uint64 {
 }
 
 // Work implements Benchmark.
-func (b *intruder) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (b *intruder) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	for {
 		var frag uint64
 		have := false

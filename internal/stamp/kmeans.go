@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/mem"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 	"natle/internal/vtime"
 )
@@ -81,7 +81,7 @@ func (b *kmeans) Setup(sys *htm.System, c *sim.Ctx, threads int) {
 }
 
 // Work implements Benchmark.
-func (b *kmeans) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (b *kmeans) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	lo, hi := share(b.nPoints, threads, tid)
 	for it := 0; it < b.iters; it++ {
 		// Assignment phase: pure reads plus local float math.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/mem"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 	"natle/internal/vtime"
 )
@@ -55,7 +55,7 @@ func (b *labyrinth) endpoints(r int) (sx, sy, dx, dy int) {
 }
 
 // Work implements Benchmark.
-func (b *labyrinth) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (b *labyrinth) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	for {
 		r := -1
 		// Claim the next route id (short transaction). The body may be

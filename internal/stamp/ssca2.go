@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/mem"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 )
 
@@ -61,7 +61,7 @@ func (b *ssca2) Setup(sys *htm.System, c *sim.Ctx, threads int) {
 }
 
 // Work implements Benchmark.
-func (b *ssca2) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (b *ssca2) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	lo, hi := share(len(b.edges), threads, tid)
 	var done uint64
 	for i := lo; i < hi; i++ {

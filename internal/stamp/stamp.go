@@ -17,7 +17,6 @@ import (
 
 	"natle/internal/backend"
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/machine"
 	"natle/internal/natle"
 	"natle/internal/scheme"
@@ -36,7 +35,7 @@ type Benchmark interface {
 	// Work runs thread tid's share of the program. Transactions are
 	// executed via cs.Critical. The barrier synchronizes program
 	// phases.
-	Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int)
+	Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int)
 	// Validate checks application-level output from raw memory after
 	// the run.
 	Validate(sys *htm.System) error
@@ -179,13 +178,18 @@ func Run(b Benchmark, cfg Config) *Result {
 	if cfg.Lock == "" {
 		cfg.Lock = "tle"
 	}
+	e := sim.New(cfg.Prof, cfg.Pin, cfg.Threads, cfg.Seed)
+	return run(b, cfg, htm.NewSystem(e, 1<<22))
+}
+
+// run is Run on a caller-built system for a defaulted cfg.
+func run(b Benchmark, cfg Config, sys *htm.System) *Result {
 	desc, err := scheme.LookupFor(backend.Sim, cfg.Lock)
 	if err != nil {
 		panic(fmt.Sprintf("stamp: %v", err))
 	}
 	desc = desc.Configure(scheme.Options{TLE: cfg.TLE, NATLE: cfg.NATLE})
-	e := sim.New(cfg.Prof, cfg.Pin, cfg.Threads, cfg.Seed)
-	sys := htm.NewSystem(e, 1<<22)
+	e := sys.Eng
 	res := &Result{Benchmark: b.Name(), Threads: cfg.Threads}
 
 	e.Spawn(nil, func(c *sim.Ctx) {

@@ -3,9 +3,39 @@ package stamp
 import (
 	"testing"
 
+	"natle/internal/fault"
+	"natle/internal/htm"
+	"natle/internal/machine"
 	"natle/internal/natle"
+	"natle/internal/sim"
+	"natle/internal/tle"
 	"natle/internal/vtime"
 )
+
+// TestBodiesEndOnZeros injects a spurious abort at 5% of transactional
+// accesses, so that attempts die at every kind of access and their
+// bodies run on to their end with every read returning 0. Every
+// benchmark must still finish without a panic and pass its Validate
+// (run panics otherwise).
+func TestBodiesEndOnZeros(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			b, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Prof: machine.LargeX52(), Pin: machine.FillSocketFirst{},
+				Threads: 4, Seed: 1, Lock: "tle", TLE: tle.TLE20()}
+			sys := htm.NewSystem(sim.New(cfg.Prof, cfg.Pin, cfg.Threads, cfg.Seed), 1<<22)
+			sys.SetInjector(fault.New(fault.Profile{SpuriousAbortRate: 0.05}, cfg.Seed))
+			r := run(b, cfg, sys)
+			t.Log(r.HTM)
+			if r.HTM.TotalAborts() == 0 {
+				t.Errorf("%s: no attempt aborted (%v)", name, r.HTM)
+			}
+		})
+	}
+}
 
 func TestAllBenchmarksValidateSingleThread(t *testing.T) {
 	for _, name := range Names() {

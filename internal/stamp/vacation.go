@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 	"natle/internal/simmap"
 )
@@ -74,7 +74,7 @@ func (v *vacation) Setup(sys *htm.System, c *sim.Ctx, threads int) {
 }
 
 // Work implements Benchmark.
-func (v *vacation) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (v *vacation) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	lo, hi := share(v.sessions, threads, tid)
 	var done uint64
 	for s := lo; s < hi; s++ {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/mem"
+	"natle/internal/scheme"
 	"natle/internal/sim"
 	"natle/internal/vtime"
 )
@@ -73,7 +73,7 @@ func (b *yada) cavity(id int) [6]int {
 }
 
 // Work implements Benchmark.
-func (b *yada) Work(c *sim.Ctx, cs lock.CS, bar *Barrier, tid, threads int) {
+func (b *yada) Work(c *sim.Ctx, cs scheme.Instance, bar *Barrier, tid, threads int) {
 	for {
 		id := -1
 		// Take one bad element from the shared work list. The body may

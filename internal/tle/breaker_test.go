@@ -181,6 +181,7 @@ func TestWatchdogBoundsLockHeldLivelock(t *testing.T) {
 				// Every transactional attempt reports the lock held; only
 				// the fallback path ever completes the body.
 				sys.Abort(c, htm.CodeLockHeld)
+				return
 			}
 			ran++
 		})
@@ -215,6 +216,7 @@ func TestWatchdogDisabledCountsAttempts(t *testing.T) {
 		l.Critical(c, func() {
 			if sys.InTx(c) {
 				sys.Abort(c, htm.CodeLockHeld)
+				return
 			}
 			ran++
 		})

@@ -128,7 +128,7 @@ func (s Stats) String() string {
 	return out
 }
 
-// Lock is an elidable lock. It implements lock.CS.
+// Lock is an elidable lock.
 type Lock struct {
 	sys *htm.System
 	sl  *spinlock.Lock
@@ -166,14 +166,14 @@ func (l *Lock) BreakerOpen() bool { return l.br != nil && l.br.open }
 // registered with (NoLock under the no-op recorder).
 func (l *Lock) TelemetryID() telemetry.LockID { return l.id }
 
-// Name implements lock.CS.
+// Name identifies the lock by its policy in benchmark output.
 func (l *Lock) Name() string { return l.pol.Name() }
 
 // Inner returns the fallback spin lock (used by tests).
 func (l *Lock) Inner() *spinlock.Lock { return l.sl }
 
-// Critical implements lock.CS: it elides the lock with up to
-// Policy.Attempts transactions and falls back to acquiring it. With a
+// Critical runs body as one critical section: it elides the lock with
+// up to Policy.Attempts transactions and falls back to acquiring it. With a
 // breaker armed, an open breaker routes the critical section straight
 // to the lock (periodically half-opening to probe for HTM recovery);
 // the starvation watchdog bounds the otherwise-uncounted anti-lemming
@@ -228,6 +228,7 @@ func (l *Lock) Critical(c *sim.Ctx, body func()) {
 		o := l.sys.Try(c, func() {
 			if l.sl.Held(c) {
 				l.sys.Abort(c, htm.CodeLockHeld)
+				return
 			}
 			body()
 		})

@@ -168,6 +168,7 @@ func TestCommitsAfterNoHintCounting(t *testing.T) {
 			if first {
 				first = false
 				s.Abort(c, htm.CodeCapacity)
+				return
 			}
 			s.Write(c, ctr, 1)
 		})

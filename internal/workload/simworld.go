@@ -112,10 +112,10 @@ func (c *SimCtx) Work(n int) { c.c.Work(n) }
 func (c *SimCtx) Alloc(nWords int) int { return int(c.w.Sys.Alloc(c.c, nWords)) }
 
 // Load implements backend.Ctx.
-func (c *SimCtx) Load(a int) uint64 { return c.w.Sys.Load(c.c, mem.Addr(a)) }
+func (c *SimCtx) Load(a int) uint64 { return c.w.Sys.Read(c.c, mem.Addr(a)) }
 
 // Store implements backend.Ctx.
-func (c *SimCtx) Store(a int, v uint64) { c.w.Sys.Store(c.c, mem.Addr(a), v) }
+func (c *SimCtx) Store(a int, v uint64) { c.w.Sys.Write(c.c, mem.Addr(a), v) }
 
 // simInstance adapts a simulated scheme.Instance to the
 // backend-agnostic scheme.BackendInstance shape.

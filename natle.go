@@ -45,7 +45,6 @@ import (
 	"natle/internal/fault"
 	"natle/internal/harness"
 	"natle/internal/htm"
-	"natle/internal/lock"
 	"natle/internal/machine"
 	"natle/internal/natle"
 	"natle/internal/paraheap"
@@ -74,8 +73,6 @@ type (
 	Engine = sim.Engine
 	// HTM is the transactional-memory runtime and shared memory.
 	HTM = htm.System
-	// CriticalSection runs critical sections (TLE, NATLE, plain, none).
-	CriticalSection = lock.CS
 	// TLEPolicy selects a TLE retry policy.
 	TLEPolicy = tle.Policy
 	// TLELock is an elidable lock.
@@ -141,8 +138,9 @@ type (
 	// SchemeStats is the uniform per-scheme counter snapshot (TLE
 	// counters, NATLE timeline, scheme-specific extras).
 	SchemeStats = scheme.Stats
-	// SchemeInstance is a constructed scheme: a CriticalSection that
-	// also reports SchemeStats.
+	// SchemeInstance is a constructed scheme: a critical-section
+	// executor (TLE, NATLE, plain, none, ...) that also reports
+	// SchemeStats.
 	SchemeInstance = scheme.Instance
 	// FaultProfile configures the deterministic fault injector
 	// (internal/fault): spurious aborts, lying hint bits, capacity
@@ -237,10 +235,6 @@ func QuickNATLEConfig() NATLEConfig {
 	cfg.WarmupThreshold = 64
 	return cfg
 }
-
-// NoSync returns the unsynchronized CriticalSection (every body runs
-// directly — only correct for read-only or benign-race workloads).
-func NoSync() CriticalSection { return lock.NoSync{} }
 
 // Simulation bundles one simulated machine instance: the event engine
 // and its memory/HTM runtime.
