@@ -18,9 +18,9 @@ vet:
 # analyzers guarding determinism, transaction safety, zero-cost hooks,
 # enum exhaustiveness, atomic access discipline, cache-line layout,
 # lock ordering, and hot-path allocation freedom (see README "Static
-# analysis"). The ./... pattern covers internal/..., cmd/..., and the
-# examples; a package the go tool cannot load fails the run loudly
-# instead of silently vanishing from it.
+# analysis"). The ./... pattern covers internal/... and cmd/...; a
+# package the go tool cannot load fails the run loudly instead of
+# silently vanishing from it.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -85,8 +85,10 @@ check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/htm ./internal/arena ./internal/sets ./internal/telemetry
 	$(MAKE) native-check
 
+# bench runs one iteration of every figure benchmark: each regenerates
+# one of the paper's figures or tables at a trimmed sweep scale.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/harness
 
 # bench-layers is the per-package ledger under the figure-sized runs of
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early

@@ -56,12 +56,13 @@ type Ctx interface {
 	// setup context that runs before workers start.
 	Thread() int
 	// Socket is the thread's placement domain: the simulated socket
-	// under the trial's pinning policy on sim; on native, the physical
-	// package of CPU thread%ncpu as discovered from
-	// /sys/devices/system/cpu/cpu*/topology, falling back to a
-	// fill-first thread-index stripe when sysfs is absent or an
-	// explicit group count was configured (see internal/native's
-	// ReadTopology).
+	// under the trial's pinning policy on sim. On native it is only a
+	// group label computed from the thread index: the package that
+	// /sys/devices/system/cpu/cpu*/topology reports for CPU
+	// thread%ncpu, or a fill-first thread-index stripe when sysfs is
+	// absent or an explicit group count was configured (see
+	// internal/native's ReadTopology). Native workers are unpinned
+	// goroutines, so the label does not say where the thread runs.
 	Socket() int
 	// Rand64 draws from the thread's deterministic seeded RNG.
 	Rand64() uint64

@@ -1,7 +1,7 @@
 // Package harness regenerates the paper's tables and figures on the
 // simulated machine. Each FigNN function returns a Figure whose series
 // correspond to the curves in the paper; cmd/figures prints them and
-// bench_test.go wraps them as benchmarks.
+// figbench_test.go wraps them as benchmarks (make bench).
 //
 // A Scale selects the sweep density and trial lengths: QuickScale keeps
 // host time low (tests, benchmarks); FullScale is for regenerating the

@@ -172,7 +172,9 @@ func (w *World) ctx(thread int) *Thread {
 
 // groupOf maps a worker of the current Run to its thread group: the
 // package of CPU thread%ncpu when the world discovered sysfs topology,
-// fill-first striping otherwise; the setup context is in group 0.
+// fill-first striping otherwise; the setup context is in group 0. The
+// group is a label computed from the thread index alone: workers are
+// unpinned goroutines, so nothing places thread i on CPU thread%ncpu.
 func (w *World) groupOf(thread int) int {
 	if thread < 0 || w.sockets <= 1 {
 		return 0

@@ -3,8 +3,50 @@ package workload
 import (
 	"testing"
 
+	"natle/internal/backend"
+	"natle/internal/machine"
+	"natle/internal/scheme"
+	"natle/internal/sets"
 	"natle/internal/vtime"
 )
+
+// TestEveryMutexSchemeRunsEverySet drives the trial driver through
+// every registered sim scheme that excludes mutually (the lock kinds
+// are whatever the registry holds, not a closed enum) on every set
+// kind: each pair completes operations, and the per-socket split sums
+// to the total.
+func TestEveryMutexSchemeRunsEverySet(t *testing.T) {
+	for _, d := range scheme.AllFor(backend.Sim) {
+		if !d.Mutex {
+			continue // unsynchronized updates would corrupt the set
+		}
+		for _, kind := range sets.Kinds() {
+			t.Run(d.Name+"/"+string(kind), func(t *testing.T) {
+				r := Run(Config{
+					Prof:      machine.SmallI7(),
+					Threads:   2,
+					Seed:      2,
+					SetKind:   kind,
+					KeyRange:  128,
+					UpdatePct: 50,
+					Lock:      LockKind(d.Name),
+					Duration:  50 * vtime.Microsecond,
+					Warmup:    20 * vtime.Microsecond,
+				})
+				if r.Ops == 0 {
+					t.Fatal("no ops")
+				}
+				var sum uint64
+				for _, n := range r.PerSock {
+					sum += n
+				}
+				if sum != r.Ops {
+					t.Errorf("per-socket ops sum %d != total %d", sum, r.Ops)
+				}
+			})
+		}
+	}
+}
 
 func TestPerSocketOpsSumToTotal(t *testing.T) {
 	r := Run(Config{

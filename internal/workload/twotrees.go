@@ -18,6 +18,8 @@ import (
 type TwoTreesConfig struct {
 	// Base gives machine, pinning, lock kind, seeds and durations;
 	// Warmup counts from the one start line of both groups, as in Run.
+	// Its Recorder and Fault are installed as in Run; the caller reads
+	// the collector itself, and the result carries no fault counts.
 	Base Config
 
 	// SearchWork is the external-work iteration count added to each
@@ -60,7 +62,7 @@ func RunTwoTrees(cfg TwoTreesConfig) *TwoTreesResult {
 	base := cfg.Base
 	base.defaults()
 	e := sim.New(base.Prof, base.Pin, base.Threads, base.Seed)
-	sys := newSystem(e, base)
+	sys, _ := newSystem(e, base)
 	res := &TwoTreesResult{Duration: base.Duration}
 
 	desc, err := scheme.LookupFor(backend.Sim, string(base.Lock))

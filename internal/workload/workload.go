@@ -158,9 +158,20 @@ func (r *Result) Throughput() float64 {
 }
 
 // newSystem builds the HTM runtime for a trial, wiring up the Fig 6
-// commit-delay injection hook when configured.
-func newSystem(e *sim.Engine, cfg Config) *htm.System {
+// commit-delay injection hook, the telemetry recorder and the fault
+// injector when configured. The injector is nil without cfg.Fault.
+func newSystem(e *sim.Engine, cfg Config) (*htm.System, *fault.Fault) {
 	sys := htm.NewSystem(e, cfg.MemWords)
+	if cfg.Recorder != nil {
+		// Installed before any locks exist so their RegisterLock calls
+		// land in this recorder.
+		sys.SetRecorder(cfg.Recorder)
+	}
+	var inj *fault.Fault
+	if cfg.Fault != nil && cfg.Fault.Enabled() {
+		inj = fault.New(*cfg.Fault, cfg.Seed)
+		sys.SetInjector(inj)
+	}
 	if cfg.CommitDelay > 0 {
 		step := 200 * vtime.Nanosecond
 		steps := int(cfg.CommitDelay / step)
@@ -171,7 +182,7 @@ func newSystem(e *sim.Engine, cfg Config) *htm.System {
 			}
 		}
 	}
-	return sys
+	return sys, inj
 }
 
 // Run executes one trial and returns its measurements.
@@ -183,17 +194,7 @@ func Run(cfg Config) *Result {
 	}
 	desc = desc.Configure(scheme.Options{TLE: cfg.TLE, NATLE: cfg.NATLE})
 	e := sim.New(cfg.Prof, cfg.Pin, cfg.Threads, cfg.Seed)
-	sys := newSystem(e, cfg)
-	if cfg.Recorder != nil {
-		// Installed before any locks exist so their RegisterLock calls
-		// land in this recorder.
-		sys.SetRecorder(cfg.Recorder)
-	}
-	var inj *fault.Fault
-	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		inj = fault.New(*cfg.Fault, cfg.Seed)
-		sys.SetInjector(inj)
-	}
+	sys, inj := newSystem(e, cfg)
 	res := &Result{Config: cfg, PerSock: make([]uint64, cfg.Prof.Sockets)}
 
 	e.Spawn(nil, func(c *sim.Ctx) {

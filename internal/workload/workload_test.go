@@ -3,9 +3,11 @@ package workload
 import (
 	"testing"
 
+	"natle/internal/fault"
 	"natle/internal/machine"
 	"natle/internal/natle"
 	"natle/internal/sets"
+	"natle/internal/telemetry"
 	"natle/internal/vtime"
 )
 
@@ -205,6 +207,39 @@ func TestTwoTreesPerLockDecisions(t *testing.T) {
 	}
 	if st*2 > stot {
 		t.Errorf("search tree throttled in %d/%d cycles; expected mostly unthrottled", st, stot)
+	}
+}
+
+// TestTwoTreesInstallsRecorderAndFaults: RunTwoTrees honours its
+// Base's Recorder and Fault as Run does, rather than silently running
+// without them.
+func TestTwoTreesInstallsRecorderAndFaults(t *testing.T) {
+	run := func(rec telemetry.Recorder, prof *fault.Profile) *TwoTreesResult {
+		return RunTwoTrees(TwoTreesConfig{
+			Base: Config{
+				Threads:  4,
+				Seed:     5,
+				Lock:     LockTLE,
+				Duration: 100 * vtime.Microsecond,
+				Warmup:   50 * vtime.Microsecond,
+				Recorder: rec,
+				Fault:    prof,
+			},
+			SearchWork: 256,
+		})
+	}
+	col := telemetry.NewCollector(telemetry.Config{})
+	run(col, nil)
+	if col.Commits() == 0 {
+		t.Error("the collector recorded no commit events")
+	}
+	aborts := func(r *TwoTreesResult) uint64 {
+		return r.UpdateSync.TLE.TotalAborts() + r.SearchSync.TLE.TotalAborts()
+	}
+	clean := aborts(run(nil, nil))
+	faulty := aborts(run(nil, &fault.Profile{SpuriousAbortRate: 0.05}))
+	if faulty <= clean {
+		t.Errorf("5%% spurious aborts gave %d TLE aborts, no more than %d without faults", faulty, clean)
 	}
 }
 
