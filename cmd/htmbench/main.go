@@ -160,7 +160,7 @@ func main() {
 
 	if *svc {
 		a := serviceArgs{
-			trial:       service.Run,
+			trial:       simServiceTrial,
 			title:       p.Name,
 			prof:        p,
 			sweep:       defaultServiceRates,
@@ -193,7 +193,7 @@ func main() {
 			host := harness.Fingerprint()
 			fmt.Printf("# wall-clock timing on %s/%s, %d CPUs, %s — host-dependent, not comparable to sim figures\n",
 				host.GOOS, host.GOARCH, host.CPUs, host.GoVersion)
-			a.trial, a.title, a.sweep, a.jobs = nativeServiceTrial, "backend=native", defaultNativeServiceRates, 1
+			a.trial, a.cpu, a.title, a.sweep, a.jobs = nativeServiceTrial, true, "backend=native", defaultNativeServiceRates, 1
 		}
 		runService(a)
 		return

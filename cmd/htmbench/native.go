@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"natle/internal/fault"
 	"natle/internal/harness"
@@ -145,7 +146,12 @@ func writeNativeBench(w io.Writer, snap *harness.NativeBench) error {
 }
 
 // nativeServiceTrial runs one service trial on a fresh native world
-// sized for its schedule.
-func nativeServiceTrial(c service.Config) *service.Result {
-	return service.RunNative(native.NewWorld(native.Config{Seed: c.Seed, Words: c.NativeMemWords()}), c)
+// sized for its schedule and returns the process CPU time (getrusage)
+// the RunNative call took: building the world and its schedule is
+// outside it.
+func nativeServiceTrial(c service.Config) (*service.Result, time.Duration) {
+	w := native.NewWorld(native.Config{Seed: c.Seed, Words: c.NativeMemWords()})
+	cpu := native.ProcessCPU()
+	r := service.RunNative(w, c)
+	return r, native.ProcessCPU() - cpu
 }

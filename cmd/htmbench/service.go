@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"natle/internal/expt"
 	"natle/internal/fault"
@@ -28,9 +29,13 @@ import (
 //     JSON (the committed BENCH_service.json snapshot).
 
 type serviceArgs struct {
-	// trial runs one rate of the sweep: service.Run, or a closure that
-	// builds a native world for service.RunNative.
-	trial       func(service.Config) *service.Result
+	// trial runs one rate of the sweep: simServiceTrial, or
+	// nativeServiceTrial, which builds a native world for
+	// service.RunNative and also returns the process CPU time that call
+	// took. cpu prints that time per request as a column; it means
+	// something only when trials run one at a time.
+	trial       func(service.Config) (*service.Result, time.Duration)
+	cpu         bool
 	title       string           // machine profile name, or "backend=native"
 	prof        *machine.Profile // read by the simulator only
 	sweep       []float64        // offered loads when -rates is empty
@@ -115,29 +120,46 @@ func runService(a serviceArgs) {
 		fmt.Printf("# overload control: deadline=%v brownout=%v retrybudget=%d\n",
 			a.deadline, a.brownoutSLO, a.retryBudget)
 	}
-	fmt.Printf("%12s %8s %7s %7s %7s %12s %12s %12s %9s %9s %4s\n",
-		"rate(r/s)", "reqs", "shed%", "dshed%", "miss%", "p50", "p99", "p999", "avgbatch", "fallback", "bo")
+	cpuCol := ""
+	if a.cpu {
+		cpuCol = fmt.Sprintf(" %10s", "cpu_us/req")
+	}
+	fmt.Printf("%12s %8s %7s %7s %7s %12s %12s %12s %9s %9s %4s%s\n",
+		"rate(r/s)", "reqs", "shed%", "dshed%", "miss%", "p50", "p99", "p999", "avgbatch", "fallback", "bo", cpuCol)
 
-	results := expt.Map(a.jobs, len(sweep), func(i int) *service.Result {
+	type trial struct {
+		r   *service.Result
+		cpu time.Duration
+	}
+	results := expt.Map(a.jobs, len(sweep), func(i int) trial {
 		c := cfg
 		c.Rate = sweep[i]
-		return a.trial(c)
+		r, cpu := a.trial(c)
+		return trial{r, cpu}
 	})
-	for i, r := range results {
+	for i, t := range results {
+		r := t.r
 		avgBatch := 0.0
 		if r.Batches > 0 {
 			avgBatch = float64(r.Completed) / float64(r.Batches)
 		}
-		fmt.Printf("%12.4g %8d %6.2f%% %6.2f%% %6.2f%% %12v %12v %12v %9.2f %9d %4d\n",
+		if a.cpu {
+			cpuCol = fmt.Sprintf(" %10.2f", float64(t.cpu.Nanoseconds())/1e3/float64(max(r.Requests, 1)))
+		}
+		fmt.Printf("%12.4g %8d %6.2f%% %6.2f%% %6.2f%% %12v %12v %12v %9.2f %9d %4d%s\n",
 			sweep[i], r.Requests, 100*r.ShedFraction(),
 			100*r.DeadlineShedFraction(), 100*r.DeadlineMissFraction(),
 			r.E2E.Quantile(0.50), r.E2E.Quantile(0.99), r.E2E.Quantile(0.999),
-			avgBatch, r.Sync.TLE.Fallbacks, r.BrownoutPeak)
+			avgBatch, r.Sync.TLE.Fallbacks, r.BrownoutPeak, cpuCol)
 		if r.BatchClamped {
 			fmt.Printf("             # batch clamped to 1: scheme %q lacks the batch capability\n", a.scheme)
 		}
 	}
 }
+
+// simServiceTrial runs one service trial on the simulator; its host CPU
+// is not measured (trials share the host pool).
+func simServiceTrial(c service.Config) (*service.Result, time.Duration) { return service.Run(c), 0 }
 
 // benchEntry is one scheme's SLO search result in the JSON snapshot.
 // Field order is the marshaled order; nothing here depends on host

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -491,4 +492,29 @@ func TestShardsFollowTheRun(t *testing.T) {
 			t.Errorf("shard %d: group %d, want %d", i, got, want)
 		}
 	}
+}
+
+// TestSleepUntilNeverReturnsEarly: SleepUntil returns with Now() at or
+// past its deadline, however coarse the kernel's timer, and returns at
+// once for a deadline already passed — the most negative one included,
+// where a gap computed before the comparison would overflow into a
+// sleep of centuries. How late it returns is not asserted: timing
+// claims belong to the benchmarks.
+func TestSleepUntilNeverReturnsEarly(t *testing.T) {
+	NewWorld(Config{}).Run(1, func(backend.Ctx) {}, func(bc backend.Ctx) {
+		c := bc.(*Thread)
+		for _, gap := range []int64{1, 1_000, 20_000, 200_000} {
+			d := c.Now() + gap
+			c.SleepUntil(d)
+			if now := c.Now(); now < d {
+				t.Errorf("SleepUntil(now+%dns) returned %dns early", gap, d-now)
+			}
+		}
+		for _, d := range []int64{math.MinInt64, 0, c.Now()} {
+			c.SleepUntil(d)
+			if now := c.Now(); now < d {
+				t.Errorf("SleepUntil(%d) returned at %d", d, now)
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 
@@ -9,6 +8,7 @@ import (
 	"natle/internal/backend"
 	"natle/internal/fault"
 	"natle/internal/mem"
+	"natle/internal/native"
 	"natle/internal/scheme"
 	"natle/internal/simmap"
 	"natle/internal/vtime"
@@ -45,8 +45,10 @@ func RunNative(w backend.World, cfg Config) *Result {
 // 1..Shards*Servers serve, and the shard maps are simmap.BackendMap
 // arenas, so every store access is transactional under optimistic
 // schemes exactly as on the simulator. Each shard's lock is a real mutex
-// and idle servers park on its condition variable: only the dispatcher
-// ever spins.
+// and idle servers park on its condition variable, and the dispatcher
+// sleeps in the kernel between arrivals: nothing spins. Kernel timer
+// slack groups the dispatcher's wake-ups, so one wake-up admits every
+// arrival that came due meanwhile.
 func nativeHost(world backend.World) func(*pipeline) {
 	return func(p *pipeline) {
 		cfg := &p.cfg
@@ -93,12 +95,11 @@ func (w nativeWorker) now() vtime.Time {
 	return vtime.Time(w.c.Now()-w.zero) * vtime.Time(vtime.Nanosecond)
 }
 
-// sleepUntil spins through the scheduler, so the servers run even on few
-// cores and the arrival lands within a scheduler pass of its time.
+// sleepUntil blocks until now() >= t (see native.Thread.SleepUntil),
+// rounding t up to the backend clock's whole nanoseconds.
 func (w nativeWorker) sleepUntil(t vtime.Time) {
-	for w.now() < t {
-		runtime.Gosched()
-	}
+	ns := (t + vtime.Time(vtime.Nanosecond) - 1) / vtime.Time(vtime.Nanosecond)
+	w.c.(*native.Thread).SleepUntil(w.zero + int64(ns))
 }
 
 func (w nativeWorker) work(n int)            { w.c.Work(n) }

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"runtime"
 	"testing"
 
 	"natle/internal/backend"
@@ -42,42 +43,68 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 		t.Fatalf("sim trial shed %d/%d requests; conformance needs loss-free trials", simRes.Shed, simRes.DeadlineShed)
 	}
 
+	check := func(t *testing.T, cfg service.Config, want uint64) *service.Result {
+		nat := cfg.Scheme
+		w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
+		res := service.RunNative(w, cfg)
+
+		if res.Arrivals != res.Admitted+res.Shed {
+			t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
+		}
+		if res.Admitted != res.Completed+res.DeadlineShed {
+			t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
+		}
+		if res.Shed != 0 {
+			t.Fatalf("native trial shed %d requests; queue bound mis-sized for conformance", res.Shed)
+		}
+		if uint64(res.Requests) != res.Arrivals {
+			t.Fatalf("schedule length %d != arrivals %d", res.Requests, res.Arrivals)
+		}
+		if res.StoreCheck != want {
+			t.Fatalf("final store diverges: sim %#x, %s %#x", want, nat, res.StoreCheck)
+		}
+		if res.E2E.Count() != res.Completed {
+			t.Fatalf("e2e histogram count %d != completed %d", res.E2E.Count(), res.Completed)
+		}
+		// Scheme-counter conservation for eliding schemes.
+		for i, s := range res.SyncPerShard {
+			if s.TLE.Ops == 0 {
+				continue
+			}
+			if got := s.TLE.Commits + s.TLE.Fallbacks; got != s.TLE.Ops {
+				t.Fatalf("shard %d: commits+fallbacks = %d, want ops = %d", i, got, s.TLE.Ops)
+			}
+		}
+		return res
+	}
 	for _, nat := range []string{"native-mutex", "native-tle", "native-natle"} {
 		t.Run(nat, func(t *testing.T) {
 			cfg := base
 			cfg.Scheme = nat
-			w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
-			res := service.RunNative(w, cfg)
-
-			if res.Arrivals != res.Admitted+res.Shed {
-				t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
-			}
-			if res.Admitted != res.Completed+res.DeadlineShed {
-				t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
-			}
-			if res.Shed != 0 {
-				t.Fatalf("native trial shed %d requests; queue bound mis-sized for conformance", res.Shed)
-			}
-			if uint64(res.Requests) != res.Arrivals {
-				t.Fatalf("schedule length %d != arrivals %d", res.Requests, res.Arrivals)
-			}
-			if res.StoreCheck != simRes.StoreCheck {
-				t.Fatalf("final store diverges: sim %#x, %s %#x", simRes.StoreCheck, nat, res.StoreCheck)
-			}
-			if res.E2E.Count() != res.Completed {
-				t.Fatalf("e2e histogram count %d != completed %d", res.E2E.Count(), res.Completed)
-			}
-			// Scheme-counter conservation for eliding schemes.
-			for i, s := range res.SyncPerShard {
-				if s.TLE.Ops == 0 {
-					continue
-				}
-				if got := s.TLE.Commits + s.TLE.Fallbacks; got != s.TLE.Ops {
-					t.Fatalf("shard %d: commits+fallbacks = %d, want ops = %d", i, got, s.TLE.Ops)
-				}
-			}
+			check(t, cfg, simRes.StoreCheck)
 		})
 	}
+	// One P: the dispatcher must give it up before each sleep, or the
+	// server it has just woken waits behind the sleep and its shard
+	// queues the whole of its share of the schedule. The window is ten
+	// times the base one: under the race detector the first yield can
+	// take longer than a millisecond, and a dispatcher that late admits
+	// a one-millisecond schedule in one burst whatever it does.
+	t.Run("native-tle/gomaxprocs1", func(t *testing.T) {
+		cfg := base
+		cfg.Window *= 10
+		simCfg := cfg
+		simCfg.Scheme = "tle"
+		want := service.Run(simCfg).StoreCheck
+		cfg.Scheme = "native-tle"
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		res := check(t, cfg, want)
+		for i, st := range res.PerShard {
+			if st.Arrivals > 1 && uint64(st.MaxQueue) >= st.Arrivals {
+				t.Fatalf("shard %d queued all its %d requests at once: the server starved", i, st.Arrivals)
+			}
+		}
+	})
 }
 
 // TestNativeServiceConservationUnderPressure: many servers per shard,

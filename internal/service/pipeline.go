@@ -16,10 +16,10 @@ import (
 // The seam is per request and per batch, so the per-word accesses
 // underneath stay on the concrete arena.Sim / arena.Backend map cores.
 type worker interface {
-	now() vtime.Time // host clock: virtual time, or wall time since the end of setup
-	sleepUntil(t vtime.Time)
-	work(n int)      // one request's handler compute, inside a body
-	apply(q Request) // one request's map operation, inside a body
+	now() vtime.Time         // host clock: virtual time, or wall time since the end of setup
+	sleepUntil(t vtime.Time) // returns with now() >= t, late by however long the host takes
+	work(n int)              // one request's handler compute, inside a body
+	apply(q Request)         // one request's map operation, inside a body
 	// critical runs body under the shard's scheme instance, exclusive
 	// under that instance's own lock held pessimistically.
 	critical(body func())
@@ -53,8 +53,8 @@ func apply[C any, M kvMap[C]](m M, c C, q Request) {
 // ring is a shard's bounded admission queue: a FIFO of at most limit
 // requests whose buffer doubles up to that bound as the queue deepens,
 // so a deep QueueCap costs memory only when it is used. A queued
-// request's At is its admission time on the host clock (== arrival;
-// admission is immediate).
+// request's At is its scheduled arrival on the host clock, so a
+// dispatcher that wakes up late shows as queue wait.
 type ring struct {
 	buf            []Request
 	limit, head, n int
@@ -165,7 +165,11 @@ func (p *pipeline) addShard(socket int, mu sync.Locker, syncStats func() scheme.
 
 // dispatch models the network frontend: it replays the schedule on the
 // host clock, routing each request to its shard's bounded queue; a full
-// queue sheds the request.
+// queue sheds the request. Each request is stamped with its due time,
+// not the time it was admitted: a wake-up that lands late admits every
+// arrival that came due meanwhile, and their wait counts from when
+// they were due. On the simulator the dispatcher's clock moves only in
+// sleepUntil, so the two are equal.
 func (p *pipeline) dispatch(w worker) {
 	// The schedule is replayed relative to the post-construction clock:
 	// building the shards took host time, and replaying absolute times
@@ -173,12 +177,13 @@ func (p *pipeline) dispatch(w worker) {
 	base := w.now()
 	p.res.Start = base
 	for _, q := range p.sched {
-		w.sleepUntil(base.Add(vtime.Duration(q.At)))
+		due := base.Add(vtime.Duration(q.At))
+		w.sleepUntil(due)
 		s := p.shards[q.Shard]
 		s.mu.Lock()
 		s.stats.Arrivals++
 		if s.queue.n < s.queue.limit {
-			q.At = w.now()
+			q.At = due
 			s.queue.push(q)
 			s.stats.Admitted++
 			s.stats.MaxQueue = max(s.stats.MaxQueue, s.queue.n)

@@ -246,6 +246,8 @@ type Result struct {
 	// Latency distributions (telemetry log2 histograms): E2E is
 	// arrival to completion, Queue is arrival to batch start, Service
 	// is batch start to completion (retries included in all three).
+	// Arrival is the scheduled one on both hosts, so a dispatcher that
+	// admits a request late adds the lateness to E2E and Queue.
 	E2E     telemetry.HistogramSnapshot
 	Queue   telemetry.HistogramSnapshot
 	Service telemetry.HistogramSnapshot

@@ -3,11 +3,14 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
+	"natle/internal/backend"
 	"natle/internal/expt"
 	"natle/internal/fault"
+	"natle/internal/scheme"
 	"natle/internal/vtime"
 )
 
@@ -270,5 +273,74 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 	}
 	if want != next {
 		t.Fatalf("popped %d requests, pushed %d", want, next)
+	}
+}
+
+// lateWorker is a pipeline thread on a hand-driven clock: every
+// sleepUntil lands a fixed lateness past its target, as a dispatcher
+// woken by a coarse kernel timer does, and nothing else moves the clock.
+type lateWorker struct {
+	clock *vtime.Time
+	late  vtime.Duration
+}
+
+func (w lateWorker) now() vtime.Time         { return *w.clock }
+func (w lateWorker) sleepUntil(t vtime.Time) { *w.clock = max(*w.clock, t).Add(w.late) }
+func (w lateWorker) work(int)                {}
+func (w lateWorker) apply(Request)           {}
+func (w lateWorker) critical(body func())    { body() }
+func (w lateWorker) exclusive(body func())   { body() }
+func (w lateWorker) wait(idle func() bool) {
+	if !idle() {
+		panic("lateWorker: a server waited on an open, empty queue")
+	}
+}
+
+// TestDispatchStampsDueTime: a queued request carries its scheduled
+// arrival, not the late clock it was admitted on, so the dispatcher's
+// lateness shows as queue wait. The servers run once the whole schedule
+// is dispatched, on the final clock: every wait is at least one
+// lateness, and the waits sum to exactly the distance from each due
+// time to that clock.
+func TestDispatchStampsDueTime(t *testing.T) {
+	const (
+		late  = 3 * vtime.Microsecond
+		setup = vtime.Time(7 * vtime.Microsecond) // the clock when dispatch starts
+	)
+	cfg := Config{Seed: 5, Rate: 2e6, Window: 50 * vtime.Microsecond, Shards: 2, QueueCap: 1 << 10}
+	p := newPipeline(backend.Sim, cfg)
+	clock := setup
+	w := lateWorker{clock: &clock, late: late}
+	var want vtime.Duration
+	res := p.run(func(p *pipeline) {
+		for range p.cfg.Shards {
+			p.addShard(0, noLock{}, func() scheme.Stats { return scheme.Stats{} }, func(func(k, v uint64)) {})
+		}
+		p.dispatch(w)
+		next := make([]int, len(p.shards))
+		for _, q := range p.sched {
+			due := setup.Add(vtime.Duration(q.At))
+			r := &p.shards[q.Shard].queue
+			got := r.buf[(r.head+next[q.Shard])%len(r.buf)]
+			next[q.Shard]++
+			if got.ID != q.ID || got.At != due {
+				t.Fatalf("request %d queued as %d at %v, want at its due time %v (clock %v)", q.ID, got.ID, got.At, due, clock)
+			}
+			want += clock.Sub(due)
+		}
+		for _, s := range p.shards {
+			p.serve(w, s)
+		}
+	})
+	if len(p.sched) == 0 || res.Completed != uint64(len(p.sched)) {
+		t.Fatalf("completed %d of %d scheduled requests", res.Completed, len(p.sched))
+	}
+	if res.Queue.SumPs != uint64(want) || res.E2E.SumPs != uint64(want) {
+		t.Fatalf("queue wait sums to %d ps and e2e to %d ps, want %d", res.Queue.SumPs, res.E2E.SumPs, want)
+	}
+	for b := range bits.Len64(uint64(late)) {
+		if n := res.Queue.Counts[b]; n != 0 {
+			t.Fatalf("%d queue waits below the %v lateness (bucket %d)", n, late, b)
+		}
 	}
 }
