@@ -14,11 +14,10 @@ vet:
 	$(GO) vet ./...
 
 # lint fails on unformatted files (gofmt -l output is non-empty), on
-# vet findings, and on natlevet findings — the repo's own eight
-# analyzers guarding determinism, transaction safety, zero-cost hooks,
-# enum exhaustiveness, atomic access discipline, cache-line layout,
-# lock ordering, and hot-path allocation freedom (see README "Static
-# analysis"). The ./... pattern covers internal/... and cmd/...; a
+# vet findings, and on natlevet findings — the repo's own five
+# analyzers guarding atomic access discipline, enum exhaustiveness,
+# cache-line layout, hot-path allocation freedom, and lock-free seqlock
+# read sections (see README "Static analysis"). The ./... pattern covers internal/... and cmd/...; a
 # package the go tool cannot load fails the run loudly instead of
 # silently vanishing from it.
 lint:
@@ -28,11 +27,12 @@ lint:
 	$(GO) run ./cmd/natlevet ./...
 
 # natlevet-check exercises the analyzer suite itself: the analysistest
-# fixture suites for all eight analyzers, the offline loader's
-# export-data regression tests (including the generics canary), and a
-# full multichecker run over the tree writing the findings artifact CI
-# uploads — an empty JSON array on a clean tree, so the artifact diffs
-# cleanly between runs.
+# fixture suites for all five analyzers, the mutation table that seeds
+# each analyzer's target bug into the real tree and expects a finding,
+# the offline loader's export-data regression tests (including the
+# generics canary), and a full multichecker run over the tree writing
+# the findings artifact CI uploads — an empty JSON array on a clean
+# tree, so the artifact diffs cleanly between runs.
 natlevet-check:
 	$(GO) test -count=1 ./internal/analysis/...
 	$(GO) run ./cmd/natlevet -json ./... > natlevet.json
@@ -55,16 +55,14 @@ race-executor:
 # goroutines on real memory are exactly what -race is for) with
 # GOMAXPROCS pinned above 1 so they interleave for real, one iteration
 # of the native section and driver benchmarks (they must build and
-# finish; nothing is asserted about their timing), the natlevet
-# analyzers over the backend split and over the service (whose native
-# host holds a real mutex per shard), and an htmbench smoke run that
-# must report nonzero native throughput.
+# finish; nothing is asserted about their timing), and an htmbench
+# smoke run that must report nonzero native throughput. (make lint
+# runs natlevet over the whole tree, these packages included.)
 NATIVE_MULTI_PROCS ?= 4
 native-check:
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/native ./internal/service
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestSimWorldMatchesKind|TestRunBackendAllocatesNothingPerOperation|TestMemWords' ./internal/workload
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/native ./internal/workload
-	$(GO) run ./cmd/natlevet ./internal/backend/... ./internal/native/... ./internal/workload/... ./internal/service/...
 	@out=$$($(GO) run ./cmd/htmbench -backend=native -lock=native-tle -threads 2 -ops 4096); \
 	echo "$$out"; \
 	echo "$$out" | awk 'NR>3 && $$2+0 > 0 { ok = 1 } END { exit !ok }' || \
@@ -142,16 +140,14 @@ bench-check:
 # -j 4 and fails on any byte difference, regenerates the service half of
 # the benchmark snapshot and fails unless it is the committed
 # BENCH_service.json byte for byte (a diff means the performance model
-# changed: re-pin it with `make bench-snapshot` and say why), then runs
-# the natlevet analyzers over the service package (CI runs this as its
-# own job).
+# changed: re-pin it with `make bench-snapshot` and say why). CI runs
+# this as its own job.
 service-check:
 	$(GO) run ./cmd/figures -fig service-latency,service-slo,service-arrivals,service-chaos,service-overload -j 1 > /tmp/service_j1.txt
 	$(GO) run ./cmd/figures -fig service-latency,service-slo,service-arrivals,service-chaos,service-overload -j 4 > /tmp/service_j4.txt
 	cmp /tmp/service_j1.txt /tmp/service_j4.txt
 	$(GO) run ./cmd/htmbench -service -slo 1000 -slojson /tmp/service_bench.json > /dev/null
 	cmp /tmp/service_bench.json BENCH_service.json
-	$(GO) run ./cmd/natlevet ./internal/service/...
 
 figures:
 	$(GO) run ./cmd/figures

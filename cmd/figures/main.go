@@ -63,7 +63,7 @@ func main() {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		start := wallNow()
+		start := time.Now()
 		p := e.Build(sc)
 		opt := expt.Options{Workers: *jobs}
 		if *progress {
@@ -78,19 +78,11 @@ func main() {
 			fmt.Println(f.String())
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v, %d trials, j=%d]\n",
-			e.ID, wallNow().Sub(start).Round(time.Millisecond), len(p.Specs), expt.Workers(*jobs))
+			e.ID, time.Since(start).Round(time.Millisecond), len(p.Specs), expt.Workers(*jobs))
 		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no figures matched %q (use -list)\n", *figs)
 		os.Exit(2)
 	}
-}
-
-// wallNow is the one sanctioned wall-clock read in the tree: it times
-// figure generation for the human watching stderr. Simulated results
-// are pure functions of (profile, seed) and never flow through it;
-// natlevet's determinism analyzer keeps everything else honest.
-func wallNow() time.Time {
-	return time.Now() //natlevet:allow determinism(stderr progress timing for humans; no simulated result depends on it)
 }

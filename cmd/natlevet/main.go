@@ -1,5 +1,5 @@
 // Command natlevet is the repo's static analysis suite: a vet-style
-// multichecker running the analyzers under internal/analysis over the
+// multichecker running the roster of internal/analysis/suite over the
 // packages matching its arguments (default ./...). It exits nonzero
 // when any diagnostic survives suppression, so `make lint` and CI gate
 // on a natlevet-clean tree.
@@ -28,110 +28,71 @@ import (
 	"strings"
 
 	"natle/internal/analysis"
-	"natle/internal/analysis/atomicsafe"
-	"natle/internal/analysis/determinism"
-	"natle/internal/analysis/exhaustive"
-	"natle/internal/analysis/falseshare"
-	"natle/internal/analysis/hookcost"
-	"natle/internal/analysis/hotalloc"
 	"natle/internal/analysis/load"
-	"natle/internal/analysis/lockorder"
-	"natle/internal/analysis/txnsafe"
+	"natle/internal/analysis/suite"
 )
-
-// analyzers is the natlevet roster, alphabetical.
-var analyzers = []*analysis.Analyzer{
-	atomicsafe.Analyzer,
-	determinism.Analyzer,
-	exhaustive.Analyzer,
-	falseshare.Analyzer,
-	hookcost.Analyzer,
-	hotalloc.Analyzer,
-	lockorder.Analyzer,
-	txnsafe.Analyzer,
-}
 
 func main() {
 	listOnly := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "write findings to stdout as a JSON array")
-	enabled := make(map[string]*bool, len(analyzers))
-	for _, a := range analyzers {
+	enabled := make(map[string]*bool, len(suite.Analyzers))
+	for _, a := range suite.Analyzers {
 		enabled[a.Name] = flag.Bool(a.Name, true,
 			fmt.Sprintf("run the %s analyzer (%s)", a.Name, firstLine(a.Doc)))
 	}
 	flag.Parse()
 
 	if *listOnly {
-		for _, a := range analyzers {
+		for _, a := range suite.Analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
 		}
 		return
 	}
 
 	patterns := flag.Args()
-	pkgs, err := load.Packages(".", patterns...)
+	pkgs, err := load.Packages(".", nil, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "natlevet: %v\n", err)
 		os.Exit(2)
 	}
-
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-
-	var diags []diag
-	for _, p := range pkgs {
-		var pkgDiags []analysis.Diagnostic
-		report := func(d analysis.Diagnostic) { pkgDiags = append(pkgDiags, d) }
-		analysis.LintDirectives(p.Fset, p.Syntax, known, report)
-		allow := analysis.BuildAllowlist(p.Fset, p.Syntax)
-		for _, a := range analyzers {
-			if !*enabled[a.Name] {
-				continue
-			}
-			pass := analysis.NewPass(a, p.Fset, p.Syntax, p.Types, p.TypesInfo, allow, report)
-			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "natlevet: %s on %s: %v\n", a.Name, p.PkgPath, err)
-				os.Exit(2)
-			}
-		}
-		for _, d := range pkgDiags {
-			pos := p.Fset.Position(d.Pos)
-			diags = append(diags, diag{
-				file: relative(pos.Filename), line: pos.Line, col: pos.Column,
-				analyzer: d.Analyzer, message: d.Message,
-			})
+	var run []*analysis.Analyzer
+	for _, a := range suite.Analyzers {
+		if *enabled[a.Name] {
+			run = append(run, a)
 		}
 	}
-
+	findings, err := suite.Check(pkgs, run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "natlevet: %v\n", err)
+		os.Exit(2)
+	}
+	diags := make([]jsonDiag, 0, len(findings))
+	for _, f := range findings {
+		diags = append(diags, jsonDiag{
+			File: relative(f.Pos.Filename), Line: f.Pos.Line, Col: f.Pos.Column,
+			Analyzer: f.Analyzer, Message: f.Message,
+		})
+	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
-		if a.file != b.file {
-			return a.file < b.file
+		if a.File != b.File {
+			return a.File < b.File
 		}
-		if a.line != b.line {
-			return a.line < b.line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		return a.col < b.col
+		return a.Col < b.Col
 	})
 	if *jsonOut {
-		records := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			records = append(records, jsonDiag{
-				File: d.file, Line: d.line, Col: d.col,
-				Analyzer: d.analyzer, Message: d.message,
-			})
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintf(os.Stderr, "natlevet: writing json: %v\n", err)
 			os.Exit(2)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", d.file, d.line, d.col, d.message, d.analyzer)
+			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 		}
 	}
 	if len(diags) > 0 {
@@ -140,15 +101,9 @@ func main() {
 	}
 }
 
-type diag struct {
-	file      string
-	line, col int
-	analyzer  string
-	message   string
-}
-
-// jsonDiag is the -json record shape: one finding, sorted by position,
-// stable across runs so CI artifacts diff cleanly between PRs.
+// jsonDiag is one finding, and the -json record shape: sorted by
+// position, stable across runs so CI artifacts diff cleanly between
+// PRs.
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

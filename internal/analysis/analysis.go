@@ -8,26 +8,27 @@
 // available, the analyzers port over by swapping this import.
 //
 // The suite exists because the reproduction rests on invariants the
-// compiler cannot see:
+// compiler and the tests cannot see:
 //
-//   - simulated results must be a pure function of (profile, seed) —
-//     wall-clock reads or unseeded global randomness silently break
-//     the fault injector's byte-identical replays (determinism);
-//   - an aborted transaction body runs on to its end on zeros and is
-//     re-run — a go statement or channel operation inside one escapes
-//     the abortable region (txnsafe);
-//   - telemetry and fault hooks are only zero-cost-when-disabled if
-//     every call site keeps the nil-check / Nop-default discipline
-//     (hookcost);
-//   - enum switches and the value-mirrored enum pairs must stay
-//     complete as constants are added (exhaustive).
+//   - words the code treats as atomic must be accessed only atomically
+//     (atomicsafe), and concurrently written words must not share a
+//     cache line (falseshare);
+//   - measured fast paths must not allocate (hotalloc);
+//   - an optimistic seqlock read section must never block on a lock
+//     (lockorder);
+//   - enum switches must stay complete as constants are added
+//     (exhaustive).
+//
+// Each rule earns its place with a row in package suite's mutation
+// table: a real bug seeded into the real tree that the rule reports
+// and no test catches.
 //
 // # Suppression
 //
 // A finding is silenced by an allow directive on the same line as the
 // diagnostic or on the line directly above it:
 //
-//	//natlevet:allow determinism(progress timing for humans only)
+//	//natlevet:allow hotalloc(one buffer per server lifetime)
 //
 // The parenthesized reason is mandatory; a directive without one is
 // itself a diagnostic. Multiple analyzers may be listed in a single
@@ -110,22 +111,16 @@ type Allow struct {
 // allowDirective is the comment prefix of a suppression.
 const allowDirective = "//natlevet:allow"
 
-// MirrorDirective is the comment prefix of an enum-mirror assertion
-// (interpreted by the exhaustive analyzer).
-const MirrorDirective = "//natlevet:mirror"
-
 // BackendDirective is the comment prefix of a package-level execution
-// backend declaration. Packages default to the simulated backend,
-// where determinism and txnsafe are load-bearing invariants; a package
-// whose point is real execution (wall-clock time, real goroutines —
-// internal/native) declares
+// backend declaration. Packages default to the simulated backend; a
+// package whose point is real execution (real goroutines over real
+// locks — internal/native) declares
 //
 //	//natlevet:backend native
 //
-// once at package level, and those two analyzers skip it wholesale.
-// The remaining analyzers (hookcost, exhaustive, atomicsafe,
-// falseshare, hotalloc) apply everywhere; lockorder applies only to
-// declared-native packages.
+// once at package level, which selects it for lockorder, the one
+// analyzer that checks only native packages. The others apply
+// everywhere.
 const BackendDirective = "//natlevet:backend"
 
 // PercpuDirective marks a struct type whose instances are hammered
@@ -292,15 +287,10 @@ func LintDirectives(fset *token.FileSet, files []*ast.File, known map[string]boo
 							bad(c.Pos(), "natlevet:allow names unknown analyzer %q", e.Analyzer)
 						}
 					}
-				case strings.HasPrefix(c.Text, MirrorDirective):
-					body := strings.TrimSpace(strings.TrimPrefix(c.Text, MirrorDirective))
-					if body == "" || !strings.Contains(body, ".") {
-						bad(c.Pos(), "natlevet:mirror needs an import-path-qualified type: //natlevet:mirror path/to/pkg.Type")
-					}
 				case strings.HasPrefix(c.Text, BackendDirective):
 					body := strings.TrimSpace(strings.TrimPrefix(c.Text, BackendDirective))
 					if body != "native" {
-						bad(c.Pos(), "natlevet:backend declares unknown backend %q (only %q exempts a package; the simulated default needs no directive)", body, "native")
+						bad(c.Pos(), "natlevet:backend declares unknown backend %q (only %q selects a package for lockorder; the simulated default needs no directive)", body, "native")
 					}
 				case strings.HasPrefix(c.Text, PercpuDirective):
 					if rest := strings.TrimSpace(strings.TrimPrefix(c.Text, PercpuDirective)); rest != "" {
@@ -315,17 +305,12 @@ func LintDirectives(fset *token.FileSet, files []*ast.File, known map[string]boo
 						bad(c.Pos(), "natlevet:seqlock takes no arguments (got %q); it marks the annotated function as an optimistic read section", rest)
 					}
 				case strings.HasPrefix(c.Text, "//natlevet:"):
-					bad(c.Pos(), "unknown natlevet directive %q (known: allow, mirror, backend, percpu, hotpath, seqlock)", c.Text)
+					bad(c.Pos(), "unknown natlevet directive %q (known: allow, backend, percpu, hotpath, seqlock)", c.Text)
 				}
 			}
 		}
 	}
 }
-
-// ExprString renders an expression for receiver matching and
-// diagnostics (a thin indirection over types.ExprString so analyzers
-// share one normalization).
-func ExprString(e ast.Expr) string { return types.ExprString(e) }
 
 // MarkedFuncs collects the functions marked by a function directive
 // (HotpathDirective, SeqlockDirective): a directive in a FuncDecl's

@@ -15,17 +15,17 @@ func TestParseAllow(t *testing.T) {
 		wantErr string
 	}{
 		{
-			text: "//natlevet:allow determinism(progress timing)",
-			want: []Allow{{"determinism", "progress timing"}},
+			text: "//natlevet:allow hotalloc(progress timing)",
+			want: []Allow{{"hotalloc", "progress timing"}},
 		},
 		{
-			text: "//natlevet:allow determinism(a, b reasons), hookcost(c)",
-			want: []Allow{{"determinism", "a, b reasons"}, {"hookcost", "c"}},
+			text: "//natlevet:allow hotalloc(a, b reasons), falseshare(c)",
+			want: []Allow{{"hotalloc", "a, b reasons"}, {"falseshare", "c"}},
 		},
 		{text: "//natlevet:allow", wantErr: "names no analyzer"},
-		{text: "//natlevet:allow determinism", wantErr: "malformed"},
-		{text: "//natlevet:allow determinism()", wantErr: "empty reason"},
-		{text: "//natlevet:allow determinism( )", wantErr: "empty reason"},
+		{text: "//natlevet:allow hotalloc", wantErr: "malformed"},
+		{text: "//natlevet:allow hotalloc()", wantErr: "empty reason"},
+		{text: "//natlevet:allow hotalloc( )", wantErr: "empty reason"},
 	} {
 		got, err := parseAllow(tc.text)
 		if tc.wantErr != "" {
@@ -52,7 +52,7 @@ func TestParseAllow(t *testing.T) {
 
 const directiveSrc = `package p
 
-//natlevet:allow determinism(same line and line below are sanctioned)
+//natlevet:allow hotalloc(same line and line below are sanctioned)
 var a int
 
 //natlevet:allow unknownanalyzer(reason)
@@ -74,21 +74,21 @@ func TestAllowlistAndLint(t *testing.T) {
 	files := []*ast.File{f}
 
 	al := BuildAllowlist(fset, files)
-	if !al.Allowed("determinism", "p.go", 3) {
+	if !al.Allowed("hotalloc", "p.go", 3) {
 		t.Error("directive line itself not allowed")
 	}
-	if !al.Allowed("determinism", "p.go", 4) {
+	if !al.Allowed("hotalloc", "p.go", 4) {
 		t.Error("line below directive not allowed")
 	}
-	if al.Allowed("determinism", "p.go", 5) {
+	if al.Allowed("hotalloc", "p.go", 5) {
 		t.Error("two lines below directive should not be allowed")
 	}
-	if al.Allowed("hookcost", "p.go", 4) {
+	if al.Allowed("falseshare", "p.go", 4) {
 		t.Error("directive must only sanction the named analyzer")
 	}
 
 	var diags []Diagnostic
-	LintDirectives(fset, files, map[string]bool{"determinism": true},
+	LintDirectives(fset, files, map[string]bool{"hotalloc": true},
 		func(d Diagnostic) { diags = append(diags, d) })
 	wants := []string{"unknown analyzer", "malformed", "unknown natlevet directive"}
 	if len(diags) != len(wants) {

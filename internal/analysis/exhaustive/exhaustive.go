@@ -1,22 +1,14 @@
 // Package exhaustive defines the natlevet analyzer keeping enum
-// handling complete as constants are added:
+// handling complete as constants are added: a switch over a repo enum
+// (a defined integer/string type with a package-scope constant block,
+// e.g. telemetry.Code or telemetry.Kind) must either cover every
+// member or carry a default case.
 //
-//   - a switch over a repo enum (a defined integer/string type with a
-//     package-scope constant block, e.g. htm.Code or telemetry.Kind)
-//     must either cover every member or carry a default case;
-//   - a type declaration carrying //natlevet:mirror path/to/pkg.Type
-//     must declare exactly the same constant values as the named type,
-//     replacing the older mirrored-array compile assertion
-//     (`var _ [other.NumX]struct{} = [numX]struct{}{}`) with a check
-//     that also survives value renumbering, not just count drift.
-//
-// Sentinel constants closing an iota block (numCodes, NumKinds,
-// MaxBatch) size arrays; switches need not handle them and mirrors
-// compare only real members.
+// Sentinel constants closing an iota block (NumCodes, NumKinds,
+// MaxBatch) size arrays; switches need not handle them.
 package exhaustive
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -27,20 +19,18 @@ import (
 	"natle/internal/analysis/enums"
 )
 
-// Analyzer flags incomplete enum switches and diverged mirror enums.
+// Analyzer flags incomplete enum switches.
 var Analyzer = &analysis.Analyzer{
 	Name: "exhaustive",
 	Doc: `require enum switches to cover every constant or carry a default
 
 A switch over a defined constant-block type must handle every member
-or have a default; //natlevet:mirror on a type asserts value-for-value
-correspondence with an enum in another package. Deliberately partial
-switches carry //natlevet:allow exhaustive(reason).`,
+or have a default. Deliberately partial switches carry
+//natlevet:allow exhaustive(reason).`,
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	checkMirrors(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sw, ok := n.(*ast.SwitchStmt)
@@ -124,116 +114,4 @@ func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
 			"switch over %s.%s is missing cases %s: add them or a default case",
 			named.Obj().Pkg().Name(), named.Obj().Name(), strings.Join(missing, ", "))
 	}
-}
-
-// checkMirrors enforces //natlevet:mirror directives: the annotated
-// type's constant values must match the target enum's value-for-value.
-func checkMirrors(pass *analysis.Pass) {
-	inDoc := make(map[*ast.Comment]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				for _, doc := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-					if doc == nil {
-						continue
-					}
-					for _, c := range doc.List {
-						if !strings.HasPrefix(c.Text, analysis.MirrorDirective) {
-							continue
-						}
-						inDoc[c] = true
-						checkMirror(pass, ts, c)
-					}
-				}
-			}
-		}
-		// Mirror directives anywhere else silently assert nothing;
-		// flag them so the assertion is not imagined to be in force.
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, analysis.MirrorDirective) && !inDoc[c] {
-					pass.Reportf(c.Pos(),
-						"natlevet:mirror must sit in the doc comment of a type declaration to take effect")
-				}
-			}
-		}
-	}
-}
-
-func checkMirror(pass *analysis.Pass, ts *ast.TypeSpec, c *ast.Comment) {
-	body := strings.TrimSpace(strings.TrimPrefix(c.Text, analysis.MirrorDirective))
-	dot := strings.LastIndex(body, ".")
-	if dot <= 0 || dot == len(body)-1 {
-		pass.Reportf(ts.Pos(), "natlevet:mirror needs an import-path-qualified type: //natlevet:mirror path/to/pkg.Type")
-		return
-	}
-	targetPath, targetName := body[:dot], body[dot+1:]
-
-	var target *types.Package
-	if pass.Pkg.Path() == targetPath {
-		target = pass.Pkg
-	}
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() == targetPath {
-			target = imp
-		}
-	}
-	if target == nil {
-		pass.Reportf(ts.Pos(), "natlevet:mirror target package %q is not imported by this package", targetPath)
-		return
-	}
-	targetMembers, _, err := enums.Named(target, targetName)
-	if err != nil {
-		pass.Reportf(ts.Pos(), "natlevet:mirror: %v", err)
-		return
-	}
-
-	tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-	if !ok {
-		return
-	}
-	localMembers, _ := enums.Members(pass.Pkg, tn.Type())
-
-	missing := diffValues(targetMembers, localMembers)
-	extra := diffValues(localMembers, targetMembers)
-	if len(missing) == 0 && len(extra) == 0 {
-		return
-	}
-	var parts []string
-	if len(missing) > 0 {
-		parts = append(parts, fmt.Sprintf("missing values of %s", strings.Join(missing, ", ")))
-	}
-	if len(extra) > 0 {
-		parts = append(parts, fmt.Sprintf("extra values of %s", strings.Join(extra, ", ")))
-	}
-	pass.Reportf(ts.Pos(),
-		"enum %s does not mirror %s.%s: %s (the two constant blocks must stay value-for-value identical)",
-		ts.Name.Name, target.Name(), targetName, strings.Join(parts, "; "))
-}
-
-// diffValues returns the names of constants in a whose values have no
-// counterpart in b.
-func diffValues(a, b []*types.Const) []string {
-	var out []string
-	for _, ca := range a {
-		found := false
-		for _, cb := range b {
-			if constant.Compare(ca.Val(), token.EQL, cb.Val()) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, ca.Name())
-		}
-	}
-	return out
 }

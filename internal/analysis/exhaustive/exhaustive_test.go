@@ -8,5 +8,5 @@ import (
 )
 
 func TestExhaustive(t *testing.T) {
-	analysistest.Run(t, "testdata", exhaustive.Analyzer, "exh", "exhmirror")
+	analysistest.Run(t, "testdata", exhaustive.Analyzer, "exh")
 }

@@ -71,15 +71,29 @@ func run(dir string, args ...string) ([]byte, error) {
 }
 
 // list invokes `go list -export -deps -json` on the patterns and
-// decodes the stream.
-func list(dir string, patterns []string) ([]listed, error) {
+// decodes the stream. A non-empty overlay (absolute file path → the
+// contents that replace it) is handed to the go tool with -overlay, so
+// export data is compiled from the replaced files.
+func list(dir string, overlay map[string][]byte, patterns []string) ([]listed, error) {
 	// -e keeps go list from dying on the first broken package so every
 	// package's structured Error can be surfaced with its import path.
-	args := append([]string{
+	args := []string{
 		"list", "-e", "-export", "-deps",
 		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error",
-	}, patterns...)
-	out, err := run(dir, args...)
+	}
+	if len(overlay) > 0 {
+		tmp, err := os.MkdirTemp("", "natlevet-overlay")
+		if err != nil {
+			return nil, fmt.Errorf("writing overlay: %v", err)
+		}
+		defer os.RemoveAll(tmp)
+		name, err := writeOverlay(tmp, overlay)
+		if err != nil {
+			return nil, fmt.Errorf("writing overlay: %v", err)
+		}
+		args = append(args, "-overlay="+name)
+	}
+	out, err := run(dir, append(args, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +108,26 @@ func list(dir string, patterns []string) ([]listed, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
+}
+
+// writeOverlay writes each replacement file into dir, and the go
+// tool's -overlay JSON mapping the replaced paths to them, whose name
+// it returns.
+func writeOverlay(dir string, overlay map[string][]byte) (string, error) {
+	replace := make(map[string]string, len(overlay))
+	for path, src := range overlay {
+		name := filepath.Join(dir, fmt.Sprintf("%d.go", len(replace)))
+		if err := os.WriteFile(name, src, 0o644); err != nil {
+			return "", err
+		}
+		replace[path] = name
+	}
+	js, err := json.Marshal(struct{ Replace map[string]string }{replace})
+	if err != nil {
+		return "", err
+	}
+	name := filepath.Join(dir, "overlay.json")
+	return name, os.WriteFile(name, js, 0o644)
 }
 
 // exportLookup adapts an import-path → export-file map to the lookup
@@ -119,11 +153,16 @@ func newInfo() *types.Info {
 	}
 }
 
-// check parses files and type-checks them as one package.
-func check(fset *token.FileSet, pkgPath string, files []string, imp types.Importer) ([]*ast.File, *types.Package, *types.Info, error) {
+// check parses files and type-checks them as one package. A file named
+// in overlay is parsed from its replacement contents.
+func check(fset *token.FileSet, pkgPath string, files []string, overlay map[string][]byte, imp types.Importer) ([]*ast.File, *types.Package, *types.Info, error) {
 	var syntax []*ast.File
 	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		var src any
+		if b, ok := overlay[name]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -140,13 +179,15 @@ func check(fset *token.FileSet, pkgPath string, files []string, imp types.Import
 
 // Packages loads and type-checks the packages matching the go-list
 // patterns, rooted at dir (any directory inside the module). Only
-// non-test GoFiles are loaded — the analyzers check shipped code, and
-// test files are free to use wall clocks and recover.
-func Packages(dir string, patterns ...string) ([]*Package, error) {
+// non-test GoFiles are loaded — the analyzers check shipped code. A
+// non-nil overlay maps absolute file paths to contents that replace
+// them on disk for this load only (the mutation tests seed bugs this
+// way without copying the tree).
+func Packages(dir string, overlay map[string][]byte, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := list(dir, patterns)
+	pkgs, err := list(dir, overlay, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +225,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 		for _, g := range p.GoFiles {
 			files = append(files, filepath.Join(p.Dir, g))
 		}
-		syntax, tpkg, info, err := check(fset, p.ImportPath, files, imp)
+		syntax, tpkg, info, err := check(fset, p.ImportPath, files, overlay, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +240,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 
 // One returns the single package matching pattern.
 func One(dir, pattern string) (*Package, error) {
-	pkgs, err := Packages(dir, pattern)
+	pkgs, err := Packages(dir, nil, pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +316,7 @@ func Fixture(dir string) (*Package, error) {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		pkgs, err := list(root, paths)
+		pkgs, err := list(root, nil, paths)
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +329,7 @@ func Fixture(dir string) (*Package, error) {
 
 	fset = token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	syntax, tpkg, info, err := check(fset, pkgName, files, imp)
+	syntax, tpkg, info, err := check(fset, pkgName, files, nil, imp)
 	if err != nil {
 		return nil, err
 	}

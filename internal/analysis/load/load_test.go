@@ -74,10 +74,10 @@ func TestPackagesLoadsRealPackage(t *testing.T) {
 // pattern the go tool cannot resolve must fail the run, not silently
 // lint zero packages and report a clean tree.
 func TestPackagesFailsLoudlyOnBadPattern(t *testing.T) {
-	if _, err := load.Packages(".", "./no/such/dir"); err == nil {
+	if _, err := load.Packages(".", nil, "./no/such/dir"); err == nil {
 		t.Fatal("Packages succeeded on a nonexistent pattern")
 	}
-	if _, err := load.Packages(".", "natle/internal/does-not-exist"); err == nil {
+	if _, err := load.Packages(".", nil, "natle/internal/does-not-exist"); err == nil {
 		t.Fatal("Packages succeeded on a nonexistent import path")
 	}
 }

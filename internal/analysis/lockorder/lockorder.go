@@ -1,72 +1,51 @@
-// Package lockorder defines the natlevet analyzer guarding the lock
-// acquisition discipline of //natlevet:backend native packages. The
-// native backend runs real goroutines over real mutexes, so an
-// inconsistent acquisition order deadlocks for real — and only under
-// the interleaving that exhibits it, which -race does not search for.
+// Package lockorder defines the natlevet analyzer guarding the
+// optimistic read sections of //natlevet:backend native packages.
 //
-// The analyzer builds a static acquisition graph. Nodes are lock
-// identities: fields or variables whose sync.Mutex/RWMutex is locked,
-// and package-local lock types entered through a Critical(ctx, body)
-// helper (native.Mutex, Spin, TLE, NATLE) — a Critical method body and
-// the closure passed to a Critical call both run with that type's lock
-// held. Edges run from every lock held at a program point to every
-// lock acquired there, directly or transitively through same-package
-// calls. Any cycle — including re-acquiring a held lock — is reported
-// on the acquisition that closes it.
+// A function marked //natlevet:seqlock (internal/native's TLE.try) is
+// an optimistic read section: it runs concurrently with writers and is
+// re-executed on conflict, so blocking on a lock inside one can wedge
+// forever — a writer holding the sequence odd may be waiting for that
+// same lock. No acquisition may be reachable from a marked function:
+// neither directly nor through a chain of same-package calls.
 //
-// Functions marked //natlevet:seqlock are optimistic read sections:
-// they run concurrently with writers and retry on conflict, so
-// blocking on any lock inside one can hold the whole seqlock window
-// hostage (and, for paths reachable from the writer side, deadlock).
-// No acquisition may be reachable from a marked function.
+// Acquisitions are Lock/RLock calls on sync.Mutex/RWMutex values and
+// calls to a package-local lock helper's Critical(ctx, body) method
+// (native.Mutex, Spin, TLE, NATLE).
 package lockorder
 
 import (
 	"go/ast"
 	"go/types"
+	"sort"
+	"strings"
 
 	"natle/internal/analysis"
 )
 
-// Analyzer checks native-backend packages for lock-order cycles and
-// for lock acquisitions inside seqlock read sections.
+// Analyzer checks native-backend packages for lock acquisitions
+// reachable from seqlock read sections.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: `forbid lock-order cycles and lock acquisition inside seqlock read sections (native packages)
+	Doc: `forbid lock acquisition inside seqlock read sections (native packages)
 
-In //natlevet:backend native packages, a static acquisition graph is
-built over sync.Mutex/RWMutex values and package-local Critical-style
-lock helpers; cycles (including re-acquiring a held lock) fail, as
-does any acquisition reachable from a //natlevet:seqlock function.
+In //natlevet:backend native packages, no sync.Mutex/RWMutex Lock and
+no package-local Critical-style lock helper may be reachable, directly
+or through same-package calls, from a //natlevet:seqlock function.
 Intentional exceptions carry //natlevet:allow lockorder(reason).`,
 	Run: run,
 }
 
-// lockNode is one vertex of the acquisition graph: either a concrete
-// sync mutex variable or a package-local Critical-helper lock type.
-type lockNode struct {
-	obj  types.Object // *types.Var (mutex field/var) or *types.TypeName
-	name string
-}
-
-type edge struct {
-	from, to *lockNode
-	pos      ast.Node
-}
-
-type funcInfo struct {
-	decl      *ast.FuncDecl
-	acquires  map[*lockNode]ast.Node // directly acquired anywhere in body
-	callees   map[*types.Func]bool   // same-package calls anywhere in body
-	heldCalls []heldCall             // calls made while holding a lock
+// summary is what one function body does with locks: the locks it
+// acquires itself and the same-package functions it calls, each with
+// its first call site. A lock is a sync mutex variable (*types.Var) or
+// a package-local Critical-helper lock type (*types.TypeName).
+type summary struct {
+	acquires map[types.Object]ast.Node
+	callees  map[*types.Func]ast.Node
 }
 
 type checker struct {
-	pass  *analysis.Pass
-	nodes map[types.Object]*lockNode
-	funcs map[*types.Func]*funcInfo
-	edges []edge
-	cur   *funcInfo
+	pass *analysis.Pass
 }
 
 func run(pass *analysis.Pass) error {
@@ -80,97 +59,92 @@ func run(pass *analysis.Pass) error {
 		}
 		return nil
 	}
-
-	c := &checker{
-		pass:  pass,
-		nodes: make(map[types.Object]*lockNode),
-		funcs: make(map[*types.Func]*funcInfo),
+	if len(marked) == 0 {
+		return nil
 	}
 
-	// Pass 1: per-function summaries and held-set edges.
+	c := &checker{pass: pass}
+	funcs := make(map[*types.Func]*summary)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fi := &funcInfo{
-				decl:     fd,
-				acquires: make(map[*lockNode]ast.Node),
-				callees:  make(map[*types.Func]bool),
-			}
-			c.funcs[fn] = fi
-			c.cur = fi
-			var held []*lockNode
-			// A Critical method body runs with its receiver's lock held.
-			if t := criticalReceiver(pass, fd); t != nil {
-				held = append(held, c.node(t))
-			}
-			c.walkStmts(fd.Body.List, held)
-		}
-	}
-
-	// Pass 2: transitive acquisitions through same-package calls.
-	star := c.transitiveAcquires()
-
-	// Calls made while holding a lock acquire everything the callee
-	// chain acquires.
-	for _, fi := range c.funcs {
-		for _, hc := range fi.heldCalls {
-			for node := range star[hc.callee] {
-				if node == hc.held {
-					c.pass.Reportf(hc.pos.Pos(),
-						"calling %s while holding %s re-acquires it: self-deadlock",
-						hc.callee.Name(), hc.held.name)
-					continue
-				}
-				c.edges = append(c.edges, edge{from: hc.held, to: node, pos: hc.pos})
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				funcs[fn] = c.scan(fd.Body)
 			}
 		}
 	}
+	star := transitiveAcquires(funcs)
 
-	c.reportCycles()
-	c.checkSeqlock(marked, star)
+	for n := range marked {
+		section := "seqlock read section"
+		var body *ast.BlockStmt
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			section += " " + fn.Name.Name
+			body = fn.Body
+		case *ast.FuncLit:
+			body = fn.Body
+		}
+		if body == nil {
+			continue
+		}
+		sum := c.scan(body)
+		for lock, at := range sum.acquires {
+			pass.Reportf(at.Pos(),
+				"%s acquires %s: optimistic reads must never block on a lock", section, lockName(lock))
+		}
+		for callee, at := range sum.callees {
+			if locks := star[callee]; len(locks) > 0 {
+				pass.Reportf(at.Pos(),
+					"%s calls %s, which acquires %s: optimistic reads must never block on a lock",
+					section, callee.Name(), names(locks))
+			}
+		}
+	}
 	return nil
 }
 
-// --- summary construction ---
-
-type heldCall struct {
-	held   *lockNode
-	callee *types.Func
-	pos    ast.Node
+// scan summarizes the lock acquisitions and same-package calls
+// anywhere in body, function literals included.
+func (c *checker) scan(body *ast.BlockStmt) *summary {
+	s := &summary{
+		acquires: make(map[types.Object]ast.Node),
+		callees:  make(map[*types.Func]ast.Node),
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		var acquired types.Object
+		if tn := c.criticalCall(call); tn != nil {
+			acquired = tn
+		} else if v := c.syncLockCall(call); v != nil {
+			acquired = v
+		} else if fn := c.calleeOf(call); fn != nil {
+			if _, ok := s.callees[fn]; !ok {
+				s.callees[fn] = call
+			}
+		}
+		if acquired != nil {
+			if _, ok := s.acquires[acquired]; !ok {
+				s.acquires[acquired] = call
+			}
+		}
+		return true
+	})
+	return s
 }
 
-func (c *checker) node(obj types.Object) *lockNode {
-	if n, ok := c.nodes[obj]; ok {
-		return n
+// lockName names a lock in a diagnostic.
+func lockName(lock types.Object) string {
+	if v, ok := lock.(*types.Var); ok && v.IsField() {
+		return "field " + v.Name()
 	}
-	name := obj.Name()
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		name = "field " + name
-	}
-	n := &lockNode{obj: obj, name: name}
-	c.nodes[obj] = n
-	return n
-}
-
-// criticalReceiver returns the receiver's type name when fd is a
-// Critical-style lock entry point: a method named Critical whose last
-// parameter is a function (the critical-section body).
-func criticalReceiver(pass *analysis.Pass, fd *ast.FuncDecl) *types.TypeName {
-	if fd.Recv == nil || fd.Name.Name != "Critical" || len(fd.Type.Params.List) == 0 {
-		return nil
-	}
-	last := fd.Type.Params.List[len(fd.Type.Params.List)-1]
-	if _, ok := pass.TypesInfo.TypeOf(last.Type).Underlying().(*types.Signature); !ok {
-		return nil
-	}
-	return receiverTypeName(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type))
+	return lock.Name()
 }
 
 func receiverTypeName(t types.Type) *types.TypeName {
@@ -183,261 +157,36 @@ func receiverTypeName(t types.Type) *types.TypeName {
 	return nil
 }
 
-// syncLockCall classifies x.Lock/RLock/Unlock/RUnlock calls on
-// sync.Mutex/RWMutex values, returning the lock's variable identity.
-func (c *checker) syncLockCall(call *ast.CallExpr) (v *types.Var, method string) {
+// syncLockCall classifies x.Lock/RLock calls on sync.Mutex/RWMutex
+// values, returning the lock's variable identity.
+func (c *checker) syncLockCall(call *ast.CallExpr) *types.Var {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, ""
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || (fn.Name() != "Lock" && fn.Name() != "RLock") {
+		return nil
 	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return nil, ""
-	}
-	return analysis.AddrTarget(c.pass.TypesInfo, sel.X), fn.Name()
+	return analysis.AddrTarget(c.pass.TypesInfo, sel.X)
 }
 
 // criticalCall classifies recv.Critical(..., body) calls on
-// package-local lock helpers, returning the helper's type and the
-// critical-section body when it is a literal.
-func (c *checker) criticalCall(call *ast.CallExpr) (*types.TypeName, *ast.FuncLit) {
+// package-local lock helpers, returning the helper's type.
+func (c *checker) criticalCall(call *ast.CallExpr) *types.TypeName {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Critical" || len(call.Args) == 0 {
-		return nil, nil
+		return nil
 	}
 	fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() != c.pass.Pkg {
-		return nil, nil
+		return nil
 	}
 	tn := receiverTypeName(c.pass.TypesInfo.TypeOf(sel.X))
 	if tn == nil || tn.Pkg() != c.pass.Pkg {
-		return nil, nil
+		return nil
 	}
-	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
-	return tn, lit
-}
-
-// walkStmts tracks the held-lock set through a statement list. A sync
-// Lock is held until the matching Unlock in the same list (or, absent
-// one — including the defer idiom — to the end of the list); a
-// Critical body runs with its helper's lock held.
-func (c *checker) walkStmts(list []ast.Stmt, held []*lockNode) {
-	for i := 0; i < len(list); i++ {
-		stmt := list[i]
-		if es, ok := stmt.(*ast.ExprStmt); ok {
-			if call, ok := es.X.(*ast.CallExpr); ok {
-				if v, method := c.syncLockCall(call); v != nil {
-					switch method {
-					case "Lock", "RLock":
-						n := c.node(v)
-						c.acquire(n, call, held)
-						rest := list[i+1:]
-						if j := c.findUnlock(rest, v); j >= 0 {
-							c.walkStmts(rest[:j], append(held, n))
-							c.walkStmts(rest[j+1:], held)
-						} else {
-							c.walkStmts(rest, append(held, n))
-						}
-						return
-					case "Unlock", "RUnlock":
-						continue // unmatched unlock: nothing held to release
-					}
-				}
-			}
-		}
-		c.walkStmt(stmt, held)
-	}
-}
-
-// findUnlock locates the statement releasing v in list, ignoring
-// nested blocks (an unlock in a conditional branch does not end the
-// critical section on the fall-through path).
-func (c *checker) findUnlock(list []ast.Stmt, v *types.Var) int {
-	for j, stmt := range list {
-		es, ok := stmt.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if u, method := c.syncLockCall(call); u == v && (method == "Unlock" || method == "RUnlock") {
-			return j
-		}
-	}
-	return -1
-}
-
-func (c *checker) acquire(n *lockNode, at ast.Node, held []*lockNode) {
-	if _, ok := c.cur.acquires[n]; !ok {
-		c.cur.acquires[n] = at
-	}
-	for _, h := range held {
-		if h == n {
-			c.pass.Reportf(at.Pos(), "re-acquiring %s, which is already held on this path: self-deadlock", n.name)
-			continue
-		}
-		c.edges = append(c.edges, edge{from: h, to: n, pos: at})
-	}
-}
-
-// walkStmt descends into one statement, scanning its expressions for
-// acquisitions and same-package calls under the current held set.
-func (c *checker) walkStmt(stmt ast.Stmt, held []*lockNode) {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		c.walkStmts(s.List, held)
-		return
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.walkStmt(s.Init, held)
-		}
-		c.walkExpr(s.Cond, held)
-		c.walkStmts(s.Body.List, held)
-		if s.Else != nil {
-			c.walkStmt(s.Else, held)
-		}
-		return
-	case *ast.ForStmt:
-		if s.Init != nil {
-			c.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			c.walkExpr(s.Cond, held)
-		}
-		if s.Post != nil {
-			c.walkStmt(s.Post, held)
-		}
-		c.walkStmts(s.Body.List, held)
-		return
-	case *ast.RangeStmt:
-		c.walkExpr(s.X, held)
-		c.walkStmts(s.Body.List, held)
-		return
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			c.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			c.walkExpr(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CaseClause); ok {
-				for _, e := range cl.List {
-					c.walkExpr(e, held)
-				}
-				c.walkStmts(cl.Body, held)
-			}
-		}
-		return
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CaseClause); ok {
-				c.walkStmts(cl.Body, held)
-			}
-		}
-		return
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if cl, ok := cc.(*ast.CommClause); ok {
-				c.walkStmts(cl.Body, held)
-			}
-		}
-		return
-	case *ast.LabeledStmt:
-		c.walkStmt(s.Stmt, held)
-		return
-	case *ast.GoStmt:
-		// A spawned goroutine does not inherit the spawner's held set.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.walkStmts(lit.Body.List, nil)
-		} else {
-			c.walkExpr(s.Call, nil)
-		}
-		return
-	case *ast.DeferStmt:
-		// Deferred work runs at exit; conservatively the held set at
-		// this point may still apply (the defer-unlock idiom keeps the
-		// lock held to exit anyway).
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.walkStmts(lit.Body.List, held)
-		} else {
-			c.walkExpr(s.Call, held)
-		}
-		return
-	case *ast.ExprStmt:
-		c.walkExpr(s.X, held)
-		return
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			c.walkExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			c.walkExpr(e, held)
-		}
-		return
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			c.walkExpr(e, held)
-		}
-		return
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt:
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				c.walkExpr(e, held)
-				return false
-			}
-			return true
-		})
-		return
-	case nil:
-		return
-	}
-}
-
-// walkExpr scans an expression for lock-relevant calls: Critical
-// entries (whose body literal runs with the helper held) and calls to
-// same-package functions (recorded for the transitive pass).
-func (c *checker) walkExpr(e ast.Expr, held []*lockNode) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if tn, lit := c.criticalCall(call); tn != nil {
-			node := c.node(tn)
-			c.acquire(node, call, held)
-			if lit != nil {
-				c.walkStmts(lit.Body.List, append(append([]*lockNode{}, held...), node))
-			}
-			for _, arg := range call.Args[:len(call.Args)-1] {
-				c.walkExpr(arg, held)
-			}
-			return false
-		}
-		if v, method := c.syncLockCall(call); v != nil && (method == "Lock" || method == "RLock") {
-			// A Lock in expression position (rare) is still an
-			// acquisition; scope tracking is statement-level only.
-			c.acquire(c.node(v), call, held)
-			return false
-		}
-		if fn := c.calleeOf(call); fn != nil {
-			c.cur.callees[fn] = true
-			for _, h := range held {
-				c.cur.heldCalls = append(c.cur.heldCalls, heldCall{held: h, callee: fn, pos: call})
-			}
-		}
-		return true
-	})
+	return tn
 }
 
 // calleeOf resolves a call to a same-package function or method.
@@ -456,28 +205,25 @@ func (c *checker) calleeOf(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// --- transitive closure and cycle detection ---
-
-// transitiveAcquires computes, for every function, the set of lock
-// nodes acquired by it or anything it (transitively) calls in this
-// package, with a representative acquisition site.
-func (c *checker) transitiveAcquires() map[*types.Func]map[*lockNode]ast.Node {
-	star := make(map[*types.Func]map[*lockNode]ast.Node, len(c.funcs))
-	for fn, fi := range c.funcs {
-		m := make(map[*lockNode]ast.Node, len(fi.acquires))
-		for n, at := range fi.acquires {
-			m[n] = at
+// transitiveAcquires computes, for every function, the set of locks
+// acquired by it or anything it (transitively) calls in this package.
+func transitiveAcquires(funcs map[*types.Func]*summary) map[*types.Func]map[types.Object]bool {
+	star := make(map[*types.Func]map[types.Object]bool, len(funcs))
+	for fn, s := range funcs {
+		m := make(map[types.Object]bool, len(s.acquires))
+		for n := range s.acquires {
+			m[n] = true
 		}
 		star[fn] = m
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, fi := range c.funcs {
+		for fn, s := range funcs {
 			m := star[fn]
-			for callee := range fi.callees {
-				for n, at := range star[callee] {
-					if _, ok := m[n]; !ok {
-						m[n] = at
+			for callee := range s.callees {
+				for n := range star[callee] {
+					if !m[n] {
+						m[n] = true
 						changed = true
 					}
 				}
@@ -487,116 +233,12 @@ func (c *checker) transitiveAcquires() map[*types.Func]map[*lockNode]ast.Node {
 	return star
 }
 
-func (c *checker) reportCycles() {
-	// Strongly connected components over the acquisition graph; every
-	// edge within a component participates in a cycle.
-	adj := make(map[*lockNode][]*lockNode)
-	for _, e := range c.edges {
-		adj[e.from] = append(adj[e.from], e.to)
+// names lists the locks of a set, sorted, for a stable message.
+func names(locks map[types.Object]bool) string {
+	var out []string
+	for lock := range locks {
+		out = append(out, lockName(lock))
 	}
-	index := make(map[*lockNode]int)
-	low := make(map[*lockNode]int)
-	comp := make(map[*lockNode]int)
-	onStack := make(map[*lockNode]bool)
-	var stack []*lockNode
-	next, ncomp := 0, 0
-	var strongconnect func(n *lockNode)
-	strongconnect = func(n *lockNode) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, m := range adj[n] {
-			if _, seen := index[m]; !seen {
-				strongconnect(m)
-				low[n] = min(low[n], low[m])
-			} else if onStack[m] {
-				low[n] = min(low[n], index[m])
-			}
-		}
-		if low[n] == index[n] {
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				comp[m] = ncomp
-				if m == n {
-					break
-				}
-			}
-			ncomp++
-		}
-	}
-	for n := range c.nodes {
-		if _, seen := index[c.nodes[n]]; !seen {
-			strongconnect(c.nodes[n])
-		}
-	}
-	reported := make(map[ast.Node]bool)
-	for _, e := range c.edges {
-		if e.from == e.to {
-			continue // self-deadlock already reported at acquire time
-		}
-		if comp[e.from] == comp[e.to] && !reported[e.pos] {
-			reported[e.pos] = true
-			c.pass.Reportf(e.pos.Pos(),
-				"acquiring %s while holding %s closes a lock-order cycle: another path acquires them in the opposite order",
-				e.to.name, e.from.name)
-		}
-	}
-}
-
-// checkSeqlock reports any acquisition reachable from a
-// //natlevet:seqlock function: a seqlock read section must never
-// block on a lock.
-func (c *checker) checkSeqlock(marked map[ast.Node]bool, star map[*types.Func]map[*lockNode]ast.Node) {
-	for _, fi := range c.funcs {
-		if !marked[ast.Node(fi.decl)] {
-			continue
-		}
-		fn := c.pass.TypesInfo.Defs[fi.decl.Name].(*types.Func)
-		for n, at := range fi.acquires {
-			c.pass.Reportf(at.Pos(),
-				"seqlock read section %s acquires %s: optimistic reads must never block on a lock",
-				fn.Name(), n.name)
-		}
-		for callee := range fi.callees {
-			if m := star[callee]; len(m) > 0 {
-				for n := range m {
-					c.pass.Reportf(fi.decl.Name.Pos(),
-						"seqlock read section %s calls %s, which acquires %s: optimistic reads must never block on a lock",
-						fn.Name(), callee.Name(), n.name)
-					break
-				}
-				break
-			}
-		}
-	}
-	// Marked function literals: direct scan (no summary entry).
-	for n := range marked {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		saved := c.cur
-		c.cur = &funcInfo{acquires: make(map[*lockNode]ast.Node), callees: make(map[*types.Func]bool)}
-		c.walkStmts(lit.Body.List, nil)
-		for node, at := range c.cur.acquires {
-			c.pass.Reportf(at.Pos(),
-				"seqlock read section acquires %s: optimistic reads must never block on a lock", node.name)
-		}
-		for callee := range c.cur.callees {
-			if len(star[callee]) > 0 {
-				for node := range star[callee] {
-					c.pass.Reportf(lit.Pos(),
-						"seqlock read section calls %s, which acquires %s: optimistic reads must never block on a lock",
-						callee.Name(), node.name)
-					break
-				}
-				break
-			}
-		}
-		c.cur = saved
-	}
+	sort.Strings(out)
+	return strings.Join(out, ", ")
 }

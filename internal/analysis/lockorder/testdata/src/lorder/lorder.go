@@ -1,8 +1,8 @@
 //natlevet:backend native
 
 // Package lorder is the lockorder analyzer fixture: a native-backend
-// package whose lock acquisitions must be cycle-free, with seqlock
-// read sections acquiring nothing at all.
+// package whose seqlock read sections must acquire nothing at all,
+// directly or through a same-package call.
 package lorder
 
 import (
@@ -16,62 +16,28 @@ type server struct {
 	b sync.Mutex
 }
 
-func (s *server) ab() {
-	s.a.Lock()
-	s.b.Lock() // want `closes a lock-order cycle`
-	s.b.Unlock()
-	s.a.Unlock()
-}
-
-func (s *server) ba() {
-	s.b.Lock()
-	s.a.Lock() // want `closes a lock-order cycle`
-	s.a.Unlock()
-	s.b.Unlock()
-}
-
-func (s *server) twice() {
-	s.a.Lock()
-	defer s.a.Unlock()
-	s.a.Lock() // want `re-acquiring field a`
-}
-
 func (s *server) lockB() {
 	s.b.Lock()
 	s.b.Unlock()
 }
 
-// aThenB takes the a-then-b order only through a callee, so the edge
-// is found by the transitive pass, not the direct one.
-func (s *server) aThenB() {
+// viaLockB reaches b only through a callee, so the finding on readVia2
+// comes from the transitive pass.
+func (s *server) viaLockB() { s.lockB() }
+
+// Critical-style helpers are locks too: calling one acquires it.
+type elide struct{}
+
+func (l *elide) Critical(bc backend.Ctx, body func()) { body() }
+
+// Outside a seqlock section, acquisitions are not this analyzer's
+// business, nested or not.
+func (s *server) ab() {
 	s.a.Lock()
-	s.lockB() // want `closes a lock-order cycle`
+	s.b.Lock()
+	s.b.Unlock()
 	s.a.Unlock()
 }
-
-// Critical-style helpers are lock nodes too: their method body and
-// the closure passed to a call both run with the helper held.
-type elideA struct{}
-
-func (l *elideA) Critical(bc backend.Ctx, body func()) { body() }
-
-type elideB struct{}
-
-func (l *elideB) Critical(bc backend.Ctx, body func()) { body() }
-
-func nestAB(bc backend.Ctx, a *elideA, b *elideB) {
-	a.Critical(bc, func() {
-		b.Critical(bc, func() {}) // want `closes a lock-order cycle`
-	})
-}
-
-func nestBA(bc backend.Ctx, a *elideA, b *elideB) {
-	b.Critical(bc, func() {
-		a.Critical(bc, func() {}) // want `closes a lock-order cycle`
-	})
-}
-
-// --- seqlock read sections ---
 
 //natlevet:seqlock
 func (s *server) read() uint64 {
@@ -81,17 +47,33 @@ func (s *server) read() uint64 {
 }
 
 //natlevet:seqlock
-func (s *server) readVia() { // want `calls lockB, which acquires field b`
-	s.lockB()
+func (s *server) readVia() {
+	s.lockB() // want `seqlock read section readVia calls lockB, which acquires field b`
+}
+
+//natlevet:seqlock
+func (s *server) readVia2() {
+	s.viaLockB() // want `calls viaLockB, which acquires field b`
+}
+
+//natlevet:seqlock
+func readCritical(bc backend.Ctx, l *elide) {
+	l.Critical(bc, func() {}) // want `seqlock read section readCritical acquires elide`
+}
+
+func literal(s *server) func() {
+	//natlevet:seqlock
+	return func() {
+		s.a.Lock() // want `seqlock read section acquires field a`
+		s.a.Unlock()
+	}
 }
 
 //natlevet:seqlock
 func (s *server) readClean() uint64 { return 0 }
 
-// allowedBA documents a sanctioned ordering violation.
-func (s *server) allowedBA() {
-	s.b.Lock()
-	s.a.Lock() //natlevet:allow lockorder(fixture: startup path, provably single-threaded)
+//natlevet:seqlock
+func (s *server) allowed() {
+	s.a.Lock() //natlevet:allow lockorder(fixture: a sanctioned acquisition)
 	s.a.Unlock()
-	s.b.Unlock()
 }

@@ -3,17 +3,5 @@
 // directive here marks nothing and must be called out.
 package lordersim
 
-import "sync"
-
-var mu sync.Mutex
-
-// ba would be a cycle half in a native package; here it is ignored.
-func cyclicHalf(other *sync.Mutex) {
-	mu.Lock()
-	other.Lock()
-	other.Unlock()
-	mu.Unlock()
-}
-
 //natlevet:seqlock
 func notNative() {} // want `outside a //natlevet:backend native package`

@@ -43,40 +43,18 @@ import (
 	"natle/internal/vtime"
 )
 
-// Code is a transaction abort condition code. Its values mirror
-// package telemetry's Code (telemetry must not import htm); the
-// natlevet exhaustive analyzer asserts the two constant blocks stay
-// value-for-value identical.
-//
-//natlevet:mirror natle/internal/telemetry.Code
-type Code uint8
+// Code is a transaction abort condition code: telemetry's, so an
+// abort's code reaches the recorder and the fault injector as is.
+type Code = telemetry.Code
 
 // Abort condition codes.
 const (
-	CodeNone     Code = iota
-	CodeConflict      // data conflict with another thread
-	CodeCapacity      // read/write set overflowed the tracking capacity
-	CodeExplicit      // explicit abort (XABORT) by the program
-	CodeLockHeld      // explicit abort because the elided lock was held
-	numCodes
+	CodeNone     = telemetry.CodeNone
+	CodeConflict = telemetry.CodeConflict // data conflict with another thread
+	CodeCapacity = telemetry.CodeCapacity // read/write set overflowed the tracking capacity
+	CodeExplicit = telemetry.CodeExplicit // explicit abort (XABORT) by the program
+	CodeLockHeld = telemetry.CodeLockHeld // explicit abort because the elided lock was held
 )
-
-// String returns the name of the abort code.
-func (c Code) String() string {
-	switch c {
-	case CodeNone:
-		return "none"
-	case CodeConflict:
-		return "conflict"
-	case CodeCapacity:
-		return "capacity"
-	case CodeExplicit:
-		return "explicit"
-	case CodeLockHeld:
-		return "lock-held"
-	}
-	return fmt.Sprintf("code(%d)", uint8(c))
-}
 
 // Outcome describes one transactional attempt.
 type Outcome struct {
@@ -89,7 +67,7 @@ type Outcome struct {
 type Stats struct {
 	Starts  uint64
 	Commits uint64
-	Aborts  [numCodes]uint64
+	Aborts  [telemetry.NumCodes]uint64
 
 	// CommitDurTotal accumulates the virtual duration of committed
 	// transactions (begin to commit); CommitDurTotal / Commits is the
@@ -392,10 +370,10 @@ func (s *System) finishAbort(c *sim.Ctx, t *txState) {
 	if s.inj != nil {
 		// Lying-hint injection: the condition code is what happened; the
 		// hint is only what the hardware *claims* about retrying.
-		t.hint = s.inj.AbortHint(c, telemetry.Code(t.code), t.hint)
+		t.hint = s.inj.AbortHint(c, t.code, t.hint)
 	}
 	s.rec.TxAbort(c.Now(), int(t.slot), c.Socket(), t.lock,
-		telemetry.Code(t.code), t.hint, c.Now().Sub(t.beginAt))
+		t.code, t.hint, c.Now().Sub(t.beginAt))
 	t.dead = true
 	c.Freeze()
 }

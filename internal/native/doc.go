@@ -26,9 +26,9 @@
 // race-detector clean; optimistic readers discard torn higher-level
 // state through sequence validation, exactly like a seqlock.
 //
-// Wall-clock reads and real goroutines are the point of this package,
-// so the natlevet determinism and txnsafe analyzers are waived for it
-// wholesale by the directive below (simulated packages stay strict).
+// Real goroutines over real locks are the point of this package, so
+// the directive below selects it for natlevet's lockorder analyzer: no
+// lock may be taken inside its seqlock read section (TLE.try).
 //
 //natlevet:backend native
 package native

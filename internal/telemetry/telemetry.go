@@ -19,8 +19,8 @@
 //
 // The package depends only on vtime so that every layer of the stack
 // (cache, htm, tle, natle, workload, harness) can emit events without
-// import cycles. Event codes mirror htm abort codes by value; package
-// htm asserts the correspondence at compile time.
+// import cycles. Package htm's abort code is this package's Code (a
+// type alias), so the two cannot drift apart.
 package telemetry
 
 import (
@@ -29,8 +29,8 @@ import (
 	"natle/internal/vtime"
 )
 
-// Code is a transaction abort condition code. Values mirror htm.Code
-// (none, conflict, capacity, explicit, lock-held).
+// Code is a transaction abort condition code; htm.Code is an alias of
+// it.
 type Code uint8
 
 // Abort condition codes.

@@ -79,16 +79,16 @@ type Stats struct {
 	Ops                  uint64 // critical sections executed
 	Attempts             uint64 // transactional attempts
 	Commits              uint64
-	Aborts               [5]uint64 // by htm.Code
-	Fallbacks            uint64    // critical sections that took the lock
-	CommitsAfterNoHint   uint64    // commits preceded by >=1 hint-clear abort (Fig 2b)
-	LockHeldWaits        uint64    // attempts deferred because the lock was held
-	CommitsAfterCapacity uint64    // commits preceded by >=1 capacity abort
-	Starvations          uint64    // watchdog-forced fallbacks (wait bound hit)
-	BreakerTrips         uint64    // breaker openings
-	BreakerProbes        uint64    // half-open probe critical sections
-	BreakerRecoveries    uint64    // probes that committed and closed the breaker
-	BreakerSkips         uint64    // critical sections sent straight to the lock
+	Aborts               [telemetry.NumCodes]uint64 // by htm.Code
+	Fallbacks            uint64                     // critical sections that took the lock
+	CommitsAfterNoHint   uint64                     // commits preceded by >=1 hint-clear abort (Fig 2b)
+	LockHeldWaits        uint64                     // attempts deferred because the lock was held
+	CommitsAfterCapacity uint64                     // commits preceded by >=1 capacity abort
+	Starvations          uint64                     // watchdog-forced fallbacks (wait bound hit)
+	BreakerTrips         uint64                     // breaker openings
+	BreakerProbes        uint64                     // half-open probe critical sections
+	BreakerRecoveries    uint64                     // probes that committed and closed the breaker
+	BreakerSkips         uint64                     // critical sections sent straight to the lock
 }
 
 // Sub returns the counter deltas s - t.
