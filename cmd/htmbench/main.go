@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -70,7 +71,7 @@ func main() {
 		backendF  = flag.String("backend", "sim", "execution backend: sim | native")
 		prof      = flag.String("machine", "large", "machine profile: large | small")
 		pin       = flag.String("pin", "fill", "pinning: fill | alt | none | socket0")
-		setKind   = flag.String("set", "avl", "set: avl | leafbst | bst | skiplist")
+		setKind   = flag.String("set", "avl", setHelp())
 		keys      = flag.Int64("keys", 2048, "key range [0, keys)")
 		updates   = flag.Int("updates", 100, "update percentage")
 		extWork   = flag.Int("work", 0, "external work max iterations")
@@ -197,6 +198,11 @@ func main() {
 		}
 		runService(a)
 		return
+	}
+
+	if err := checkSet(*setKind); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	if bk == backend.Native {
@@ -406,6 +412,29 @@ func backendArg(args []string) backend.Kind {
 		}
 	}
 	return k
+}
+
+// setKinds lists sets.Kinds() the way the -set help and its rejection
+// show them.
+func setKinds() string {
+	names := make([]string, 0, len(sets.Kinds()))
+	for _, k := range sets.Kinds() {
+		names = append(names, string(k))
+	}
+	return strings.Join(names, " | ")
+}
+
+// setHelp is the -set flag help; it is generated from sets.Kinds(), and
+// a test holds the two in agreement (see TestSetFlagMatchesKinds).
+func setHelp() string { return "set: " + setKinds() }
+
+// checkSet rejects a -set value that names no set kind, before either
+// backend's sweep starts.
+func checkSet(name string) error {
+	if slices.Contains(sets.Kinds(), sets.Kind(name)) {
+		return nil
+	}
+	return fmt.Errorf("unknown set kind %q (have %s)", name, setKinds())
 }
 
 // indent prefixes every line of s (for nesting summaries under the

@@ -11,6 +11,7 @@ import (
 
 	"natle/internal/harness"
 	"natle/internal/scheme"
+	"natle/internal/sets"
 	"natle/internal/workload"
 )
 
@@ -136,6 +137,38 @@ func TestNativeWorkloadFlagMatchesRegistry(t *testing.T) {
 	}
 	if workload.IsBackendWorkload("no-such-workload") {
 		t.Error("IsBackendWorkload accepts an unregistered name")
+	}
+}
+
+// TestSetFlagMatchesKinds holds the -set flag help and its validation
+// to sets.Kinds(): the help names every kind, in order, and nothing
+// else; checkSet accepts each kind and rejects any other name with an
+// error listing the kinds, so a bad -set exits 2 on the sim backend as
+// on the native one.
+func TestSetFlagMatchesKinds(t *testing.T) {
+	var kinds []string
+	for _, k := range sets.Kinds() {
+		kinds = append(kinds, string(k))
+		if err := checkSet(string(k)); err != nil {
+			t.Errorf("checkSet rejects kind %q: %v", k, err)
+		}
+	}
+	const prefix = "set: "
+	help := setHelp()
+	if !strings.HasPrefix(help, prefix) {
+		t.Fatalf("flag help %q lacks prefix %q", help, prefix)
+	}
+	if named := strings.Split(strings.TrimPrefix(help, prefix), " | "); !reflect.DeepEqual(named, kinds) {
+		t.Errorf("flag help names %v, sets.Kinds() is %v", named, kinds)
+	}
+	err := checkSet("foo")
+	if err == nil {
+		t.Fatal(`checkSet accepts "foo"`)
+	}
+	for _, k := range kinds {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("rejection %q does not list kind %q", err, k)
+		}
 	}
 }
 

@@ -52,10 +52,6 @@ func runNative(a nativeArgs) {
 			a.workload, strings.Join(workload.BackendWorkloads(), " | "))
 		os.Exit(2)
 	}
-	if a.workload == workload.BackendSets && sets.InsertWords(a.set) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown set kind %q\n", a.set)
-		os.Exit(2)
-	}
 	var counts []int
 	if a.threadsCSV != "" {
 		for _, f := range strings.Split(a.threadsCSV, ",") {
@@ -68,16 +64,18 @@ func runNative(a nativeArgs) {
 		}
 	}
 	cfg := harness.NativeSweepConfig{
-		Lock:         a.lock,
-		Workload:     a.workload,
-		Threads:      counts,
-		Ops:          a.ops,
-		Seed:         a.seed,
-		KeyRange:     a.keys,
-		Set:          a.set,
-		ExternalWork: a.work,
-		TLE:          a.pol,
-		Fault:        a.fault,
+		Base: workload.BackendConfig{
+			Lock:         a.lock,
+			Workload:     a.workload,
+			Ops:          a.ops,
+			Seed:         a.seed,
+			KeyRange:     a.keys,
+			Set:          a.set,
+			ExternalWork: a.work,
+			TLE:          a.pol,
+			Fault:        a.fault,
+		},
+		Threads: counts,
 	}
 	host := harness.Fingerprint()
 	wlDesc := a.workload

@@ -30,7 +30,8 @@ func trial(t *testing.T, inj fault.Injector) ([]int64, htm.Stats, []byte) {
 	}
 	var keys []int64
 	e.Spawn(nil, func(c *sim.Ctx) {
-		set := sets.NewAVL(sys, c)
+		// New fails only on an unknown kind.
+		set, _ := sets.New(sets.KindAVL, sys, c)
 		l := tle.New(sys, c, 0, tle.TLE20())
 		for i := 0; i < 4; i++ {
 			tid := i

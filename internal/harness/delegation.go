@@ -11,8 +11,7 @@ import (
 
 // avlExec adapts an AVL tree to the delegation executor interface.
 type avlExec struct {
-	sys *htm.System
-	set *sets.AVL
+	set *sets.Set
 }
 
 // Execute implements delegation.Executor.
@@ -57,7 +56,8 @@ func RunDelegation(sc Scale, threads, batch int) float64 {
 			s := s
 			chans[s] = delegation.NewChannel(sys, c, nClients, s)
 			// The server's half lives in a socket-local tree.
-			tree := sets.NewAVL(sys, c)
+			// New fails only on an unknown kind.
+			tree, _ := sets.New(sets.KindAVL, sys, c)
 			lo := int64(s) * keyRange / int64(p.Sockets)
 			hi := int64(s+1) * keyRange / int64(p.Sockets)
 			// Prefill half the keys of this server's subrange.
@@ -68,7 +68,7 @@ func RunDelegation(sc Scale, threads, batch int) float64 {
 			// policy-placed clients off them at low thread counts.
 			core := (s+1)*p.CoresPerSocket - 1
 			e.SpawnOn(c, core, func(w *sim.Ctx) {
-				exec := avlExec{sys: sys, set: tree}
+				exec := avlExec{set: tree}
 				for !stop {
 					if !chans[s].Serve(w, exec) {
 						w.AdvanceIdle(200 * vtime.Nanosecond)

@@ -6,11 +6,8 @@ import (
 	"runtime"
 
 	"natle/internal/backend"
-	"natle/internal/fault"
 	"natle/internal/native"
 	"natle/internal/scheme"
-	"natle/internal/sets"
-	"natle/internal/tle"
 	"natle/internal/workload"
 )
 
@@ -23,40 +20,24 @@ import (
 
 // NativeSweepConfig describes one native thread sweep.
 type NativeSweepConfig struct {
-	// Lock names a native-backend scheme (scheme.NamesFor(native)).
-	Lock string
-	// Workload is one of workload.BackendWorkloads() (default counter).
-	Workload string
+	// Base configures every trial: lock (a native-backend scheme,
+	// scheme.NamesFor(native)), workload, per-thread ops (default
+	// 1<<14), seed, key range, set kind, external work, retry policy
+	// and faults. Each trial replaces its Threads with one entry of
+	// Threads below.
+	Base workload.BackendConfig
 	// Threads is the goroutine sweep (default 1,2,4,8,16).
 	Threads []int
-	// Ops is the per-thread operation count (default 1<<14).
-	Ops int
-	// Seed feeds the deterministic operation schedules.
-	Seed int64
-	// KeyRange sizes the twotrees/sets key space (default 1024).
-	KeyRange int
-	// Set selects the sets workload's structure (default avl).
-	Set sets.Kind
-	// ExternalWork bounds the random between-op work (0 disables).
-	ExternalWork int
 	// Sockets is the native thread-group count (default 2).
 	Sockets int
-	// TLE overrides the scheme's retry policy (zero keeps defaults).
-	TLE tle.Policy
-	// Fault, if non-nil and enabled, arms these faults on every trial
-	// (see workload.BackendConfig.Fault).
-	Fault *fault.Profile
 }
 
 func (cfg *NativeSweepConfig) defaults() {
-	if cfg.Workload == "" {
-		cfg.Workload = workload.BackendCounter
-	}
 	if len(cfg.Threads) == 0 {
 		cfg.Threads = []int{1, 2, 4, 8, 16}
 	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 1 << 14
+	if cfg.Base.Ops <= 0 {
+		cfg.Base.Ops = 1 << 14
 	}
 }
 
@@ -67,22 +48,12 @@ func NativeSweep(cfg NativeSweepConfig) []*workload.BackendResult {
 	cfg.defaults()
 	out := make([]*workload.BackendResult, 0, len(cfg.Threads))
 	for _, n := range cfg.Threads {
-		bc := workload.BackendConfig{
-			Lock:         cfg.Lock,
-			Workload:     cfg.Workload,
-			Threads:      n,
-			Ops:          cfg.Ops,
-			Seed:         cfg.Seed,
-			KeyRange:     cfg.KeyRange,
-			Set:          cfg.Set,
-			ExternalWork: cfg.ExternalWork,
-			TLE:          cfg.TLE,
-			Fault:        cfg.Fault,
-		}
+		bc := cfg.Base
+		bc.Threads = n
 		// The world is sized from the workload's own estimate: the sets
 		// trials allocate structure nodes from backend words, and the
 		// default capacity is not enough for long sweeps.
-		w := native.NewWorld(native.Config{Seed: cfg.Seed, Sockets: cfg.Sockets, Words: bc.MemWords()})
+		w := native.NewWorld(native.Config{Seed: bc.Seed, Sockets: cfg.Sockets, Words: bc.MemWords()})
 		out = append(out, workload.RunBackend(w, bc))
 	}
 	return out
@@ -153,8 +124,8 @@ func NativeBenchSnapshot(cfg NativeSweepConfig) *NativeBench {
 	}
 	out := &NativeBench{
 		Backend:      string(backend.Native),
-		OpsPerThread: cfg.Ops,
-		Seed:         cfg.Seed,
+		OpsPerThread: cfg.Base.Ops,
+		Seed:         cfg.Base.Seed,
 		Sockets:      sockets,
 		Threads:      cfg.Threads,
 		Host:         Fingerprint(),
@@ -163,8 +134,8 @@ func NativeBenchSnapshot(cfg NativeSweepConfig) *NativeBench {
 		bw := NativeBenchWorkload{Workload: wl}
 		for _, name := range scheme.NamesFor(backend.Native) {
 			sc := cfg
-			sc.Workload = wl
-			sc.Lock = name
+			sc.Base.Workload = wl
+			sc.Base.Lock = name
 			bs := NativeBenchScheme{Scheme: name}
 			for _, r := range NativeSweep(sc) {
 				var commits, aborts, fallbacks uint64

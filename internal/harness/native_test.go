@@ -57,7 +57,7 @@ func checkBenchShape(t *testing.T, b *NativeBench) {
 }
 
 func TestNativeBenchSnapshotShape(t *testing.T) {
-	b := NativeBenchSnapshot(NativeSweepConfig{Threads: []int{1, 2}, Ops: 512, Seed: 1})
+	b := NativeBenchSnapshot(NativeSweepConfig{Base: workload.BackendConfig{Ops: 512, Seed: 1}, Threads: []int{1, 2}})
 	checkBenchShape(t, b)
 	if b.Host != Fingerprint() {
 		t.Errorf("host fingerprint = %+v, want %+v", b.Host, Fingerprint())
@@ -98,7 +98,8 @@ func TestCommittedNativeBenchParses(t *testing.T) {
 func TestNativeSweepFaultPlumbing(t *testing.T) {
 	p := fault.Profile{StallProb: 1, StallLen: vtime.Microsecond}
 	rs := NativeSweep(NativeSweepConfig{
-		Lock: "native-mutex", Threads: []int{2}, Ops: 64, Seed: 1, Fault: &p,
+		Base:    workload.BackendConfig{Lock: "native-mutex", Ops: 64, Seed: 1, Fault: &p},
+		Threads: []int{2},
 	})
 	if len(rs) != 1 {
 		t.Fatalf("got %d results, want 1", len(rs))
@@ -107,7 +108,8 @@ func TestNativeSweepFaultPlumbing(t *testing.T) {
 		t.Error("certain stalls on every acquisition never fired")
 	}
 	clean := NativeSweep(NativeSweepConfig{
-		Lock: "native-mutex", Threads: []int{2}, Ops: 64, Seed: 1,
+		Base:    workload.BackendConfig{Lock: "native-mutex", Ops: 64, Seed: 1},
+		Threads: []int{2},
 	})
 	if clean[0].Fault != (fault.Stats{}) {
 		t.Errorf("fault-free sweep reported injected faults: %+v", clean[0].Fault)

@@ -75,7 +75,8 @@ func eqTrial(t *testing.T, desc *scheme.Descriptor) ([]int64, htm.Stats, scheme.
 	var syncStats scheme.Stats
 
 	e.Spawn(nil, func(c *sim.Ctx) {
-		set := sets.NewAVL(sys, c)
+		// New fails only on an unknown kind.
+		set, _ := sets.New(sets.KindAVL, sys, c)
 		cs := desc.New(sys, c, 0)
 		work := func(w *sim.Ctx, tid int) {
 			for j := 0; j < eqOpsPerWorker; j++ {

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"natle/internal/arena"
-	"natle/internal/htm"
-	"natle/internal/mem"
-	"natle/internal/sim"
 )
 
 // AVL node layout: one cache line per node.
@@ -288,53 +285,4 @@ func avlCheck[M arena.Mem](m M, root uint64) error {
 	}
 	_, err := check(m.Load(root), -1<<62, 1<<62)
 	return err
-}
-
-// AVL is a height-balanced binary search tree [Adelson-Velsky & Landis
-// 1962]. Most updates touch only a few nodes near the leaves, but
-// occasional rebalances rotate interior nodes — including the root —
-// which is what makes the AVL tree the paper's prime example of a
-// NUMA-sensitive structure.
-type AVL struct {
-	sys  *htm.System
-	root mem.Addr // word holding the root node's address
-}
-
-// NewAVL creates an empty AVL tree with its root pointer on socket 0.
-func NewAVL(sys *htm.System, c *sim.Ctx) *AVL {
-	return &AVL{sys: sys, root: sys.AllocHome(c, 1, 0)}
-}
-
-// Name implements Set.
-func (t *AVL) Name() string { return "avl" }
-
-// Contains implements Set.
-func (t *AVL) Contains(c *sim.Ctx, key int64) bool {
-	return avlContains(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// SearchReplace implements Set.
-func (t *AVL) SearchReplace(c *sim.Ctx, key int64) {
-	avlSearchReplace(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Insert implements Set.
-func (t *AVL) Insert(c *sim.Ctx, key int64) bool {
-	return avlInsert(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Delete implements Set.
-func (t *AVL) Delete(c *sim.Ctx, key int64) bool {
-	return avlDelete(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Keys implements Set (raw in-order walk; validation only).
-func (t *AVL) Keys() []int64 {
-	return avlKeys(arena.SimRaw{Space: t.sys.Mem}, uint64(t.root))
-}
-
-// CheckInvariants implements Set: BST ordering, correct stored heights,
-// and balance factors within [-1, 1] at every node.
-func (t *AVL) CheckInvariants() error {
-	return avlCheck(arena.SimRaw{Space: t.sys.Mem}, uint64(t.root))
 }

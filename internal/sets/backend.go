@@ -7,12 +7,12 @@ import (
 	"natle/internal/backend"
 )
 
-// BackendSet runs the same structure cores the sim Set wrappers use,
-// but over the backend.Ctx contract with nodes carved from an arena in
-// backend words — so one set implementation executes on the simulator
-// and on real goroutines alike. Operations must be called inside
-// whatever critical section the workload's scheme provides, exactly
-// like the sim sets.
+// BackendSet is Set's counterpart on any backend: the same kind
+// dispatch and structure cores, run over the backend.Ctx contract with
+// nodes carved from an arena in backend words — so one set
+// implementation executes on the simulator and on real goroutines
+// alike. Operations must be called inside whatever critical section the
+// workload's scheme provides, exactly like Set's.
 type BackendSet struct {
 	kind Kind
 	root uint64 // root-pointer word (sentinel head node for skiplist)
@@ -44,94 +44,34 @@ func (s *BackendSet) Kind() Kind { return s.kind }
 // Insert adds key inside the current critical section; it reports
 // whether the key was absent.
 func (s *BackendSet) Insert(c backend.Ctx, key int64) bool {
-	m := arena.Bind(c, s.ar)
-	switch s.kind {
-	case KindAVL:
-		return avlInsert(m, s.root, key)
-	case KindBST:
-		return bstInsert(m, s.root, key)
-	case KindLeafBST:
-		return lbInsert(m, s.root, key)
-	default:
-		return slInsert(m, s.root, key)
-	}
+	return insert(arena.Bind(c, s.ar), s.kind, s.root, key)
 }
 
 // Delete removes key; it reports whether the key was present.
 func (s *BackendSet) Delete(c backend.Ctx, key int64) bool {
-	m := arena.Bind(c, s.ar)
-	switch s.kind {
-	case KindAVL:
-		return avlDelete(m, s.root, key)
-	case KindBST:
-		return bstDelete(m, s.root, key)
-	case KindLeafBST:
-		return lbDelete(m, s.root, key)
-	default:
-		return slDelete(m, s.root, key)
-	}
+	return remove(arena.Bind(c, s.ar), s.kind, s.root, key)
 }
 
 // Contains reports whether key is present.
 func (s *BackendSet) Contains(c backend.Ctx, key int64) bool {
-	m := arena.Bind(c, s.ar)
-	switch s.kind {
-	case KindAVL:
-		return avlContains(m, s.root, key)
-	case KindBST:
-		return bstContains(m, s.root, key)
-	case KindLeafBST:
-		return lbContains(m, s.root, key)
-	default:
-		return slContains(m, s.root, key)
-	}
+	return contains(arena.Bind(c, s.ar), s.kind, s.root, key)
 }
 
 // SearchReplace performs the paper's idempotent search-and-rewrite.
 func (s *BackendSet) SearchReplace(c backend.Ctx, key int64) {
-	m := arena.Bind(c, s.ar)
-	switch s.kind {
-	case KindAVL:
-		avlSearchReplace(m, s.root, key)
-	case KindBST:
-		bstSearchReplace(m, s.root, key)
-	case KindLeafBST:
-		lbSearchReplace(m, s.root, key)
-	default:
-		slSearchReplace(m, s.root, key)
-	}
+	searchReplace(arena.Bind(c, s.ar), s.kind, s.root, key)
 }
 
 // Keys returns the sorted contents read from the quiesced world
 // (validation only; call after World.Run returns).
 func (s *BackendSet) Keys(w backend.World) []int64 {
-	m := arena.Peek{W: w}
-	switch s.kind {
-	case KindAVL:
-		return avlKeys(m, s.root)
-	case KindBST:
-		return bstKeys(m, s.root)
-	case KindLeafBST:
-		return lbKeys(m, s.root)
-	default:
-		return slKeys(m, s.root)
-	}
+	return keys(arena.Peek{W: w}, s.kind, s.root)
 }
 
 // CheckInvariants validates structural invariants from the quiesced
 // world (validation only).
 func (s *BackendSet) CheckInvariants(w backend.World) error {
-	m := arena.Peek{W: w}
-	switch s.kind {
-	case KindAVL:
-		return avlCheck(m, s.root)
-	case KindBST:
-		return bstCheck(m, s.root)
-	case KindLeafBST:
-		return lbCheck(m, s.root)
-	default:
-		return slCheck(m, s.root)
-	}
+	return check(arena.Peek{W: w}, s.kind, s.root)
 }
 
 // InsertWords returns the worst-case arena words one Insert of the

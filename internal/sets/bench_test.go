@@ -52,8 +52,8 @@ func benchChunks(b *testing.B, chunk int, run func(n int)) {
 	}
 }
 
-// BenchmarkSim times one operation of each set kind through its sim Set
-// wrapper, outside any critical section, on a lone simulated thread.
+// BenchmarkSim times one operation of each set kind through Set,
+// outside any critical section, on a lone simulated thread.
 func BenchmarkSim(b *testing.B) {
 	for _, kind := range Kinds() {
 		for _, op := range benchOps {

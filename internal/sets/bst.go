@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"natle/internal/arena"
-	"natle/internal/htm"
-	"natle/internal/mem"
-	"natle/internal/sim"
 )
 
 // Internal BST node layout: one cache line per node.
@@ -180,51 +177,4 @@ func bstCheck[M arena.Mem](m M, root uint64) error {
 		return check(m.Load(n+ibRight), k+1, hi)
 	}
 	return check(m.Load(root), -1<<62, 1<<62)
-}
-
-// BST is a classic unbalanced internal binary search tree. Unlike the
-// AVL tree it never rotates; unlike the leaf-oriented BST, deleting a
-// node with two children copies the successor's key into an interior
-// node, so it sits between the two in NUMA sensitivity.
-type BST struct {
-	sys  *htm.System
-	root mem.Addr
-}
-
-// NewBST creates an empty internal BST.
-func NewBST(sys *htm.System, c *sim.Ctx) *BST {
-	return &BST{sys: sys, root: sys.AllocHome(c, 1, 0)}
-}
-
-// Name implements Set.
-func (t *BST) Name() string { return "bst" }
-
-// Contains implements Set.
-func (t *BST) Contains(c *sim.Ctx, key int64) bool {
-	return bstContains(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// SearchReplace implements Set.
-func (t *BST) SearchReplace(c *sim.Ctx, key int64) {
-	bstSearchReplace(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Insert implements Set.
-func (t *BST) Insert(c *sim.Ctx, key int64) bool {
-	return bstInsert(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Delete implements Set.
-func (t *BST) Delete(c *sim.Ctx, key int64) bool {
-	return bstDelete(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Keys implements Set (raw in-order walk; validation only).
-func (t *BST) Keys() []int64 {
-	return bstKeys(arena.SimRaw{Space: t.sys.Mem}, uint64(t.root))
-}
-
-// CheckInvariants implements Set: BST ordering.
-func (t *BST) CheckInvariants() error {
-	return bstCheck(arena.SimRaw{Space: t.sys.Mem}, uint64(t.root))
 }

@@ -167,23 +167,12 @@ func modelDelete(set map[int64]bool, key int64) result {
 	return r
 }
 
-// deadOps lists every set kind's four operations over the cores the sim
-// Set wrappers use, then simmap's Get, Put and Delete.
+// deadOps lists every set kind's four operations through the kind
+// dispatch Set and BackendSet both run, then simmap's Get, Put and
+// Delete.
 func deadOps() []deadOp {
-	type core struct {
-		insert, delete, contains func(*deadMem, uint64, int64) bool
-		searchReplace            func(*deadMem, uint64, int64)
-		keys                     func(*deadMem, uint64) []int64
-	}
-	cores := map[Kind]core{
-		KindAVL:      {avlInsert[*deadMem], avlDelete[*deadMem], avlContains[*deadMem], avlSearchReplace[*deadMem], avlKeys[*deadMem]},
-		KindBST:      {bstInsert[*deadMem], bstDelete[*deadMem], bstContains[*deadMem], bstSearchReplace[*deadMem], bstKeys[*deadMem]},
-		KindLeafBST:  {lbInsert[*deadMem], lbDelete[*deadMem], lbContains[*deadMem], lbSearchReplace[*deadMem], lbKeys[*deadMem]},
-		KindSkipList: {slInsert[*deadMem], slDelete[*deadMem], slContains[*deadMem], slSearchReplace[*deadMem], slKeys[*deadMem]},
-	}
 	var ops []deadOp
 	for _, kind := range Kinds() {
-		cr := cores[kind]
 		build := func(m *deadMem) uint64 {
 			if kind != KindSkipList {
 				return m.Alloc(1)
@@ -197,21 +186,21 @@ func deadOps() []deadOp {
 			run   func(m *deadMem, root uint64, key int64) result
 			model func(set map[int64]bool, key int64) result
 		}{
-			{"contains", func(m *deadMem, root uint64, key int64) result { return result{ok: cr.contains(m, root, key)} }, modelContains},
-			{"insert", func(m *deadMem, root uint64, key int64) result { return result{ok: cr.insert(m, root, key)} }, modelInsert},
-			{"delete", func(m *deadMem, root uint64, key int64) result { return result{ok: cr.delete(m, root, key)} }, modelDelete},
+			{"contains", func(m *deadMem, root uint64, key int64) result { return result{ok: contains(m, kind, root, key)} }, modelContains},
+			{"insert", func(m *deadMem, root uint64, key int64) result { return result{ok: insert(m, kind, root, key)} }, modelInsert},
+			{"delete", func(m *deadMem, root uint64, key int64) result { return result{ok: remove(m, kind, root, key)} }, modelDelete},
 			{"searchreplace", func(m *deadMem, root uint64, key int64) result {
-				cr.searchReplace(m, root, key)
+				searchReplace(m, kind, root, key)
 				return result{}
 			}, func(map[int64]bool, int64) result { return result{} }},
 		} {
 			ops = append(ops, deadOp{string(kind) + "/" + op.name, func(m *deadMem) (func(int64) result, func() []int64) {
 				root := build(m)
 				for _, k := range prefillKeys() {
-					cr.insert(m, root, k)
+					insert(m, kind, root, k)
 				}
 				return func(key int64) result { return op.run(m, root, key) },
-					func() []int64 { return cr.keys(m, root) }
+					func() []int64 { return keys(m, kind, root) }
 			}, op.model})
 		}
 	}

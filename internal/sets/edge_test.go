@@ -9,7 +9,7 @@ import (
 )
 
 // withSet runs f on a fresh instance of the given kind.
-func withSet(t *testing.T, kind Kind, f func(c *sim.Ctx, s Set)) {
+func withSet(t *testing.T, kind Kind, f func(c *sim.Ctx, s *Set)) {
 	t.Helper()
 	e := sim.New(machine.SmallI7(), machine.FillSocketFirst{}, 1, 23)
 	sys := htm.NewSystem(e, 1<<16)
@@ -24,8 +24,8 @@ func withSet(t *testing.T, kind Kind, f func(c *sim.Ctx, s Set)) {
 }
 
 func TestEmptySetOperations(t *testing.T) {
-	for _, kind := range []Kind{KindAVL, KindLeafBST, KindBST, KindSkipList} {
-		withSet(t, kind, func(c *sim.Ctx, s Set) {
+	for _, kind := range Kinds() {
+		withSet(t, kind, func(c *sim.Ctx, s *Set) {
 			if s.Contains(c, 1) {
 				t.Errorf("%s: empty set contains 1", kind)
 			}
@@ -44,8 +44,8 @@ func TestEmptySetOperations(t *testing.T) {
 }
 
 func TestSingleElementLifecycle(t *testing.T) {
-	for _, kind := range []Kind{KindAVL, KindLeafBST, KindBST, KindSkipList} {
-		withSet(t, kind, func(c *sim.Ctx, s Set) {
+	for _, kind := range Kinds() {
+		withSet(t, kind, func(c *sim.Ctx, s *Set) {
 			if !s.Insert(c, 7) || s.Insert(c, 7) {
 				t.Errorf("%s: single insert semantics broken", kind)
 			}
@@ -74,9 +74,9 @@ func TestAdversarialInsertionOrders(t *testing.T) {
 			return int64(n - i/2)
 		},
 	}
-	for _, kind := range []Kind{KindAVL, KindLeafBST, KindBST, KindSkipList} {
+	for _, kind := range Kinds() {
 		for name, order := range orders {
-			withSet(t, kind, func(c *sim.Ctx, s Set) {
+			withSet(t, kind, func(c *sim.Ctx, s *Set) {
 				for i := 0; i < n; i++ {
 					s.Insert(c, order(i))
 				}
@@ -106,7 +106,7 @@ func TestDeleteRootRepeatedly(t *testing.T) {
 	// Deleting the current root repeatedly exercises the two-children
 	// successor path of the internal trees at maximum depth.
 	for _, kind := range []Kind{KindAVL, KindBST} {
-		withSet(t, kind, func(c *sim.Ctx, s Set) {
+		withSet(t, kind, func(c *sim.Ctx, s *Set) {
 			for i := int64(0); i < 128; i++ {
 				s.Insert(c, i)
 			}
@@ -125,8 +125,8 @@ func TestDeleteRootRepeatedly(t *testing.T) {
 
 func TestNegativeAndLargeKeys(t *testing.T) {
 	keys := []int64{-1 << 40, -3, 0, 5, 1 << 40}
-	for _, kind := range []Kind{KindAVL, KindLeafBST, KindBST, KindSkipList} {
-		withSet(t, kind, func(c *sim.Ctx, s Set) {
+	for _, kind := range Kinds() {
+		withSet(t, kind, func(c *sim.Ctx, s *Set) {
 			for _, k := range keys {
 				if !s.Insert(c, k) {
 					t.Errorf("%s: insert %d failed", kind, k)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"natle/internal/arena"
-	"natle/internal/htm"
-	"natle/internal/mem"
-	"natle/internal/sim"
 )
 
 // Leaf-oriented BST node layout: one cache line per node. A node is a
@@ -208,54 +205,4 @@ func lbCheck[M arena.Mem](m M, root uint64) error {
 		return check(r, k, hi)
 	}
 	return check(m.Load(root), -1<<62, 1<<62)
-}
-
-// LeafBST is an unbalanced leaf-oriented (external) binary search
-// tree: keys live only in leaves and internal nodes route searches
-// (key < node.key goes left, otherwise right). Updates replace a leaf
-// or an internal node just above a leaf, so writes never touch the top
-// of the tree — the structural property the paper predicts (and Fig 7
-// confirms) makes it far less NUMA-sensitive than the AVL tree.
-type LeafBST struct {
-	sys  *htm.System
-	root mem.Addr // word holding the root node's address
-}
-
-// NewLeafBST creates an empty leaf-oriented BST.
-func NewLeafBST(sys *htm.System, c *sim.Ctx) *LeafBST {
-	return &LeafBST{sys: sys, root: sys.AllocHome(c, 1, 0)}
-}
-
-// Name implements Set.
-func (t *LeafBST) Name() string { return "leafbst" }
-
-// Contains implements Set.
-func (t *LeafBST) Contains(c *sim.Ctx, key int64) bool {
-	return lbContains(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// SearchReplace implements Set.
-func (t *LeafBST) SearchReplace(c *sim.Ctx, key int64) {
-	lbSearchReplace(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Insert implements Set.
-func (t *LeafBST) Insert(c *sim.Ctx, key int64) bool {
-	return lbInsert(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Delete implements Set.
-func (t *LeafBST) Delete(c *sim.Ctx, key int64) bool {
-	return lbDelete(arena.Sim{Sys: t.sys, C: c}, uint64(t.root), key)
-}
-
-// Keys implements Set (raw in-order walk of leaves; validation only).
-func (t *LeafBST) Keys() []int64 {
-	return lbKeys(arena.SimRaw{Space: t.sys.Mem}, uint64(t.root))
-}
-
-// CheckInvariants implements Set: internal nodes have two children,
-// left subtrees hold keys < router, right subtrees keys >= router.
-func (t *LeafBST) CheckInvariants() error {
-	return lbCheck(arena.SimRaw{Space: t.sys.Mem}, uint64(t.root))
 }

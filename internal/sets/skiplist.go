@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"natle/internal/arena"
-	"natle/internal/htm"
-	"natle/internal/mem"
-	"natle/internal/sim"
 )
 
 // Skip-list node layout: [key, level, next_0 .. next_{level-1}];
@@ -163,55 +160,4 @@ func slCheck[M arena.Mem](m M, head uint64) error {
 		}
 	}
 	return nil
-}
-
-// SkipList is a classic skip-list [Pugh 1990] with geometrically
-// distributed tower heights (p = 1/2). Updates write the predecessor
-// towers at every level of the affected node, so high towers touch
-// widely shared nodes — its NUMA profile sits between the AVL tree and
-// the leaf-oriented BST, matching the paper's Fig 13 observation.
-type SkipList struct {
-	sys  *htm.System
-	head mem.Addr // sentinel node with a full-height tower
-}
-
-// NewSkipList creates an empty skip-list.
-func NewSkipList(sys *htm.System, c *sim.Ctx) *SkipList {
-	head := sys.AllocHome(c, slNext+slMaxLevel, 0)
-	sys.Write(c, head+slLevel, slMaxLevel)
-	return &SkipList{sys: sys, head: head}
-}
-
-// Name implements Set.
-func (t *SkipList) Name() string { return "skiplist" }
-
-// Contains implements Set.
-func (t *SkipList) Contains(c *sim.Ctx, key int64) bool {
-	return slContains(arena.Sim{Sys: t.sys, C: c}, uint64(t.head), key)
-}
-
-// SearchReplace implements Set.
-func (t *SkipList) SearchReplace(c *sim.Ctx, key int64) {
-	slSearchReplace(arena.Sim{Sys: t.sys, C: c}, uint64(t.head), key)
-}
-
-// Insert implements Set.
-func (t *SkipList) Insert(c *sim.Ctx, key int64) bool {
-	return slInsert(arena.Sim{Sys: t.sys, C: c}, uint64(t.head), key)
-}
-
-// Delete implements Set.
-func (t *SkipList) Delete(c *sim.Ctx, key int64) bool {
-	return slDelete(arena.Sim{Sys: t.sys, C: c}, uint64(t.head), key)
-}
-
-// Keys implements Set (raw bottom-level walk; validation only).
-func (t *SkipList) Keys() []int64 {
-	return slKeys(arena.SimRaw{Space: t.sys.Mem}, uint64(t.head))
-}
-
-// CheckInvariants implements Set: each level is sorted and a
-// subsequence of the level below.
-func (t *SkipList) CheckInvariants() error {
-	return slCheck(arena.SimRaw{Space: t.sys.Mem}, uint64(t.head))
 }

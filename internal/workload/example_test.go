@@ -38,7 +38,8 @@ func Example_simulation() {
 	var size int
 	e.Spawn(nil, func(c *sim.Ctx) {
 		lock := tle.New(sys, c, 0, tle.TLE20())
-		set := sets.NewAVL(sys, c)
+		// New fails only on an unknown kind.
+		set, _ := sets.New(sets.KindAVL, sys, c)
 		for i := 0; i < 2; i++ {
 			base := int64(i * 100)
 			e.Spawn(c, func(w *sim.Ctx) {

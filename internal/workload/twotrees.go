@@ -72,8 +72,9 @@ func RunTwoTrees(cfg TwoTreesConfig) *TwoTreesResult {
 	desc = desc.Configure(scheme.Options{TLE: base.TLE, NATLE: base.NATLE})
 
 	e.Spawn(nil, func(c *sim.Ctx) {
-		updTree := sets.NewAVL(sys, c)
-		schTree := sets.NewAVL(sys, c)
+		// New fails only on an unknown kind.
+		updTree, _ := sets.New(sets.KindAVL, sys, c)
+		schTree, _ := sets.New(sets.KindAVL, sys, c)
 		// Per-lock independence is the point of the experiment: each
 		// tree gets its own instance of the same scheme.
 		updLock := desc.New(sys, c, 0)

@@ -243,7 +243,7 @@ func Run(cfg Config) *Result {
 	return res
 }
 
-func runWorker(w *sim.Ctx, cfg Config, set sets.Set, cs scheme.Instance,
+func runWorker(w *sim.Ctx, cfg Config, set *sets.Set, cs scheme.Instance,
 	res *Result, measureStart, deadline vtime.Time) {
 	var counted uint64
 	countedSock := make([]uint64, len(res.PerSock))
