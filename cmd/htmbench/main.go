@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -59,7 +60,7 @@ func main() {
 	bk := backendArg(os.Args[1:])
 	if !backend.Valid(bk) {
 		fmt.Fprintf(os.Stderr, "unknown backend %q (sim | native)\n", bk)
-		os.Exit(2)
+		exit(2)
 	}
 	lockDefault, lockHelp := "tle", "lock: "+scheme.FlagHelpFor(backend.Sim)+
 		" (batch-capable: "+scheme.BatchHelp()+")"
@@ -93,6 +94,7 @@ func main() {
 		breaker   = flag.Bool("breaker", false, "arm the TLE circuit breaker: degrade to the plain mutex under pathological abort rates, probe for recovery")
 		jobs      = flag.Int("j", 0, "host worker pool size for the sweep / chaos matrix (<= 0: GOMAXPROCS)")
 		progress  = flag.Bool("progress", false, "report per-trial completion on stderr")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run (runtime/pprof) to this file")
 
 		svc     = flag.Bool("service", false, "run the open-loop KV service workload instead of the closed-loop set sweep")
 		arrival = flag.String("arrival", "poisson", "service arrival process: "+strings.Join(service.ArrivalNames(), " | "))
@@ -117,7 +119,16 @@ func main() {
 		// Only reachable when -backend hides in a place the pre-scan
 		// cannot see (after a terminating "--"); keep the two in sync.
 		fmt.Fprintln(os.Stderr, "-backend must precede any -- terminator")
-		os.Exit(2)
+		exit(2)
+	}
+	if *cpuProf != "" {
+		stop, err := startCPUProfile(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			exit(1)
+		}
+		stopProfile = stop
+		defer stop()
 	}
 
 	var faultProf *fault.Profile
@@ -125,7 +136,7 @@ func main() {
 		sched, err := fault.LookupSchedule(*faultName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		faultProf = &sched.Profile
 	}
@@ -138,20 +149,20 @@ func main() {
 		cells, err := harness.RunChaos(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		report, ok := harness.ChaosReport(cells)
 		fmt.Print(report)
 		if !ok {
 			fmt.Fprintln(os.Stderr, "chaos: invariant violations detected")
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
 
 	if _, err := scheme.LookupFor(bk, *lockKind); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	p := machine.LargeX52()
@@ -189,7 +200,7 @@ func main() {
 			// for the host.
 			if *sloUs > 0 || *traceOut != "" || *metrics != "" || *telem {
 				fmt.Fprintln(os.Stderr, "-slo, -trace, -metrics and -telemetry are sim-only; the native service takes every other -service flag, -fault included")
-				os.Exit(2)
+				exit(2)
 			}
 			host := harness.Fingerprint()
 			fmt.Printf("# wall-clock timing on %s/%s, %d CPUs, %s — host-dependent, not comparable to sim figures\n",
@@ -202,7 +213,7 @@ func main() {
 
 	if err := checkSet(*setKind); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	if bk == backend.Native {
@@ -244,7 +255,7 @@ func main() {
 		policy = machine.SingleSocket{}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown pin policy %q\n", *pin)
-		os.Exit(2)
+		exit(2)
 	}
 
 	counts := defaultSweep(p)
@@ -254,7 +265,7 @@ func main() {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bad thread count %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			counts = append(counts, n)
 		}
@@ -267,12 +278,12 @@ func main() {
 		metricsFile, err = os.Create(*metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		defer metricsFile.Close()
 		if err := telemetry.WriteCSVHeader(metricsFile, "threads"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -365,7 +376,7 @@ func main() {
 		if metricsFile != nil {
 			if err := sum.WriteCSV(metricsFile, strconv.Itoa(n)); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 	}
@@ -374,19 +385,50 @@ func main() {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := lastCol.WriteChromeTrace(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote Chrome trace of the last trial to %s (%d events, %d dropped)\n",
 			*traceOut, lastCol.Summary().TraceEvents, lastCol.TraceDropped())
 	}
+}
+
+// stopProfile ends the -cpuprofile profile; it does nothing when no
+// profile is running.
+var stopProfile = func() {}
+
+// exit ends the profile, which os.Exit would leave unfinished (it runs
+// no deferred calls), and exits with code.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
+// startCPUProfile starts a CPU profile into the file at path and returns
+// the function that stops it and closes the file, reporting a failure
+// on stderr.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}, nil
 }
 
 // backendArg pre-scans the raw arguments for -backend, which decides

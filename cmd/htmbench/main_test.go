@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +16,53 @@ import (
 	"natle/internal/sets"
 	"natle/internal/workload"
 )
+
+// runMainEnv, set in a test binary's environment, makes it run
+// htmbench's main on its arguments instead of the tests, so a test can
+// run the command, exit paths included, as a child process.
+const runMainEnv = "HTMBENCH_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCPUProfile: -cpuprofile writes a non-empty CPU profile that
+// pprof parses, on a run that ends normally and on one that exits 2
+// after the flags are parsed.
+func TestCPUProfile(t *testing.T) {
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to run pprof with")
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"service", []string{"-service", "-backend=native", "-rates", "1e5", "-shards", "1", "-servers", "1", "-ms", "5"}, 0},
+		{"rejected", []string{"-service", "-backend=native", "-slo", "5"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "cpu.out")
+			cmd := exec.Command(os.Args[0], append(tc.args, "-cpuprofile", out)...)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			b, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != tc.code {
+				t.Fatalf("htmbench exited %d (%v), want %d:\n%s", code, err, tc.code, b)
+			}
+			if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
+				t.Fatalf("no profile written: %v", err)
+			}
+			if b, err := exec.Command(goCmd, "tool", "pprof", "-symbolize=none", "-raw", out).CombinedOutput(); err != nil {
+				t.Fatalf("pprof cannot read the profile: %v\n%s", err, b)
+			}
+		})
+	}
+}
 
 // errAfter is an io.Writer that accepts n bytes and then fails — the
 // shape of a disk filling up mid-snapshot.

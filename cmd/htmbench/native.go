@@ -50,7 +50,7 @@ func runNative(a nativeArgs) {
 	if !workload.IsBackendWorkload(a.workload) {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (have %s)\n",
 			a.workload, strings.Join(workload.BackendWorkloads(), " | "))
-		os.Exit(2)
+		exit(2)
 	}
 	var counts []int
 	if a.threadsCSV != "" {
@@ -58,7 +58,7 @@ func runNative(a nativeArgs) {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bad thread count %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			counts = append(counts, n)
 		}
@@ -114,7 +114,7 @@ func runNative(a nativeArgs) {
 		f, err := os.Create(a.benchJSON)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		werr := writeNativeBench(f, snap)
 		if cerr := f.Close(); werr == nil {
@@ -122,7 +122,7 @@ func runNative(a nativeArgs) {
 		}
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote %s (%d schemes x %d workloads)\n", a.benchJSON,
 			len(snap.Workloads[0].Schemes), len(snap.Workloads))

@@ -58,7 +58,7 @@ type serviceArgs struct {
 }
 
 // The default offered-load sweeps: quick scale on the simulator, and
-// lower natively, since the dispatcher replays the schedule against the
+// lower natively, since the frontend replays the schedule against the
 // wall clock of whatever host this is.
 var (
 	defaultServiceRates       = []float64{2e6, 8e6, 16e6, 24e6, 32e6}
@@ -69,7 +69,7 @@ func (a serviceArgs) base() service.Config {
 	kind, err := service.LookupArrival(a.arrival)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	cfg := service.Config{
 		Prof:        a.prof,
@@ -104,7 +104,7 @@ func runService(a serviceArgs) {
 			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || r <= 0 {
 				fmt.Fprintf(os.Stderr, "bad rate %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			sweep = append(sweep, r)
 		}
@@ -228,7 +228,7 @@ func runServiceSLO(a serviceArgs) {
 	f, err := os.Create(a.sloJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	werr := writeServiceBench(f, out)
 	if cerr := f.Close(); werr == nil {
@@ -236,7 +236,7 @@ func runServiceSLO(a serviceArgs) {
 	}
 	if werr != nil {
 		fmt.Fprintln(os.Stderr, werr)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", a.sloJSON)
 }

@@ -3,25 +3,19 @@
 package native
 
 import (
-	"runtime"
 	"syscall"
 	"time"
 )
 
-// SleepUntil blocks the calling goroutine until Now() >= deadline; a
-// deadline already reached returns at once. It yields the processor
-// once, so goroutines made runnable just before the call run first even
-// at GOMAXPROCS=1, and then sleeps in the kernel for whatever gap is
-// left: the goroutine holds its P while in nanosleep until the runtime
-// takes the P back, so without the yield a server it has just woken
-// waits behind the sleep. The kernel's timer slack (50 µs by default)
+// SleepUntil blocks the calling goroutine in the kernel until Now() >=
+// deadline; a deadline already reached returns at once. It does not
+// yield: the goroutine holds its P while in nanosleep until the runtime
+// takes the P back, so a goroutine made runnable just before the call
+// may wait behind the sleep, and a caller that has just woken one yields
+// first (runtime.Gosched). The kernel's timer slack (50 µs by default)
 // groups wake-ups, so a wake-up lands late by up to that much and never
 // early.
 func (c *Thread) SleepUntil(deadline int64) {
-	if c.w.now() >= deadline {
-		return
-	}
-	runtime.Gosched()
 	for now := c.w.now(); now < deadline; now = c.w.now() {
 		// An interrupted sleep (EINTR) returns early; the loop sleeps
 		// again for what is left.

@@ -32,12 +32,14 @@ func BenchmarkSchedule(b *testing.B) {
 // does sizing and building the native world. The simulator's share of
 // sim/ns-per-request is what the seam must not add to; native is a flood
 // (the rate is far past what a host replays in real time), so its
-// ns/request is the dispatcher's admit-or-shed cost with the servers
-// draining beside it. native-paced offers 1e5 req/s over 20 ms, 2 k
+// ns/request is the frontend's admit-or-shed cost, between the batches
+// it serves itself, with the other servers draining beside it. native-paced offers 1e5 req/s over 20 ms, 2 k
 // requests, which a host keeps up with: its ns/request is pinned near
 // the 10 µs between arrivals, and its cpu-ns/request, the process CPU
-// time (getrusage) per request, is what the dispatcher costs while it
-// waits for the next one.
+// time (getrusage) per request, is what the frontend and its wake-ups
+// cost while it waits for the next one. native-paced-1x1 is the same
+// load on one shard with one server, batch 8, the frontend's own: each
+// wake-up is one kernel sleep and no hand-off to another thread.
 func BenchmarkPipeline(b *testing.B) {
 	cfg := Config{Seed: 1, Rate: 8e6, Window: 2 * vtime.Millisecond}
 	run := func(kind backend.Kind, cfg Config, newHost func() func(*pipeline)) func(*testing.B) {
@@ -76,4 +78,6 @@ func BenchmarkPipeline(b *testing.B) {
 	b.Run("native", run(backend.Native, cfg, nativeHostFor(cfg)))
 	cfg.Rate, cfg.Window = 1e5, 20*vtime.Millisecond
 	b.Run("native-paced", run(backend.Native, cfg, nativeHostFor(cfg)))
+	cfg.Shards, cfg.Servers, cfg.Batch = 1, 1, 8
+	b.Run("native-paced-1x1", run(backend.Native, cfg, nativeHostFor(cfg)))
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 
@@ -41,63 +42,74 @@ func RunNative(w backend.World, cfg Config) *Result {
 	return res
 }
 
-// nativeHost hosts the pipeline on world: thread 0 dispatches, threads
-// 1..Shards*Servers serve, and the shard maps are simmap.BackendMap
-// arenas, so every store access is transactional under optimistic
-// schemes exactly as on the simulator. Each shard's lock is a real mutex
-// and idle servers park on its condition variable, and the dispatcher
-// sleeps in the kernel between arrivals: nothing spins. Kernel timer
-// slack groups the dispatcher's wake-ups, so one wake-up admits every
-// arrival that came due meanwhile.
+// nativeHost hosts the pipeline on world: Shards*Servers threads,
+// Servers per shard, and the shard maps are simmap.BackendMap arenas,
+// so every store access is transactional under optimistic schemes
+// exactly as on the simulator. Each shard's lock is a real mutex.
+// Thread 0, server 0 of shard 0, is also the frontend (see serve): it
+// sleeps in the kernel until the next arrival is due, and kernel timer
+// slack groups its wake-ups, so one wake-up admits every arrival that
+// came due meanwhile; every other idle server parks on its shard's
+// condition variable until an admission signals it. Nothing spins.
+// Before it sleeps, the frontend yields the processor only if some
+// other server is not parked (frontend.sleep), so one shard with one
+// server never yields: each wake-up is one kernel sleep, with no
+// hand-off between threads.
 func nativeHost(world backend.World) func(*pipeline) {
 	return func(p *pipeline) {
 		cfg := &p.cfg
-		threads := 1 + cfg.Shards*cfg.Servers
+		threads := cfg.Shards * cfg.Servers
 		seats := make([]nativeWorker, cfg.Shards)
 		var zero int64 // backend clock at the end of setup
 		world.Run(threads, func(c backend.Ctx) {
-			// One arena lane per thread; each lane big enough for the
-			// worst case of one server applying every scheduled insert.
+			// One arena lane per thread plus the setup context's; each
+			// lane big enough for the worst case of one server applying
+			// every scheduled insert.
 			laneWords := len(p.sched)*simmap.NodeWords() + mem.WordsPerLine
 			ar := arena.New(c, threads+1, laneWords)
 			for i := range seats {
 				w := &seats[i]
 				w.m = simmap.NewBackendMap(c, ar, cfg.LogBuckets)
 				w.cs = p.desc.NewNative(world, c)
-				s := p.addShard(0, new(sync.Mutex), w.cs.Stats,
+				w.s = p.addShard(0, new(sync.Mutex), w.cs.Stats,
 					func(fn func(key, val uint64)) { w.m.PeekEach(world, fn) })
-				w.parked = &s.parked
 			}
 			zero = c.Now()
 		}, func(c backend.Ctx) {
-			if t := c.Thread(); t == 0 {
-				p.dispatch(nativeWorker{c: c, zero: zero})
-			} else {
-				w := seats[(t-1)/cfg.Servers]
-				w.c, w.zero = c, zero
-				p.serve(w, p.shards[(t-1)/cfg.Servers])
+			t := c.Thread()
+			w := seats[t/cfg.Servers]
+			w.c, w.zero = c, zero
+			var f *frontend
+			if t == 0 {
+				f = p.newFrontend(w.now(), threads-1)
 			}
+			p.serve(w, w.s, f)
 		})
 	}
 }
 
-// nativeWorker is one native pipeline thread; the dispatcher's has no
-// map, scheme instance or parking place.
+// nativeWorker is one native pipeline thread, a server of shard s.
 type nativeWorker struct {
-	c      backend.Ctx
-	zero   int64
-	m      *simmap.BackendMap
-	cs     scheme.BackendInstance
-	parked *sync.Cond
+	c    backend.Ctx
+	zero int64
+	m    *simmap.BackendMap
+	cs   scheme.BackendInstance
+	s    *shardState
 }
 
 func (w nativeWorker) now() vtime.Time {
 	return vtime.Time(w.c.Now()-w.zero) * vtime.Time(vtime.Nanosecond)
 }
 
-// sleepUntil blocks until now() >= t (see native.Thread.SleepUntil),
-// rounding t up to the backend clock's whole nanoseconds.
-func (w nativeWorker) sleepUntil(t vtime.Time) {
+// sleepUntil blocks in the kernel until now() >= t (see
+// native.Thread.SleepUntil), rounding t up to the backend clock's whole
+// nanoseconds. A goroutine keeps its processor while in nanosleep until
+// the runtime takes it back, so a server waiting for that processor
+// would wait behind the sleep: yield gives the processor up first.
+func (w nativeWorker) sleepUntil(t vtime.Time, yield bool) {
+	if yield {
+		runtime.Gosched()
+	}
 	ns := (t + vtime.Time(vtime.Nanosecond) - 1) / vtime.Time(vtime.Nanosecond)
 	w.c.(*native.Thread).SleepUntil(w.zero + int64(ns))
 }
@@ -109,18 +121,19 @@ func (w nativeWorker) exclusive(body func()) { w.cs.Exclusive(w.c, body) }
 
 func (w nativeWorker) wait(idle func() bool) {
 	for !idle() {
-		w.parked.Wait()
+		w.s.park()
 	}
 }
 
 // NativeMemWords returns the backend words a native world needs for
-// this Config: the shard bucket arrays plus per-thread arena lanes
-// each sized for the worst case of one server applying every
-// scheduled insert (the bump allocator does not reuse deleted nodes).
+// this Config: the shard bucket arrays plus one arena lane per server
+// thread and one for setup, each sized for the worst case of one
+// server applying every scheduled insert (the bump allocator does not
+// reuse deleted nodes).
 func (cfg Config) NativeMemWords() int {
 	cfg.defaults()
 	sched := cfg.Schedule()
-	threads := 1 + cfg.Shards*cfg.Servers
+	threads := cfg.Shards * cfg.Servers
 	laneWords := arena.RoundLine(len(sched)*simmap.NodeWords() + mem.WordsPerLine)
 	words := (threads+1)*(laneWords+mem.WordsPerLine) +
 		cfg.Shards*(1<<cfg.LogBuckets) +

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"natle/internal/backend"
@@ -105,6 +106,67 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 			}
 		}
 	})
+	// One P, two servers per shard: shard 0's second server and both of
+	// shard 1's park on their shard's condition variable, and the
+	// frontend (shard 0's first server) must give the P up before it
+	// sleeps whenever it has signalled one of them, or they wait behind
+	// its sleeps and their shards queue the whole of their share of the
+	// schedule. Two servers per shard apply requests in no fixed order,
+	// so the store is not compared with the simulator's.
+	t.Run("native-tle/gomaxprocs1/servers2", func(t *testing.T) {
+		cfg := base
+		cfg.Window *= 10
+		cfg.Shards, cfg.Servers = 2, 2
+		cfg.Scheme = "native-tle"
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		res := service.RunNative(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()}), cfg)
+		if uint64(res.Requests) != res.Arrivals {
+			t.Fatalf("schedule length %d != arrivals %d", res.Requests, res.Arrivals)
+		}
+		for i, st := range res.PerShard {
+			if st.Arrivals != st.Admitted+st.Shed {
+				t.Fatalf("shard %d: arrivals %d != admitted %d + shed %d", i, st.Arrivals, st.Admitted, st.Shed)
+			}
+			if st.Admitted != st.Completed+st.DeadlineShed {
+				t.Fatalf("shard %d: admitted %d != completed %d + deadline-shed %d",
+					i, st.Admitted, st.Completed, st.DeadlineShed)
+			}
+			if st.Arrivals > 1 && uint64(st.MaxQueue) >= st.Arrivals {
+				t.Fatalf("shard %d queued all its %d requests at once: its servers starved", i, st.Arrivals)
+			}
+		}
+	})
+}
+
+// runCounter is a native world that records the thread count of every
+// Run.
+type runCounter struct {
+	*native.World
+	runs []int
+}
+
+func (w *runCounter) Run(threads int, setup, body func(backend.Ctx)) {
+	w.runs = append(w.runs, threads)
+	w.World.Run(threads, setup, body)
+}
+
+// TestNativeServiceThreads: a native trial runs on exactly its servers,
+// Shards*Servers of them, one of which is also the frontend, and every
+// request is accounted for.
+func TestNativeServiceThreads(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {4, 1}} {
+		cfg := nativeConfBase()
+		cfg.Scheme = "native-tle"
+		cfg.Shards, cfg.Servers = shape[0], shape[1]
+		w := &runCounter{World: native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})}
+		res := service.RunNative(w, cfg)
+		if want := []int{shape[0] * shape[1]}; !slices.Equal(w.runs, want) {
+			t.Errorf("%dx%d: World.Run thread counts %v, want %v", shape[0], shape[1], w.runs, want)
+		}
+		if res.Completed+res.Shed+res.DeadlineShed != uint64(res.Requests) {
+			t.Errorf("%dx%d: %d completed and %d shed of %d requests", shape[0], shape[1], res.Completed, res.Shed+res.DeadlineShed, res.Requests)
+		}
+	}
 }
 
 // TestNativeServiceConservationUnderPressure: many servers per shard,

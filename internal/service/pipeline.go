@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"natle/internal/backend"
 	"natle/internal/scheme"
@@ -12,14 +13,18 @@ import (
 )
 
 // worker is one pipeline thread as its host (sim.go, native.go) runs
-// it: the dispatcher (now and sleepUntil only) or a server of one shard.
-// The seam is per request and per batch, so the per-word accesses
-// underneath stay on the concrete arena.Sim / arena.Backend map cores.
+// it: a server of one shard, or the simulator's dispatcher (now and
+// sleepUntil only). The seam is per request and per batch, so the
+// per-word accesses underneath stay on the concrete arena.Sim /
+// arena.Backend map cores.
 type worker interface {
-	now() vtime.Time         // host clock: virtual time, or wall time since the end of setup
-	sleepUntil(t vtime.Time) // returns with now() >= t, late by however long the host takes
-	work(n int)              // one request's handler compute, inside a body
-	apply(q Request)         // one request's map operation, inside a body
+	now() vtime.Time // host clock: virtual time, or wall time since the end of setup
+	// sleepUntil returns with now() >= t, late by however long the host
+	// takes. yield asks the host to let a server that may be waiting for
+	// this thread's processor run first.
+	sleepUntil(t vtime.Time, yield bool)
+	work(n int)      // one request's handler compute, inside a body
+	apply(q Request) // one request's map operation, inside a body
 	// critical runs body under the shard's scheme instance, exclusive
 	// under that instance's own lock held pessimistically.
 	critical(body func())
@@ -54,7 +59,7 @@ func apply[C any, M kvMap[C]](m M, c C, q Request) {
 // requests whose buffer doubles up to that bound as the queue deepens,
 // so a deep QueueCap costs memory only when it is used. A queued
 // request's At is its scheduled arrival on the host clock, so a
-// dispatcher that wakes up late shows as queue wait.
+// frontend that wakes up late shows as queue wait.
 type ring struct {
 	buf            []Request
 	limit, head, n int
@@ -86,11 +91,13 @@ func (r *ring) pop() Request {
 type shardState struct {
 	mu        sync.Locker
 	parked    sync.Cond                      // idle native servers, on mu
+	sleepers  int                            // servers waiting on parked and not yet signalled
+	asleep    *atomic.Int32                  // the pipeline's count of them over every shard
 	syncStats func() scheme.Stats            // the shard's scheme counters
 	each      func(fn func(key, val uint64)) // its map contents, after the run
 
 	queue    ring
-	closed   bool // the dispatcher has replayed the whole schedule
+	closed   bool // the frontend has replayed the whole schedule
 	stats    ShardStats
 	lastDone vtime.Time // latest batch completion
 
@@ -115,6 +122,7 @@ type pipeline struct {
 	sched  []Request
 	shards []*shardState
 	res    *Result
+	asleep atomic.Int32 // servers parked and not yet signalled, over every shard
 
 	e2e, queueLat, svcLat telemetry.Histogram
 }
@@ -150,7 +158,7 @@ func newPipeline(kind backend.Kind, cfg Config) *pipeline {
 // default trials stay byte-identical with their pre-overload-control
 // selves.
 func (p *pipeline) addShard(socket int, mu sync.Locker, syncStats func() scheme.Stats, each func(func(key, val uint64))) *shardState {
-	s := &shardState{mu: mu, syncStats: syncStats, each: each}
+	s := &shardState{mu: mu, syncStats: syncStats, each: each, asleep: &p.asleep}
 	s.parked.L = mu
 	s.queue.limit = p.cfg.QueueCap
 	if p.cfg.Brownout != nil {
@@ -163,50 +171,128 @@ func (p *pipeline) addShard(socket int, mu sync.Locker, syncStats func() scheme.
 	return s
 }
 
-// dispatch models the network frontend: it replays the schedule on the
-// host clock, routing each request to its shard's bounded queue; a full
-// queue sheds the request. Each request is stamped with its due time,
-// not the time it was admitted: a wake-up that lands late admits every
-// arrival that came due meanwhile, and their wait counts from when
-// they were due. On the simulator the dispatcher's clock moves only in
-// sleepUntil, so the two are equal.
-func (p *pipeline) dispatch(w worker) {
-	// The schedule is replayed relative to the post-construction clock:
-	// building the shards took host time, and replaying absolute times
-	// would dump every "overdue" arrival as one artificial burst at t=0.
-	base := w.now()
-	p.res.Start = base
-	for _, q := range p.sched {
-		due := base.Add(vtime.Duration(q.At))
-		w.sleepUntil(due)
-		s := p.shards[q.Shard]
-		s.mu.Lock()
-		s.stats.Arrivals++
-		if s.queue.n < s.queue.limit {
-			q.At = due
-			s.queue.push(q)
-			s.stats.Admitted++
-			s.stats.MaxQueue = max(s.stats.MaxQueue, s.queue.n)
-			s.parked.Signal()
-		} else {
-			s.stats.Shed++
+// frontend models the network frontend: it replays the schedule on the
+// host clock, routing each request to its shard's bounded queue. The
+// schedule is replayed relative to the post-construction clock:
+// building the shards took host time, and replaying absolute times
+// would dump every "overdue" arrival as one artificial burst at t=0.
+type frontend struct {
+	sched []Request
+	base  vtime.Time // the host clock the schedule's offsets count from
+	next  int        // the next arrival to admit
+	done  bool       // the whole schedule is admitted and every shard closed
+
+	asleep *atomic.Int32 // parked servers, see pipeline.asleep
+	others int32         // servers on threads other than the frontend's
+}
+
+// newFrontend starts the replay at now; others counts the servers that
+// do not run on the frontend's thread.
+func (p *pipeline) newFrontend(now vtime.Time, others int) *frontend {
+	p.res.Start = now
+	return &frontend{sched: p.sched, base: now, asleep: &p.asleep, others: int32(others)}
+}
+
+// due returns the due time of the next arrival.
+func (f *frontend) due() vtime.Time { return f.base.Add(vtime.Duration(f.sched[f.next].At)) }
+
+// sleep sleeps w until the next arrival is due. It yields first unless
+// every other server is parked: one that is not could be waiting for
+// the processor, whether it was just signalled or has not run yet.
+func (f *frontend) sleep(w worker) {
+	w.sleepUntil(f.due(), f.asleep.Load() < f.others)
+}
+
+// admit routes q to s, whose lock the caller holds: queued and stamped
+// with due, or shed when the queue is full. The stamp is the due time,
+// not the time of admission: a wake-up that lands late admits every
+// arrival that came due meanwhile, and their wait counts from when they
+// were due. An admitted request signals one parked server, if any.
+func (s *shardState) admit(q Request, due vtime.Time) {
+	s.stats.Arrivals++
+	if s.queue.n == s.queue.limit {
+		s.stats.Shed++
+		return
+	}
+	q.At = due
+	s.queue.push(q)
+	s.stats.Admitted++
+	s.stats.MaxQueue = max(s.stats.MaxQueue, s.queue.n)
+	if s.sleepers > 0 {
+		s.sleepers--
+		s.asleep.Add(-1)
+		s.parked.Signal()
+	}
+}
+
+// park waits on s.parked until an admission or the close signals it;
+// the caller holds s.mu. Only the native host parks servers.
+func (s *shardState) park() {
+	s.sleepers++
+	s.asleep.Add(1)
+	s.parked.Wait()
+}
+
+// admitDue admits, in schedule order, every arrival due by now; held is
+// the shard whose lock the caller holds already, or nil. Once the whole
+// schedule is admitted it closes every shard, and f is done.
+func (p *pipeline) admitDue(f *frontend, now vtime.Time, held *shardState) {
+	for ; f.next < len(f.sched); f.next++ {
+		q := f.sched[f.next]
+		due := f.base.Add(vtime.Duration(q.At))
+		if due > now {
+			return
 		}
-		s.mu.Unlock()
+		s := p.shards[q.Shard]
+		if s != held {
+			s.mu.Lock()
+		}
+		s.admit(q, due)
+		if s != held {
+			s.mu.Unlock()
+		}
 	}
 	for _, s := range p.shards {
-		s.mu.Lock()
+		if s != held {
+			s.mu.Lock()
+		}
 		s.closed = true
+		s.asleep.Add(-int32(s.sleepers))
+		s.sleepers = 0
 		s.parked.Broadcast()
-		s.mu.Unlock()
+		if s != held {
+			s.mu.Unlock()
+		}
+	}
+	f.done = true
+}
+
+// dispatch is a frontend on a thread of its own, as the simulator hosts
+// it: it sleeps until each arrival is due and admits it. On the
+// simulator the clock moves only in sleepUntil, so every stamp is the
+// admission time, and arrivals due at one instant are admitted with no
+// simulator call between them.
+func (p *pipeline) dispatch(w worker) {
+	f := p.newFrontend(w.now(), len(p.shards)*p.cfg.Servers)
+	for {
+		p.admitDue(f, w.now(), nil)
+		if f.done {
+			return
+		}
+		f.sleep(w)
 	}
 }
 
 // serve is one shard server: it drains s's queue in batches of up to
-// Batch requests, each batch one critical section, until the dispatcher
-// is done and the queue is empty.
+// Batch requests, each batch one critical section, until the frontend
+// is done and the queue is empty. A server given a frontend f (the
+// native host's server 0 of shard 0) is the frontend too: at the top
+// of every iteration it admits every arrival that has come due, and
+// with its own queue empty it sleeps until the next one is due instead
+// of parking, until the schedule is done.
 //
 //natlevet:hotpath
-func (p *pipeline) serve(w worker, s *shardState) {
+func (p *pipeline) serve(w worker, s *shardState, f *frontend) {
 	cfg := &p.cfg
 	// One critical-section body per server, re-bound to each batch
 	// through the captured slice: building the literal inside the loop
@@ -219,7 +305,7 @@ func (p *pipeline) serve(w worker, s *shardState) {
 		}
 	}
 	// The idle wait, likewise one closure per server: the queue has work
-	// or the dispatcher is done. Every evaluation but the first of a wait
+	// or the frontend is done. Every evaluation but the first of a wait
 	// lets a drained shard's brownout controller probe recovery. On the
 	// simulator it runs on the scheduler while the server is parked, so
 	// it only touches host state.
@@ -233,6 +319,9 @@ func (p *pipeline) serve(w worker, s *shardState) {
 	}
 	s.mu.Lock()
 	for {
+		if f != nil && !f.done {
+			p.admitDue(f, w.now(), s)
+		}
 		if cfg.Deadline > 0 {
 			// CoDel-style queue-wait shedding: drop queued requests
 			// whose remaining budget can no longer cover the observed
@@ -250,6 +339,17 @@ func (p *pipeline) serve(w worker, s *shardState) {
 			}
 		}
 		if s.queue.n == 0 {
+			if f != nil && !f.done {
+				s.mu.Unlock()
+				f.sleep(w)
+				s.mu.Lock()
+				// As a parked server's wake-up does, the wake-up lets a
+				// drained shard's brownout controller probe recovery.
+				if s.bo != nil {
+					s.bo.tick(w.now(), &s.e2e, &s.stats)
+				}
+				continue
+			}
 			polled = false
 			w.wait(idle)
 			if s.queue.n == 0 {
@@ -327,9 +427,10 @@ func (p *pipeline) serve(w worker, s *shardState) {
 	}
 }
 
-// run executes the trial on host, which builds the shards (addShard)
-// and runs dispatch on one thread and serve on Config.Servers threads
-// per shard, then merges the shard ledgers into the Result.
+// run executes the trial on host, which builds the shards (addShard),
+// runs serve on Config.Servers threads per shard and the frontend either
+// on a thread of its own (dispatch) or in one of the servers, then
+// merges the shard ledgers into the Result.
 func (p *pipeline) run(host func(*pipeline)) *Result {
 	host(p)
 	res := p.res

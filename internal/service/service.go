@@ -13,9 +13,12 @@
 //
 // The pipeline is arrivals -> admission -> shards -> telemetry:
 //
-//   - a dispatcher thread replays the pre-generated schedule, routing
-//     each request to its shard's bounded admission queue; a full
-//     queue sheds the request (counted, never silently dropped);
+//   - a frontend replays the pre-generated schedule, routing each
+//     request to its shard's bounded admission queue; a full queue
+//     sheds the request (counted, never silently dropped). On the
+//     simulator it is a dispatcher thread of its own; natively it is
+//     server 0 of shard 0, admitting between batches and sleeping in
+//     the kernel until the next arrival when its queue is empty;
 //   - Servers server threads per shard drain its queue in batches of
 //     up to Batch requests, executing each batch as one critical
 //     section under the shard's scheme instance (so the shard lock is
@@ -246,13 +249,13 @@ type Result struct {
 	// Latency distributions (telemetry log2 histograms): E2E is
 	// arrival to completion, Queue is arrival to batch start, Service
 	// is batch start to completion (retries included in all three).
-	// Arrival is the scheduled one on both hosts, so a dispatcher that
+	// Arrival is the scheduled one on both hosts, so a frontend that
 	// admits a request late adds the lateness to E2E and Queue.
 	E2E     telemetry.HistogramSnapshot
 	Queue   telemetry.HistogramSnapshot
 	Service telemetry.HistogramSnapshot
 
-	// Start (the dispatcher begins replaying the schedule) and Drained
+	// Start (the frontend begins replaying the schedule) and Drained
 	// (the last batch completes) are read off the host clock: virtual
 	// time since the engine started, shard construction included; natively
 	// wall time since the end of setup, so Start is ~0 and Drained is in

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"fmt"
-	"math/bits"
 	"strings"
 	"testing"
 
@@ -277,19 +276,23 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 }
 
 // lateWorker is a pipeline thread on a hand-driven clock: every
-// sleepUntil lands a fixed lateness past its target, as a dispatcher
-// woken by a coarse kernel timer does, and nothing else moves the clock.
+// sleepUntil lands a fixed lateness past its target, as a frontend woken
+// by a coarse kernel timer does, and nothing else moves the clock.
+// apply calls check on every request it executes.
 type lateWorker struct {
 	clock *vtime.Time
 	late  vtime.Duration
+	check func(q Request)
 }
 
-func (w lateWorker) now() vtime.Time         { return *w.clock }
-func (w lateWorker) sleepUntil(t vtime.Time) { *w.clock = max(*w.clock, t).Add(w.late) }
-func (w lateWorker) work(int)                {}
-func (w lateWorker) apply(Request)           {}
-func (w lateWorker) critical(body func())    { body() }
-func (w lateWorker) exclusive(body func())   { body() }
+func (w lateWorker) now() vtime.Time { return *w.clock }
+func (w lateWorker) sleepUntil(t vtime.Time, _ bool) {
+	*w.clock = max(*w.clock, t).Add(w.late)
+}
+func (w lateWorker) work(int)              {}
+func (w lateWorker) apply(q Request)       { w.check(q) }
+func (w lateWorker) critical(body func())  { body() }
+func (w lateWorker) exclusive(body func()) { body() }
 func (w lateWorker) wait(idle func() bool) {
 	if !idle() {
 		panic("lateWorker: a server waited on an open, empty queue")
@@ -297,50 +300,93 @@ func (w lateWorker) wait(idle func() bool) {
 }
 
 // TestDispatchStampsDueTime: a queued request carries its scheduled
-// arrival, not the late clock it was admitted on, so the dispatcher's
-// lateness shows as queue wait. The servers run once the whole schedule
-// is dispatched, on the final clock: every wait is at least one
-// lateness, and the waits sum to exactly the distance from each due
-// time to that clock.
+// arrival, not the late clock it was admitted on, so the frontend's
+// lateness shows as queue wait. A wake-up lands one lateness past the
+// first arrival not yet due and admits every arrival due by then. In
+// the "dispatch" row the frontend has a thread of its own (the
+// simulator's shape) and the servers run once the whole schedule is
+// admitted, on the final clock. In the "frontend" row it is shard 0's
+// server (the native host's shape): it serves each of its shard's
+// requests on the clock of the wake-up that admitted it, and shard 1
+// runs afterwards on the final clock. Every request is executed with
+// its due time as At, and the waits sum to exactly the distance from
+// each due time to the clock it was served on.
 func TestDispatchStampsDueTime(t *testing.T) {
 	const (
 		late  = 3 * vtime.Microsecond
-		setup = vtime.Time(7 * vtime.Microsecond) // the clock when dispatch starts
+		setup = vtime.Time(7 * vtime.Microsecond) // the clock when the frontend starts
 	)
 	cfg := Config{Seed: 5, Rate: 2e6, Window: 50 * vtime.Microsecond, Shards: 2, QueueCap: 1 << 10}
-	p := newPipeline(backend.Sim, cfg)
-	clock := setup
-	w := lateWorker{clock: &clock, late: late}
-	var want vtime.Duration
-	res := p.run(func(p *pipeline) {
-		for range p.cfg.Shards {
-			p.addShard(0, noLock{}, func() scheme.Stats { return scheme.Stats{} }, func(func(k, v uint64)) {})
-		}
-		p.dispatch(w)
-		next := make([]int, len(p.shards))
-		for _, q := range p.sched {
-			due := setup.Add(vtime.Duration(q.At))
-			r := &p.shards[q.Shard].queue
-			got := r.buf[(r.head+next[q.Shard])%len(r.buf)]
-			next[q.Shard]++
-			if got.ID != q.ID || got.At != due {
-				t.Fatalf("request %d queued as %d at %v, want at its due time %v (clock %v)", q.ID, got.ID, got.At, due, clock)
+	for _, tc := range []struct {
+		name   string
+		serves bool // the frontend is shard 0's server
+	}{{"dispatch", false}, {"frontend", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPipeline(backend.Sim, cfg)
+			if len(p.sched) == 0 {
+				t.Fatal("empty schedule")
 			}
-			want += clock.Sub(due)
-		}
-		for _, s := range p.shards {
-			p.serve(w, s)
-		}
-	})
-	if len(p.sched) == 0 || res.Completed != uint64(len(p.sched)) {
-		t.Fatalf("completed %d of %d scheduled requests", res.Completed, len(p.sched))
-	}
-	if res.Queue.SumPs != uint64(want) || res.E2E.SumPs != uint64(want) {
-		t.Fatalf("queue wait sums to %d ps and e2e to %d ps, want %d", res.Queue.SumPs, res.E2E.SumPs, want)
-	}
-	for b := range bits.Len64(uint64(late)) {
-		if n := res.Queue.Counts[b]; n != 0 {
-			t.Fatalf("%d queue waits below the %v lateness (bucket %d)", n, late, b)
-		}
+			// The clock each request is admitted on, and the wait the
+			// test expects of the whole schedule.
+			admitted := make([]vtime.Time, len(p.sched))
+			clock := setup
+			for i, q := range p.sched {
+				if due := setup.Add(vtime.Duration(q.At)); due > clock {
+					clock = due.Add(late)
+				}
+				admitted[i] = clock
+			}
+			final := clock
+			var want vtime.Duration
+			for i, q := range p.sched {
+				served := final
+				if tc.serves && q.Shard == 0 {
+					served = admitted[i]
+				}
+				want += served.Sub(setup.Add(vtime.Duration(q.At)))
+			}
+
+			clock = setup
+			executed := 0
+			w := lateWorker{clock: &clock, late: late, check: func(q Request) {
+				executed++
+				if due := setup.Add(vtime.Duration(p.sched[q.ID].At)); q.At != due {
+					t.Fatalf("request %d executed with At %v, want its due time %v (clock %v)", q.ID, q.At, due, clock)
+				}
+			}}
+			res := p.run(func(p *pipeline) {
+				for range p.cfg.Shards {
+					p.addShard(0, noLock{}, func() scheme.Stats { return scheme.Stats{} }, func(func(k, v uint64)) {})
+				}
+				if tc.serves {
+					p.serve(w, p.shards[0], p.newFrontend(w.now(), 1))
+					p.serve(w, p.shards[1], nil)
+					return
+				}
+				p.dispatch(w)
+				next := make([]int, len(p.shards))
+				for _, q := range p.sched {
+					due := setup.Add(vtime.Duration(q.At))
+					r := &p.shards[q.Shard].queue
+					got := r.buf[(r.head+next[q.Shard])%len(r.buf)]
+					next[q.Shard]++
+					if got.ID != q.ID || got.At != due {
+						t.Fatalf("request %d queued as %d at %v, want at its due time %v (clock %v)", q.ID, got.ID, got.At, due, clock)
+					}
+				}
+				for _, s := range p.shards {
+					p.serve(w, s, nil)
+				}
+			})
+			if clock != final {
+				t.Fatalf("clock ended at %v, want %v", clock, final)
+			}
+			if executed != len(p.sched) || res.Completed != uint64(len(p.sched)) {
+				t.Fatalf("executed %d and completed %d of %d scheduled requests", executed, res.Completed, len(p.sched))
+			}
+			if res.Queue.SumPs != uint64(want) || res.E2E.SumPs != uint64(want) {
+				t.Fatalf("queue wait sums to %d ps and e2e to %d ps, want %d", res.Queue.SumPs, res.E2E.SumPs, want)
+			}
+		})
 	}
 }

@@ -51,7 +51,7 @@ func simHost(p *pipeline) {
 				e.Spawn(c, func(wc *sim.Ctx) {
 					w := seats[i]
 					w.c = wc
-					p.serve(w, s)
+					p.serve(w, s, nil)
 				})
 			}
 		}
@@ -87,7 +87,9 @@ type simWorker struct {
 
 func (w simWorker) now() vtime.Time { return w.c.Now() }
 
-func (w simWorker) sleepUntil(t vtime.Time) {
+// sleepUntil ignores yield: simulated servers poll at their own virtual
+// times and never wait for a processor the dispatcher holds.
+func (w simWorker) sleepUntil(t vtime.Time, _ bool) {
 	if gap := t.Sub(w.c.Now()); gap > 0 {
 		w.c.AdvanceIdle(gap)
 		w.c.Checkpoint()
