@@ -217,6 +217,10 @@ func main() {
 	}
 
 	if bk == backend.Native {
+		if *traceOut != "" || *metrics != "" || *telem {
+			fmt.Fprintln(os.Stderr, "-trace, -metrics and -telemetry work in the simulated sweep and the simulated -service only; the native closed loop records no telemetry")
+			exit(2)
+		}
 		// TLE knobs pass through only when set explicitly, so native
 		// schemes keep their own defaults (e.g. 8 attempts, not the
 		// sim default 20).

@@ -64,6 +64,37 @@ func TestCPUProfile(t *testing.T) {
 	}
 }
 
+// TestNativeClosedLoopRejectsTelemetryFlags: the native closed loop
+// records no telemetry, so -trace, -metrics and -telemetry make it exit
+// 2, naming the modes that take them, before anything runs, and no
+// trace or metrics file is created.
+func TestNativeClosedLoopRejectsTelemetryFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, flag := range [][]string{
+		{"-trace", filepath.Join(dir, "trace.json")},
+		{"-metrics", filepath.Join(dir, "metrics.csv")},
+		{"-telemetry"},
+	} {
+		t.Run(flag[0], func(t *testing.T) {
+			args := append([]string{"-backend=native", "-threads", "1", "-ops", "16"}, flag...)
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			b, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != 2 {
+				t.Fatalf("htmbench %v exited %d (%v), want 2:\n%s", args, code, err, b)
+			}
+			if !strings.Contains(string(b), "simulated sweep and the simulated -service") {
+				t.Errorf("rejection names no modes:\n%s", b)
+			}
+			if len(flag) > 1 {
+				if _, err := os.Stat(flag[1]); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s: file %s exists or cannot be checked (%v)", flag[0], flag[1], err)
+				}
+			}
+		})
+	}
+}
+
 // errAfter is an io.Writer that accepts n bytes and then fails — the
 // shape of a disk filling up mid-snapshot.
 type errAfter struct{ n int }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,11 +63,8 @@ func nativeHost(world backend.World) func(*pipeline) {
 		seats := make([]nativeWorker, cfg.Shards)
 		var zero int64 // backend clock at the end of setup
 		world.Run(threads, func(c backend.Ctx) {
-			// One arena lane per thread plus the setup context's; each
-			// lane big enough for the worst case of one server applying
-			// every scheduled insert.
-			laneWords := len(p.sched)*simmap.NodeWords() + mem.WordsPerLine
-			ar := arena.New(c, threads+1, laneWords)
+			// One arena lane per thread plus the setup context's.
+			ar := arena.New(c, threads+1, laneWords(cfg.Shards, p.sched))
 			for i := range seats {
 				w := &seats[i]
 				w.m = simmap.NewBackendMap(c, ar, cfg.LogBuckets)
@@ -127,21 +125,33 @@ func (w nativeWorker) wait(idle func() bool) {
 
 // NativeMemWords returns the backend words a native world needs for
 // this Config: the shard bucket arrays plus one arena lane per server
-// thread and one for setup, each sized for the worst case of one
-// server applying every scheduled insert (the bump allocator does not
-// reuse deleted nodes).
+// thread and one for setup, each of laneWords, the size nativeHost
+// builds its arena with. There is no floor: a small schedule gets a
+// small world.
 func (cfg Config) NativeMemWords() int {
 	cfg.defaults()
-	sched := cfg.Schedule()
 	threads := cfg.Shards * cfg.Servers
-	laneWords := arena.RoundLine(len(sched)*simmap.NodeWords() + mem.WordsPerLine)
-	words := (threads+1)*(laneWords+mem.WordsPerLine) +
+	return (threads+1)*(laneWords(cfg.Shards, cfg.Schedule())+mem.WordsPerLine) +
 		cfg.Shards*(1<<cfg.LogBuckets) +
 		1<<16 // locks, slack
-	if words < 1<<20 {
-		words = 1 << 20
+}
+
+// laneWords is the arena lane of a native service world, the one size
+// both NativeMemWords and nativeHost use: room for the most puts the
+// schedule routes to any one shard, since any server of that shard may
+// be the one that applies all of them. The schedule bounds what a lane
+// hands out because only a put of an absent key allocates (a get or a
+// delete never does, and each request is applied once), and an
+// allocation an attempt does not commit is not kept: a dead attempt
+// drops its cursor store, and an upgraded writer never dies.
+func laneWords(shards int, sched []Request) int {
+	puts := make([]int, shards)
+	for _, q := range sched {
+		if q.Op == OpPut {
+			puts[q.Shard]++
+		}
 	}
-	return words
+	return max(slices.Max(puts), 1) * simmap.NodeWords() // arena.New wants a word
 }
 
 // storeChecksum hashes final KV contents: FNV-1a over the (key, value)

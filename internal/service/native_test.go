@@ -138,6 +138,30 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 	})
 }
 
+// TestMemWordsHoldsEveryServicePut: a native trial of nothing but puts
+// and deletes finishes on a world of exactly NativeMemWords words, at
+// one shard with one server, four with one, and eight with two, with
+// attempts fault-free and killed at random. The key range is so wide
+// that every put is of an absent key and allocates, so a lone server
+// fills its lane to the last node its shard's puts need; a lane too
+// small panics in arena.Alloc.
+func TestMemWordsHoldsEveryServicePut(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {4, 1}, {8, 2}} {
+		for _, p := range []*fault.Profile{nil, {SpuriousAbortRate: 0.02}} {
+			cfg := nativeConfBase()
+			cfg.Scheme = "native-tle"
+			cfg.Shards, cfg.Servers = shape[0], shape[1]
+			cfg.KeyRange, cfg.UpdatePct, cfg.Fault = 1<<40, 100, p
+			res := service.RunNative(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()}), cfg)
+			if res.Arrivals != uint64(res.Requests) || res.Arrivals != res.Admitted+res.Shed ||
+				res.Admitted != res.Completed+res.DeadlineShed {
+				t.Errorf("%dx%d, faults %v: %d requests, %d arrivals, %d admitted, %d shed, %d completed, %d deadline-shed",
+					shape[0], shape[1], p != nil, res.Requests, res.Arrivals, res.Admitted, res.Shed, res.Completed, res.DeadlineShed)
+			}
+		}
+	}
+}
+
 // runCounter is a native world that records the thread count of every
 // Run.
 type runCounter struct {

@@ -100,8 +100,9 @@ func (cfg *BackendConfig) defaults() {
 
 // MemWords bounds the backend words the configured trial can touch,
 // for sizing fixed-size native worlds (the simulator's space grows on
-// demand, so sim callers may ignore it). The sets bound is worst-case:
-// every operation an insert, every insert a full allocation.
+// demand, so sim callers may ignore it). Only the sets bound grows with
+// the trial: threads+1 arena lanes of setsLaneWords each, the size the
+// trial's own arena is built with.
 func (cfg BackendConfig) MemWords() int {
 	c := cfg
 	c.defaults()
@@ -110,15 +111,33 @@ func (cfg BackendConfig) MemWords() int {
 	case BackendTwoTrees:
 		base += 2*c.KeyRange + 2*mem.WordsPerLine
 	case BackendSets:
-		lanes := c.Threads + 1
-		per := sets.InsertWords(c.Set)
-		need := c.Ops
-		if half := c.KeyRange/2 + 1; half > need {
-			need = half
-		}
-		base += lanes*(need*per+mem.WordsPerLine) + 4*mem.WordsPerLine
+		base += (c.Threads+1)*(c.setsLaneWords()+mem.WordsPerLine) + 4*mem.WordsPerLine
 	}
 	return base
+}
+
+// setsLaneWords is the arena lane of a sets trial, the one size both
+// MemWords and bkSets.Setup use: room for the prefill's KeyRange/2
+// nodes or for the most inserts any one worker's schedule holds,
+// whichever is more. The schedule bounds what a lane hands out because
+// only an insert allocates, and an allocation an attempt does not
+// commit is not kept: a dead native attempt drops its cursor store, an
+// upgraded native writer never dies, and a simulated abort discards its
+// write buffer. The predicate is bkSets.Worker's: an odd hash is an
+// update, and an update with bit 1 clear is an insert. It is counted
+// without a branch, which is four times as fast on a schedule a
+// quarter inserts.
+func (cfg BackendConfig) setsLaneWords() int {
+	need := cfg.KeyRange/2 + 1
+	for t := range cfg.Threads {
+		inserts := 0
+		for j := range cfg.Ops {
+			x := opHash(cfg.Seed, t, j)
+			inserts += int(x &^ (x >> 1) & 1) // bit 0 set, bit 1 clear
+		}
+		need = max(need, inserts)
+	}
+	return need * sets.InsertWords(cfg.Set)
 }
 
 // BackendResult reports one backend-agnostic trial.
@@ -419,12 +438,7 @@ type bkSets struct {
 }
 
 func (b *bkSets) Setup(w backend.World, c backend.Ctx, desc *scheme.Descriptor) {
-	per := sets.InsertWords(b.cfg.Set)
-	need := b.cfg.Ops
-	if half := b.cfg.KeyRange/2 + 1; half > need {
-		need = half
-	}
-	ar := arena.New(c, b.cfg.Threads+1, need*per)
+	ar := arena.New(c, b.cfg.Threads+1, b.cfg.setsLaneWords())
 	s, err := sets.NewBackendSet(b.cfg.Set, c, ar)
 	if err != nil {
 		panic(fmt.Sprintf("workload: %v", err))

@@ -7,6 +7,9 @@ import (
 	"natle/internal/backend"
 	"natle/internal/native"
 	"natle/internal/scheme"
+	"natle/internal/service"
+	"natle/internal/sets"
+	"natle/internal/vtime"
 	"natle/internal/workload"
 )
 
@@ -48,4 +51,41 @@ func BenchmarkRunBackend(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkNativeWorldSetup is what a native world costs before its
+// trial runs, at the sizes the end-to-end benchmark builds them: sets
+// is two workers of 400,000 operations on an AVL set of 2,048 keys,
+// sized by MemWords; service is 135,000 requests at 1e5 req/s on one
+// shard with one server under native-tle, sized by NativeMemWords. One
+// iteration sizes and builds the world and runs a one-operation trial
+// on it (a one-request service), so ns/op is the sizing, the zeroed
+// word array, the prefill or the bucket arrays, and a goroutine start
+// and join. MB/world is the word array.
+func BenchmarkNativeWorldSetup(b *testing.B) {
+	b.Run("sets", func(b *testing.B) {
+		cfg := workload.BackendConfig{
+			Lock: "native-tle", Workload: workload.BackendSets, Threads: 2, Ops: 400_000,
+			Seed: 1, KeyRange: 2048, Set: sets.KindAVL,
+		}
+		one := cfg
+		one.Ops = 1
+		for i := 0; i < b.N; i++ {
+			workload.RunBackend(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.MemWords(), Sockets: 2}), one)
+		}
+		b.ReportMetric(float64(cfg.MemWords())*8/1e6, "MB/world")
+	})
+	b.Run("service", func(b *testing.B) {
+		cfg := service.Config{
+			Seed: 1, Scheme: "native-tle", Shards: 1, Servers: 1, Batch: 8, QueueCap: 1 << 15,
+			Arrival: service.ArrivalPoisson, Rate: 1e5, Window: 1350 * vtime.Millisecond,
+			KeyRange: 4096, UpdatePct: 50,
+		}
+		one := cfg
+		one.Window = 10 * vtime.Microsecond
+		for i := 0; i < b.N; i++ {
+			service.RunNative(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords(), Sockets: 2}), one)
+		}
+		b.ReportMetric(float64(cfg.NativeMemWords())*8/1e6, "MB/world")
+	})
 }

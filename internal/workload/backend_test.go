@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -44,8 +45,8 @@ func TestRunBackendAllocatesNothingPerOperation(t *testing.T) {
 // can touch plus fixed slack, with no floor under it (the default size
 // lives in native.Config.Words <= 0 alone) — a counter trial does not
 // zero eight megabytes to touch one word — and the sets bound, the only
-// one that grows with the trial, still holds a trial that inserts at
-// every opportunity.
+// one that grows with the trial, still holds a trial of the default
+// size.
 func TestMemWordsIsTheWorkloadsOwnNeed(t *testing.T) {
 	if got := (workload.BackendConfig{Workload: workload.BackendCounter, Threads: 2}).MemWords(); got >= 1<<17 {
 		t.Errorf("counter: %d words, want < %d", got, 1<<17)
@@ -53,9 +54,11 @@ func TestMemWordsIsTheWorkloadsOwnNeed(t *testing.T) {
 	if got := (workload.BackendConfig{Workload: workload.BackendTwoTrees, Threads: 2, KeyRange: 2048}).MemWords(); got >= 1<<17 {
 		t.Errorf("twotrees: %d words, want < %d", got, 1<<17)
 	}
-	// What the sets bound comes to, pinned: worst case times lanes.
+	// What the sets bound comes to, pinned: the most inserts either
+	// worker's schedule holds (about a quarter of its operations),
+	// times the node size, times three lanes.
 	for kind, want := range map[sets.Kind]int{
-		sets.KindAVL: 1638456, sets.KindLeafBST: 3211320, sets.KindSkipList: 4784184,
+		sets.KindAVL: 462168, sets.KindLeafBST: 858744, sets.KindSkipList: 1255320,
 	} {
 		cfg := workload.BackendConfig{Workload: workload.BackendSets, Threads: 2, Ops: 1 << 16, KeyRange: 2048, Set: kind}
 		if got := cfg.MemWords(); got != want {
@@ -74,6 +77,80 @@ func TestMemWordsIsTheWorkloadsOwnNeed(t *testing.T) {
 			t.Errorf("sets/%s: %d ops, want %d", kind, r.Ops, 2<<14)
 		}
 	}
+}
+
+// TestMemWordsHoldsEverySetsSchedule: a sets trial whose operations
+// far outnumber its keys, so that the most inserts any worker's
+// schedule holds, not the prefill, sizes its arena lanes, finishes on a
+// native world of exactly MemWords words under every set kind and every
+// native scheme, fault-free and with attempts killed at random, and the
+// same trials finish on the simulator under every robust scheme. A lane
+// too small for what the trial allocates panics in arena.Alloc. Every
+// run leaves the same set behind.
+func TestMemWordsHoldsEverySetsSchedule(t *testing.T) {
+	kill := &fault.Profile{SpuriousAbortRate: 0.02}
+	for _, kind := range sets.Kinds() {
+		base := workload.BackendConfig{
+			Workload: workload.BackendSets, Threads: 2, Ops: 1024, Seed: 5, KeyRange: 64, Set: kind,
+		}
+		prefill := base
+		prefill.Ops = 1
+		if base.MemWords() <= prefill.MemWords() {
+			t.Fatalf("sets/%s: %d words for %d ops, %d for one: the inserts do not size the lanes",
+				kind, base.MemWords(), base.Ops, prefill.MemWords())
+		}
+		var want uint64
+		var wantFrom string
+		run := func(w backend.World, lock string, p *fault.Profile) {
+			cfg := base
+			cfg.Lock, cfg.Fault = lock, p
+			from := fmt.Sprintf("sets/%s/%s/faults=%v", kind, lock, p != nil)
+			r := workload.RunBackend(w, cfg)
+			if r.Ops != uint64(cfg.Threads*cfg.Ops) {
+				t.Errorf("%s: %d ops, want %d", from, r.Ops, cfg.Threads*cfg.Ops)
+			}
+			if wantFrom == "" {
+				want, wantFrom = r.Check, from
+			} else if r.Check != want {
+				t.Errorf("%s: check %#x, %s left %#x", from, r.Check, wantFrom, want)
+			}
+		}
+		for _, p := range []*fault.Profile{nil, kill} {
+			for _, lock := range scheme.NamesFor(backend.Native) {
+				run(native.NewWorld(native.Config{Seed: base.Seed, Words: base.MemWords()}), lock, p)
+			}
+			for _, d := range scheme.AllFor(backend.Sim) {
+				if d.Mutex && d.Robust {
+					run(workload.NewSimWorld(nil, nil, base.Threads, base.Seed, 0), d.Name, p)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMemWords: whatever the seed, thread count (1–4), length, key
+// range and set kind, a sets trial under the blocking mutex or under
+// elision, whose dead attempts allocate and drop what they allocated,
+// finishes its schedule on a native world of exactly MemWords words.
+func FuzzMemWords(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint16(1024), uint16(64), uint8(0), false)
+	f.Add(int64(5), uint8(3), uint16(4000), uint16(7), uint8(2), true)
+	f.Add(int64(-9), uint8(0), uint16(1), uint16(0), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed int64, threads uint8, ops, keyRange uint16, kind uint8, elide bool) {
+		kinds := sets.Kinds()
+		cfg := workload.BackendConfig{
+			Lock: "native-mutex", Workload: workload.BackendSets, Seed: seed,
+			Threads: 1 + int(threads%4), Ops: 1 + int(ops%4096), Set: kinds[int(kind)%len(kinds)],
+		}
+		cfg.KeyRange = max(cfg.Threads, int(keyRange%4096))
+		if elide {
+			cfg.Lock = "native-tle"
+		}
+		r := workload.RunBackend(native.NewWorld(native.Config{Seed: seed, Words: cfg.MemWords()}), cfg)
+		if want := uint64(cfg.Threads * cfg.Ops); r.Ops != want {
+			t.Fatalf("%+v: %d ops, want %d", cfg, r.Ops, want)
+		}
+	})
 }
 
 // TestSpuriousAbortsCountArmedCountdowns: fault.Stats.SpuriousAborts
