@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint natlevet-check race race-executor native-check check bench bench-layers figures figures-quick chaos chaos-native bench-snapshot bench-check service-check clean
+.PHONY: all build test vet lint race race-executor native-check check bench bench-layers figures figures-quick chaos chaos-native bench-snapshot bench-check service-check clean
 
 all: build
 
@@ -13,29 +13,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint fails on unformatted files (gofmt -l output is non-empty), on
-# vet findings, and on natlevet findings — the repo's own five
-# analyzers guarding atomic access discipline, enum exhaustiveness,
-# cache-line layout, hot-path allocation freedom, and lock-free seqlock
-# read sections (see README "Static analysis"). The ./... pattern covers internal/... and cmd/...; a
-# package the go tool cannot load fails the run loudly instead of
-# silently vanishing from it.
+# lint fails on unformatted files (gofmt -l output is non-empty) and on
+# vet findings. The performance invariants a linter cannot see are held
+# by types and plain tests instead (see README "Invariants"): typed
+# atomics, the cache-line layout tests, the allocation tests, the seqlock
+# liveness test and the enum name test, each proven by a seeded bug in
+# internal/mutation.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/natlevet ./...
-
-# natlevet-check exercises the analyzer suite itself: the analysistest
-# fixture suites for all five analyzers, the mutation table that seeds
-# each analyzer's target bug into the real tree and expects a finding,
-# the offline loader's export-data regression tests (including the
-# generics canary), and a full multichecker run over the tree writing
-# the findings artifact CI uploads — an empty JSON array on a clean
-# tree, so the artifact diffs cleanly between runs.
-natlevet-check:
-	$(GO) test -count=1 ./internal/analysis/...
-	$(GO) run ./cmd/natlevet -json ./... > natlevet.json
 
 race:
 	$(GO) test -race -timeout 30m ./...
@@ -56,8 +43,7 @@ race-executor:
 # GOMAXPROCS pinned above 1 so they interleave for real, one iteration
 # of the native section and driver benchmarks (they must build and
 # finish; nothing is asserted about their timing), and an htmbench
-# smoke run that must report nonzero native throughput. (make lint
-# runs natlevet over the whole tree, these packages included.)
+# smoke run that must report nonzero native throughput.
 NATIVE_MULTI_PROCS ?= 4
 native-check:
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/native ./internal/service
@@ -69,7 +55,8 @@ native-check:
 		{ echo "native smoke run reported zero throughput"; exit 1; }
 
 # The full gate: everything must build, lint clean (gofmt + vet), pass
-# under the race detector, survive ten seconds of fuzzing the structure
+# under the race detector (the invariant tests and the mutation table
+# that proves them among them), survive ten seconds of fuzzing the structure
 # cores with attempts that die at every access and ten of fuzzing sets
 # trials on worlds of exactly MemWords words (go test runs only the
 # seed corpora), and run one iteration of the htm, arena, sets and

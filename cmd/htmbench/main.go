@@ -317,7 +317,7 @@ func main() {
 		r   *workload.Result
 		col *telemetry.Collector
 	}
-	var finished int32
+	var finished atomic.Int32
 	trials := expt.Map(*jobs, len(counts), func(i int) trial {
 		n := counts[i]
 		var col *telemetry.Collector
@@ -349,7 +349,7 @@ func main() {
 		})
 		if *progress {
 			fmt.Fprintf(os.Stderr, "[%d/%d threads=%d]\n",
-				atomic.AddInt32(&finished, 1), len(counts), n)
+				finished.Add(1), len(counts), n)
 		}
 		return trial{r: r, col: col}
 	})

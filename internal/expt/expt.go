@@ -154,13 +154,13 @@ func (p *Plan) Execute(opt Options) *Result {
 	res := &Result{Plan: p, Outcomes: make([]Outcome, n)}
 	errs := make([]*TrialError, n)
 
-	var done int32
+	var done atomic.Int32
 	var progressMu sync.Mutex
 	report := func(i int) {
 		if opt.Progress == nil {
 			return
 		}
-		d := int(atomic.AddInt32(&done, 1))
+		d := int(done.Add(1))
 		progressMu.Lock()
 		opt.Progress(d, n, p.Specs[i].Key)
 		progressMu.Unlock()

@@ -31,8 +31,7 @@ var sharedStateAllowlist = map[string]string{
 }
 
 // trialPathPackages are the internal packages whose code can run inside
-// a pooled trial. internal/analysis is excluded: it is host-side
-// tooling (go/analysis passes) that never executes during a trial.
+// a pooled trial.
 var trialPathPackages = []string{
 	"cache", "cctsa", "cohort", "delegation", "expt", "fault", "harness",
 	"htm", "machine", "mem", "natle", "paraheap", "scheme",

@@ -77,14 +77,14 @@ func forEach(workers, n int, f func(i int)) {
 // claim ascending indices until the range is exhausted (or stop, when
 // non-nil, becomes true).
 func forEachPooled(w, n int, stop *atomic.Bool, f func(i int)) {
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for stop == nil || !stop.Load() {
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}

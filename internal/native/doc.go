@@ -26,9 +26,7 @@
 // race-detector clean; optimistic readers discard torn higher-level
 // state through sequence validation, exactly like a seqlock.
 //
-// Real goroutines over real locks are the point of this package, so
-// the directive below selects it for natlevet's lockorder analyzer: no
-// lock may be taken inside its seqlock read section (TLE.try).
-//
-//natlevet:backend native
+// No lock may be taken inside the seqlock read section (TLE.try): a
+// reader blocked there would deadlock against a writer holding the
+// sequence (TestSeqlockReadSectionTakesNoLock).
 package native

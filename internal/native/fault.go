@@ -68,8 +68,6 @@ type faultCounters struct {
 // polled by every optimistic attempt in txStart, so it gets a cache
 // line to itself: a fault counter bump must not invalidate the line
 // the elision fast path reads on every transaction.
-//
-//natlevet:percpu
 type faultHot struct {
 	squeezeUntil atomic.Int64 // wall-clock deadline of the open window
 	_            [56]byte
@@ -107,15 +105,11 @@ func (f *Fault) Stats() fault.Stats {
 
 // randFloat is the thread-RNG uniform draw in [0, 1) used by the
 // fault decision points.
-//
-//natlevet:hotpath
 func (c *Thread) randFloat() float64 { return float64(c.Rand64()>>11) / (1 << 53) }
 
 // txStart arms one optimistic attempt: it may open a squeeze window,
 // and returns the spurious-abort countdown (0 = none) and the access
 // budget (0 = unlimited) the attempt runs under.
-//
-//natlevet:hotpath
 func (f *Fault) txStart(c *Thread) (countdown, budget int) {
 	now := c.w.now()
 	if f.p.SqueezeProb > 0 {
@@ -153,8 +147,6 @@ func (f *Fault) txStart(c *Thread) (countdown, budget int) {
 // commitDelay spins the committing writer for the profile's
 // invalidation delay, stretching the locked window concurrent readers
 // must validate across.
-//
-//natlevet:hotpath
 func (f *Fault) commitDelay(c *Thread) {
 	if f.p.InvalDelayProb <= 0 || c.randFloat() >= f.p.InvalDelayProb {
 		return
@@ -165,8 +157,6 @@ func (f *Fault) commitDelay(c *Thread) {
 
 // csStall spins the thread immediately after a lock acquisition with
 // the profile's stall probability (preemption while holding the lock).
-//
-//natlevet:hotpath
 func (f *Fault) csStall(c *Thread) {
 	if f.p.StallProb <= 0 || c.randFloat() >= f.p.StallProb {
 		return
@@ -179,8 +169,6 @@ func (f *Fault) csStall(c *Thread) {
 // spurious-abort countdown and access budget, killing the attempt when
 // either runs out, and reports whether it did. Called only while the
 // attempt is live and not yet upgraded to writer.
-//
-//natlevet:hotpath
 func (c *Thread) txAccess() bool {
 	if c.tx.spurious > 0 {
 		c.tx.spurious--

@@ -10,8 +10,6 @@ import (
 
 // Mutex is the native plain-lock baseline: a sync.Mutex, never
 // elided.
-//
-//natlevet:percpu
 type Mutex struct {
 	// The lock word all waiters spin in the kernel on and the
 	// release-side acquisition counter each own a line: the counter
@@ -27,8 +25,6 @@ type Mutex struct {
 func NewMutex() *Mutex { return &Mutex{} }
 
 // Critical implements scheme.BackendInstance.
-//
-//natlevet:hotpath
 func (m *Mutex) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
 	m.mu.Lock()
@@ -57,8 +53,6 @@ func (m *Mutex) Stats() scheme.Stats {
 
 // Spin is a test-and-test-and-set spinlock over one atomic word, the
 // native mirror of the simulated "lock" scheme.
-//
-//natlevet:percpu
 type Spin struct {
 	// Waiters poll word in the test-and-test-and-set read loop; the
 	// acquisition counter lives on its own line so a release-side bump
@@ -74,8 +68,6 @@ type Spin struct {
 func NewSpin() *Spin { return &Spin{} }
 
 // Critical implements scheme.BackendInstance.
-//
-//natlevet:hotpath
 func (s *Spin) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
 	for {

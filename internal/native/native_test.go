@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"natle/internal/backend"
+	"natle/internal/fault"
 	"natle/internal/scheme"
 	"natle/internal/tle"
 )
@@ -253,18 +253,11 @@ func TestFallbackBodyPanicReleasesLock(t *testing.T) {
 						t.Fatalf("sequence left odd (%d) after the panic", got)
 					}
 				}
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
+				returnsWithin(t, "a section after a panicking section", func() {
 					w.Run(1, func(backend.Ctx) {}, func(c backend.Ctx) {
 						tc.cs.Critical(c, func() { c.Store(addr, c.Load(addr)+1) })
 					})
-				}()
-				select {
-				case <-done:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("section after a panicking section never completed: lock leaked")
-				}
+				})
 				want := uint64(1)
 				if writer {
 					want = 2 // the upgraded writer's store was published
@@ -274,6 +267,81 @@ func TestFallbackBodyPanicReleasesLock(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// watchdog bounds how long a section that must not block may take
+// before the test calls it blocked: ample for a loaded race-detector
+// run, yet short enough that a hang fails fast.
+const watchdog = 2 * time.Second
+
+// returnsWithin runs f on its own goroutine and fails the test unless
+// it returns within the watchdog, so that a section that blocks for
+// ever shows as a failure, not as a hung suite.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(watchdog):
+		t.Fatalf("%s did not return within %v", what, watchdog)
+	}
+}
+
+// TestSeqlockReadSectionTakesNoLock: TLE.try is the seqlock read
+// section. It must not block on any lock between its snapshot and its
+// validation, or it would deadlock against a writer that holds the
+// sequence and waits on that lock. With the lock's mutex held and its
+// sequence odd, an optimistic attempt must still return, and must not
+// commit.
+func TestSeqlockReadSectionTakesNoLock(t *testing.T) {
+	w := NewWorld(Config{})
+	lk := NewTLE(0, tle.Backoff{})
+	var addr int
+	committed := false
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	lk.seq.Store(1)
+	returnsWithin(t, "an optimistic attempt on a held lock", func() {
+		w.Run(1, func(c backend.Ctx) { addr = c.Alloc(1) }, func(c backend.Ctx) {
+			committed = lk.try(c.(*Thread), 0, func() { c.Load(addr) })
+		})
+	})
+	if committed {
+		t.Fatal("an optimistic attempt committed across an odd sequence")
+	}
+}
+
+// TestLockAcquireBoundedUnderStall: under the stall fault schedule a
+// fifth of the threads that take the sequence word spin 30µs while they
+// hold it. Every thread waiting in TLE.lockAcquire must still get the
+// word, and no update may be lost.
+func TestLockAcquireBoundedUnderStall(t *testing.T) {
+	sched, err := fault.LookupSchedule("stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threads, ops = 4, 250
+	w := NewWorld(Config{Sockets: 2})
+	w.ArmFaults(sched.Profile)
+	lk := NewTLE(0, tle.Backoff{})
+	var addr int
+	returnsWithin(t, "fallback sections under the stall schedule", func() {
+		w.Run(threads, func(c backend.Ctx) { addr = c.Alloc(1) }, func(c backend.Ctx) {
+			for j := 0; j < ops; j++ {
+				lk.Exclusive(c, func() { c.Store(addr, c.Load(addr)+1) })
+			}
+		})
+	})
+	if got := w.Peek(addr); got != threads*ops {
+		t.Fatalf("counter = %d, want %d", got, threads*ops)
+	}
+	if w.FaultStats().Stalls == 0 {
+		t.Fatal("the stall schedule injected no stall")
 	}
 }
 
@@ -342,18 +410,6 @@ func TestMutexAndSpinConservation(t *testing.T) {
 	}
 	if got := s.Stats().Extra["acquires"]; got != 2000 {
 		t.Fatalf("spin acquires = %d, want 2000", got)
-	}
-}
-
-// TestThreadIsTwoCacheLines: the per-thread words the schemes keep in
-// the context (group, counter shard) came out of its padding, not on
-// top of it.
-func TestThreadIsTwoCacheLines(t *testing.T) {
-	if got := unsafe.Sizeof(Thread{}); got != 128 {
-		t.Fatalf("native.Thread is %d bytes, want 128", got)
-	}
-	if got := unsafe.Sizeof(shard{}); got != 64 {
-		t.Fatalf("a counter shard is %d bytes, want 64", got)
 	}
 }
 

@@ -62,8 +62,6 @@ const sampleEvery = 16
 
 // NATLE is native-tle plus per-lock adaptive group throttling driven
 // by a wall-clock EWMA of per-group commit throughput.
-//
-//natlevet:percpu
 type NATLE struct {
 	// Cold header, read-only after NewNATLE: exactly one cache line
 	// (8 + 8 + 48 bytes), so no hot word below shares it.
@@ -167,8 +165,6 @@ func (n *NATLE) Stats() scheme.Stats {
 // watchdog), then run under the inner native-tle lock. A section that
 // is admitted at once reads the decision word and its own counters and
 // nothing else of the throttling layer.
-//
-//natlevet:hotpath
 func (n *NATLE) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
 	if c.tx.active {
@@ -203,8 +199,6 @@ func (n *NATLE) Exclusive(c backend.Ctx, body func()) { n.inner.Exclusive(c, bod
 // the preferred group owns the first permille share of each window
 // position, the alternate the rest (the paper's proportional quantum
 // split, on wall-clock windows).
-//
-//natlevet:hotpath
 func (n *NATLE) admitted(c *Thread) bool {
 	d := n.decision.Load()
 	pref := int(d >> 32 & 0xffff)
@@ -227,8 +221,6 @@ func (n *NATLE) admitted(c *Thread) bool {
 // maybeDecide elects at most one thread per expired window (CAS on
 // the window start) to run the decision. decide itself is not a hot
 // path: it runs once per window and is free to allocate.
-//
-//natlevet:hotpath
 func (n *NATLE) maybeDecide(c *Thread) {
 	now := c.w.now()
 	ws := n.windowStart.Load()

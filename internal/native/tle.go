@@ -39,8 +39,6 @@ const maxLockHeldWaits = 1 << 10
 // to writer on first store; the sequence only ever grows, so a reader
 // that observes an unchanged sequence across its reads saw a
 // consistent snapshot.
-//
-//natlevet:percpu
 type TLE struct {
 	// seq is polled on every transactional load by every optimistic
 	// reader, so it owns a cache line: a counter bump must not
@@ -83,8 +81,6 @@ type counters struct {
 }
 
 // shard gives counters a cache line of its own.
-//
-//natlevet:percpu
 type shard struct {
 	counters
 	_ [16]byte
@@ -146,8 +142,6 @@ func (t *TLE) all() []*shard {
 }
 
 // shard returns c's counters on this lock.
-//
-//natlevet:hotpath
 func (t *TLE) shard(c *Thread) *shard {
 	if c.lock != t {
 		t.claim(c)
@@ -171,8 +165,6 @@ func (t *TLE) claim(c *Thread) {
 
 // Critical implements scheme.BackendInstance: optimistic attempts with capped
 // full-jitter backoff, then the exclusive fallback.
-//
-//natlevet:hotpath
 func (t *TLE) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
 	if c.tx.active {
@@ -187,8 +179,6 @@ func (t *TLE) Critical(bc backend.Ctx, body func()) {
 
 // critical is Critical for a thread that is not inside a section, with
 // its shard looked up.
-//
-//natlevet:hotpath
 func (t *TLE) critical(c *Thread, sh *shard, body func()) {
 	waits := 0
 	for attempt := 0; attempt < t.attempts; {
@@ -231,8 +221,6 @@ func (t *TLE) Exclusive(bc backend.Ctx, body func()) {
 // deferred — a panicking body must not leave the sequence odd and
 // wedge every later section — without Critical's optimistic return
 // paying for a defer frame.
-//
-//natlevet:hotpath
 func (t *TLE) fallback(c *Thread, body func()) {
 	s := t.lockAcquire(c)
 	defer t.seq.Store(s + 2)
@@ -249,9 +237,6 @@ func (t *TLE) fallback(c *Thread, body func()) {
 // read section: blocking on any lock between the snapshot and the
 // validation would deadlock against a writer waiting for readers to
 // drain.
-//
-//natlevet:hotpath
-//natlevet:seqlock
 func (t *TLE) try(c *Thread, start uint64, body func()) bool {
 	c.tx = txn{active: true, start: start, seq: &t.seq}
 	if inj := c.w.inj; inj != nil {
@@ -286,8 +271,6 @@ func (t *TLE) try(c *Thread, start uint64, body func()) bool {
 // only if the body panicked (a workload bug): the panic propagates, but
 // not while leaving the thread inside the attempt or, for an upgraded
 // writer, every other thread wedged on an odd sequence.
-//
-//natlevet:hotpath
 func (t *TLE) unwind(c *Thread, start uint64) {
 	if !c.tx.active {
 		return
@@ -300,8 +283,6 @@ func (t *TLE) unwind(c *Thread, start uint64) {
 
 // lockAcquire spins until it owns the sequence word (even -> odd) and
 // returns the even value it acquired from.
-//
-//natlevet:hotpath
 func (t *TLE) lockAcquire(c *Thread) uint64 {
 	for i := 0; ; i++ {
 		s := t.seq.Load()
@@ -320,8 +301,6 @@ func (t *TLE) lockAcquire(c *Thread) uint64 {
 // tle.Backoff works in virtual-time units (picoseconds); one virtual
 // nanosecond is re-interpreted as one wall-clock nanosecond here,
 // preserving the bounds and the jitter shape.
-//
-//natlevet:hotpath
 func (c *Thread) gap(attempt int, b tle.Backoff) {
 	c.spinWait(int64(b.Gap(c, attempt)) / int64(vtime.Nanosecond))
 }

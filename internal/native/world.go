@@ -196,8 +196,6 @@ func (w *World) groupOf(thread int) int {
 // contexts are allocated back to back, so the struct is padded to two
 // whole cache lines: unpadded, neighbouring workers share a line and
 // every scheme loses a fifth to a third of its throughput.
-//
-//natlevet:percpu
 type Thread struct {
 	w      *World
 	thread int
@@ -241,8 +239,6 @@ func (c *Thread) Thread() int { return c.thread }
 func (c *Thread) Socket() int { return c.group }
 
 // Rand64 steps the thread's splitmix64 RNG.
-//
-//natlevet:hotpath
 func (c *Thread) Rand64() uint64 {
 	c.rng += 0x9e3779b97f4a7c15
 	z := c.rng
@@ -252,8 +248,6 @@ func (c *Thread) Rand64() uint64 {
 }
 
 // Intn returns a draw in [0, n).
-//
-//natlevet:hotpath
 func (c *Thread) Intn(n int) int {
 	if n <= 0 {
 		return 0
@@ -266,8 +260,6 @@ func (c *Thread) Intn(n int) int {
 func (c *Thread) Now() int64 { return c.w.now() }
 
 // Work burns n iterations of external work.
-//
-//natlevet:hotpath
 func (c *Thread) Work(n int) {
 	for i := 0; i < n; i++ {
 		c.sink = c.sink*6364136223846793005 + 1442695040888963407
@@ -282,8 +274,6 @@ func (c *Thread) Alloc(nWords int) int { return c.w.alloc(nWords) }
 // the lock sequence after the read (seqlock discipline); on
 // interference the attempt dies and the load, like every later one of
 // the attempt, returns 0.
-//
-//natlevet:hotpath
 func (c *Thread) Load(a int) uint64 {
 	v := c.w.word(a).Load()
 	if c.tx.active && !c.tx.writer {
@@ -302,8 +292,6 @@ func (c *Thread) Load(a int) uint64 {
 // attempt upgrades it to writer by acquiring the sequence word with a
 // CAS; failure to upgrade kills the attempt, and a dead attempt's
 // stores are dropped.
-//
-//natlevet:hotpath
 func (c *Thread) Store(a int, v uint64) {
 	if c.tx.active && !c.tx.writer {
 		if c.tx.dead || (c.tx.spurious > 0 || c.tx.budget > 0) && c.txAccess() {
@@ -321,8 +309,6 @@ func (c *Thread) Store(a int, v uint64) {
 // spinWait busy-waits for about ns wall-clock nanoseconds, yielding
 // the processor periodically so oversubscribed hosts (more workers
 // than cores) keep making progress.
-//
-//natlevet:hotpath
 func (c *Thread) spinWait(ns int64) {
 	if ns <= 0 {
 		return

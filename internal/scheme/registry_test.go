@@ -1,35 +1,52 @@
 package scheme_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
-	"natle/internal/analysis/enums"
-	"natle/internal/analysis/load"
 	"natle/internal/natle"
 	"natle/internal/scheme"
 	"natle/internal/tle"
 	"natle/internal/vtime"
 )
 
-// workloadLockKinds type-checks the workload package through the
-// natlevet loader and returns the string value of every LockKind
-// constant, replacing an older version of this test that re-parsed
-// workload.go with go/parser and pattern-matched the AST.
+// workloadLockKinds parses workload.go and returns the string value of
+// every constant declared with type LockKind: Go cannot list a
+// package's constants at run time, so the test reads them from source.
 func workloadLockKinds(t *testing.T) []string {
 	t.Helper()
-	pkg, err := load.One(".", "natle/internal/workload")
-	if err != nil {
-		t.Fatalf("loading workload package: %v", err)
-	}
-	members, _, err := enums.Named(pkg.Types, "LockKind")
+	f, err := parser.ParseFile(token.NewFileSet(), "../workload/workload.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds, err := enums.StringValues(members)
-	if err != nil {
-		t.Fatal(err)
+	var kinds []string
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "LockKind" {
+				continue
+			}
+			for _, v := range vs.Values {
+				lit, ok := v.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("LockKind constant %s is not a string literal", vs.Names[0].Name)
+				}
+				k, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kinds = append(kinds, k)
+			}
+		}
 	}
 	return kinds
 }

@@ -81,3 +81,39 @@ func BenchmarkPipeline(b *testing.B) {
 	cfg.Shards, cfg.Servers, cfg.Batch = 1, 1, 8
 	b.Run("native-paced-1x1", run(backend.Native, cfg, nativeHostFor(cfg)))
 }
+
+// TestServerLoopAllocatesNothingPerRequest: whatever a trial allocates
+// once it runs — its servers, their bodies and batch buffers, the
+// queues grown to their depth, the result — does not grow with the
+// number of requests. Two trials that differ only in length differ by
+// well under one heap object per hundred extra requests, on either
+// host. The schedule is built outside the count.
+func TestServerLoopAllocatesNothingPerRequest(t *testing.T) {
+	const short, long = vtime.Millisecond, 4 * vtime.Millisecond
+	mallocs := func(kind backend.Kind, cfg Config) (requests int, n uint64) {
+		p := newPipeline(kind, cfg)
+		host := simHost
+		if kind == backend.Native {
+			host = nativeHost(native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()}))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		requests = p.run(host).Requests
+		runtime.ReadMemStats(&after)
+		return requests, after.Mallocs - before.Mallocs
+	}
+	for _, tc := range []struct {
+		kind   backend.Kind
+		scheme string
+	}{{backend.Sim, "tle"}, {backend.Native, "native-tle"}} {
+		cfg := Config{Seed: 1, Rate: 8e6, Scheme: tc.scheme}
+		cfg.Window = short
+		rs, few := mallocs(tc.kind, cfg)
+		cfg.Window = long
+		rl, many := mallocs(tc.kind, cfg)
+		if perReq := (float64(many) - float64(few)) / float64(rl-rs); perReq >= 0.01 {
+			t.Errorf("%s: %d allocations for %d requests, %d for %d: %.4f per extra request",
+				tc.scheme, few, rs, many, rl, perReq)
+		}
+	}
+}

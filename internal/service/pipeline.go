@@ -290,15 +290,13 @@ func (p *pipeline) dispatch(w worker) {
 // of every iteration it admits every arrival that has come due, and
 // with its own queue empty it sleeps until the next one is due instead
 // of parking, until the schedule is done.
-//
-//natlevet:hotpath
 func (p *pipeline) serve(w worker, s *shardState, f *frontend) {
 	cfg := &p.cfg
 	// One critical-section body per server, re-bound to each batch
 	// through the captured slice: building the literal inside the loop
 	// would heap-allocate a fresh closure per batch served.
-	batch := make([]Request, max(cfg.Batch, p.boCfg.MinBatch)) //natlevet:allow hotalloc(one buffer per server lifetime, not per batch)
-	body := func() {                                           //natlevet:allow hotalloc(one closure per server lifetime, not per batch)
+	batch := make([]Request, max(cfg.Batch, p.boCfg.MinBatch))
+	body := func() {
 		for i := range batch {
 			w.work(cfg.WorkPerReq)
 			w.apply(batch[i])
@@ -310,7 +308,7 @@ func (p *pipeline) serve(w worker, s *shardState, f *frontend) {
 	// simulator it runs on the scheduler while the server is parked, so
 	// it only touches host state.
 	polled := false
-	idle := func() bool { //natlevet:allow hotalloc(one closure per server lifetime, not per batch)
+	idle := func() bool {
 		if polled && s.bo != nil {
 			s.bo.tick(w.now(), &s.e2e, &s.stats)
 		}

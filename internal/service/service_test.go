@@ -10,6 +10,7 @@ import (
 	"natle/internal/expt"
 	"natle/internal/fault"
 	"natle/internal/scheme"
+	"natle/internal/telemetry"
 	"natle/internal/vtime"
 )
 
@@ -388,5 +389,34 @@ func TestDispatchStampsDueTime(t *testing.T) {
 				t.Fatalf("queue wait sums to %d ps and e2e to %d ps, want %d", res.Queue.SumPs, res.E2E.SumPs, want)
 			}
 		})
+	}
+}
+
+// TestEnumNames: every member of the enums that reach traces, summaries
+// and figure labels has a name of its own. A member added without a
+// case in its String switch would print as the numeric fallback; the
+// switches that carry behaviour (apply, sets.InsertWords) fail their
+// own tests instead.
+func TestEnumNames(t *testing.T) {
+	for _, tc := range []struct {
+		enum     string
+		n        int
+		name     func(i int) string
+		fallback string // fmt pattern of the String default
+	}{
+		{"telemetry.Code", int(telemetry.NumCodes), func(i int) string { return telemetry.Code(i).String() }, "code(%d)"},
+		{"telemetry.Kind", int(telemetry.NumKinds), func(i int) string { return telemetry.Kind(i).String() }, "kind(%d)"},
+		{"service.Op", int(NumOps), func(i int) string { return Op(i).String() }, "op(%d)"},
+	} {
+		seen := make(map[string]int)
+		for i := 0; i < tc.n; i++ {
+			name := tc.name(i)
+			if name == fmt.Sprintf(tc.fallback, i) {
+				t.Errorf("%s(%d) has no name: String returns the fallback %s", tc.enum, i, name)
+			} else if j, dup := seen[name]; dup {
+				t.Errorf("%s(%d) and %s(%d) are both named %q", tc.enum, j, tc.enum, i, name)
+			}
+			seen[name] = i
+		}
 	}
 }

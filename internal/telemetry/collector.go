@@ -28,12 +28,6 @@ type Config struct {
 // kind and abort cause, a per-lock × per-socket attribution matrix,
 // duration histograms, and an optional bounded event trace.
 type Collector struct {
-	// The 64-bit atomic aggregates lead the struct: Go guarantees
-	// 8-alignment only for the first word of an allocation, so on
-	// 32-bit targets anything placed after the int-sized config or the
-	// pointer fields lands 4-aligned and sync/atomic's 64-bit
-	// operations fault on it. Every Histogram is a multiple of 8
-	// bytes, so the whole prefix stays 8-aligned.
 	commitLat    Histogram // begin→commit latency
 	abortLat     Histogram // begin→abort latency
 	abortGap     Histogram // abort→next-attempt gap (per slot)
@@ -43,7 +37,7 @@ type Collector struct {
 	// lastAbort tracks, per slot, the end time of the last abort (+1
 	// so the zero value means "none"), to derive the abort-to-retry
 	// gap without a dedicated event.
-	lastAbort [1 << 10]int64
+	lastAbort [1 << 10]atomic.Int64
 
 	cfg Config
 
@@ -75,14 +69,11 @@ const (
 // adjacent sockets must not share a line (the stride is 9 words, which
 // would otherwise overlap neighbours and turn the attribution matrix
 // itself into a false-sharing hotspot the native backend measures).
-//
-//natlevet:percpu
 type socketCells struct {
-	cells [lockCellStride]uint64
+	cells [lockCellStride]atomic.Uint64
 	_     [128 - 8*lockCellStride]byte
 }
 
-//natlevet:percpu
 type lockBlock struct {
 	// name is read-only after registration; the pad keeps the hot
 	// per-socket cells off its line.
@@ -133,8 +124,7 @@ func (c *Collector) RegisterLock(name string) LockID {
 	return id
 }
 
-//natlevet:hotpath
-func (c *Collector) lockCell(lock LockID, socket, cell int) *uint64 {
+func (c *Collector) lockCell(lock LockID, socket, cell int) *atomic.Uint64 {
 	blocks := c.blocks.Load().([]*lockBlock)
 	if int(lock) >= len(blocks) || lock < 0 {
 		lock = NoLock
@@ -145,7 +135,6 @@ func (c *Collector) lockCell(lock LockID, socket, cell int) *uint64 {
 	return &blocks[lock].socks[socket].cells[cell]
 }
 
-//natlevet:hotpath
 func (c *Collector) trace(e Event) {
 	if c.ring != nil {
 		c.ring.Append(e)
@@ -153,31 +142,25 @@ func (c *Collector) trace(e Event) {
 }
 
 // TxStart implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) TxStart(at vtime.Time, slot, socket int, lock LockID) {
 	c.kinds[KindTxStart].Add(slot, 1)
-	atomic.AddUint64(c.lockCell(lock, socket, cellStarts), 1)
-	if la := atomic.SwapInt64(&c.lastAbort[uint(slot)%uint(len(c.lastAbort))], 0); la != 0 {
+	c.lockCell(lock, socket, cellStarts).Add(1)
+	if la := c.lastAbort[uint(slot)%uint(len(c.lastAbort))].Swap(0); la != 0 {
 		c.abortGap.Observe(at.Sub(vtime.Time(la - 1)))
 	}
 	c.trace(Event{Kind: KindTxStart, At: at, Slot: int16(slot), Socket: int8(socket), Lock: lock})
 }
 
 // TxCommit implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) TxCommit(at vtime.Time, slot, socket int, lock LockID, dur vtime.Duration, readSet, writeSet int) {
 	c.kinds[KindTxCommit].Add(slot, 1)
-	atomic.AddUint64(c.lockCell(lock, socket, cellCommits), 1)
+	c.lockCell(lock, socket, cellCommits).Add(1)
 	c.commitLat.Observe(dur)
 	c.trace(Event{Kind: KindTxCommit, At: at, Slot: int16(slot), Socket: int8(socket),
 		Lock: lock, Dur: dur, Read: int32(readSet), Write: int32(writeSet)})
 }
 
 // TxAbort implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) TxAbort(at vtime.Time, slot, socket int, lock LockID, code Code, hint bool, dur vtime.Duration) {
 	c.kinds[KindTxAbort].Add(slot, 1)
 	if code < NumCodes {
@@ -186,40 +169,34 @@ func (c *Collector) TxAbort(at vtime.Time, slot, socket int, lock LockID, code C
 	if hint {
 		c.hintSet.Add(slot, 1)
 	}
-	atomic.AddUint64(c.lockCell(lock, socket, cellAborts+int(code)), 1)
+	c.lockCell(lock, socket, cellAborts+int(code)).Add(1)
 	c.abortLat.Observe(dur)
-	atomic.StoreInt64(&c.lastAbort[uint(slot)%uint(len(c.lastAbort))], int64(at)+1)
+	c.lastAbort[uint(slot)%uint(len(c.lastAbort))].Store(int64(at) + 1)
 	c.trace(Event{Kind: KindTxAbort, At: at, Slot: int16(slot), Socket: int8(socket),
 		Lock: lock, Code: code, Hint: hint, Dur: dur})
 }
 
 // Fallback implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) Fallback(at vtime.Time, slot, socket int, lock LockID, hold vtime.Duration) {
 	c.kinds[KindFallback].Add(slot, 1)
-	atomic.AddUint64(c.lockCell(lock, socket, cellFallbacks), 1)
+	c.lockCell(lock, socket, cellFallbacks).Add(1)
 	c.fallbackHold.Observe(hold)
 	// The retry loop ended in a fallback, not a retry: drop the gap.
-	atomic.StoreInt64(&c.lastAbort[uint(slot)%uint(len(c.lastAbort))], 0)
+	c.lastAbort[uint(slot)%uint(len(c.lastAbort))].Store(0)
 	c.trace(Event{Kind: KindFallback, At: at, Slot: int16(slot), Socket: int8(socket),
 		Lock: lock, Dur: hold})
 }
 
 // Wait implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) Wait(at vtime.Time, slot, socket int, lock LockID, dur vtime.Duration) {
 	c.kinds[KindWait].Add(slot, 1)
-	atomic.AddUint64(c.lockCell(lock, socket, cellWaits), 1)
+	c.lockCell(lock, socket, cellWaits).Add(1)
 	c.waitTime.Observe(dur)
 	c.trace(Event{Kind: KindWait, At: at, Slot: int16(slot), Socket: int8(socket),
 		Lock: lock, Dur: dur})
 }
 
 // CacheMiss implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) CacheMiss(at vtime.Time, socket int, remote bool) {
 	c.kinds[KindCacheMiss].Add(socket, 1)
 	if remote {
@@ -231,8 +208,6 @@ func (c *Collector) CacheMiss(at vtime.Time, socket int, remote bool) {
 }
 
 // Breaker implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) Breaker(at vtime.Time, slot, socket int, lock LockID, open bool) {
 	k := KindBreakerClose
 	if open {
@@ -244,8 +219,6 @@ func (c *Collector) Breaker(at vtime.Time, slot, socket int, lock LockID, open b
 
 // Brownout implements Recorder. Read/Write carry the from/to levels so
 // the trace records the direction of the transition.
-//
-//natlevet:hotpath
 func (c *Collector) Brownout(at vtime.Time, slot, socket int, from, to int) {
 	c.kinds[KindBrownout].Add(slot, 1)
 	c.trace(Event{Kind: KindBrownout, At: at, Slot: int16(slot), Socket: int8(socket),
@@ -253,8 +226,6 @@ func (c *Collector) Brownout(at vtime.Time, slot, socket int, from, to int) {
 }
 
 // CacheInval implements Recorder.
-//
-//natlevet:hotpath
 func (c *Collector) CacheInval(at vtime.Time, socket int, remote bool) {
 	c.kinds[KindCacheInval].Add(socket, 1)
 	if remote {
@@ -387,12 +358,12 @@ func (c *Collector) Locks() []LockSummary {
 		for sock := 0; sock < MaxSockets; sock++ {
 			sc := &b.socks[sock]
 			cell := &s.PerSocket[sock]
-			cell.Starts = atomic.LoadUint64(&sc.cells[cellStarts])
-			cell.Commits = atomic.LoadUint64(&sc.cells[cellCommits])
-			cell.Fallbacks = atomic.LoadUint64(&sc.cells[cellFallbacks])
-			cell.Waits = atomic.LoadUint64(&sc.cells[cellWaits])
+			cell.Starts = sc.cells[cellStarts].Load()
+			cell.Commits = sc.cells[cellCommits].Load()
+			cell.Fallbacks = sc.cells[cellFallbacks].Load()
+			cell.Waits = sc.cells[cellWaits].Load()
 			for code := 0; code < int(NumCodes); code++ {
-				cell.Aborts[code] = atomic.LoadUint64(&sc.cells[cellAborts+code])
+				cell.Aborts[code] = sc.cells[cellAborts+code].Load()
 			}
 		}
 		out[id] = s

@@ -16,7 +16,7 @@ const counterStride = 8 // uint64s = 64 bytes
 // all; with more, contention is bounded by the shard count rather
 // than serializing every increment on one line.
 type ShardedCounter struct {
-	shards []uint64 // len = n * counterStride, one live word per stride
+	shards []atomic.Uint64 // len = n * counterStride, one live word per stride
 }
 
 // NewShardedCounter creates a counter with n shards (minimum 1).
@@ -24,7 +24,7 @@ func NewShardedCounter(n int) *ShardedCounter {
 	if n < 1 {
 		n = 1
 	}
-	return &ShardedCounter{shards: make([]uint64, n*counterStride)}
+	return &ShardedCounter{shards: make([]atomic.Uint64, n*counterStride)}
 }
 
 // Shards returns the shard count.
@@ -32,22 +32,20 @@ func (c *ShardedCounter) Shards() int { return len(c.shards) / counterStride }
 
 // Add atomically adds delta to the shard'th shard (wrapped modulo the
 // shard count).
-//
-//natlevet:hotpath
 func (c *ShardedCounter) Add(shard int, delta uint64) {
 	n := len(c.shards) / counterStride
 	i := shard % n
 	if i < 0 {
 		i += n
 	}
-	atomic.AddUint64(&c.shards[i*counterStride], delta)
+	c.shards[i*counterStride].Add(delta)
 }
 
 // Load returns the merged value across all shards.
 func (c *ShardedCounter) Load() uint64 {
 	var sum uint64
 	for i := 0; i < len(c.shards); i += counterStride {
-		sum += atomic.LoadUint64(&c.shards[i])
+		sum += c.shards[i].Load()
 	}
 	return sum
 }

@@ -19,8 +19,8 @@ const HistBuckets = 64
 // updates, so it can be shared by concurrent observers without
 // locking. Use Snapshot for consistent reads and windowed deltas.
 type Histogram struct {
-	counts [HistBuckets]uint64
-	sum    uint64 // total observed picoseconds
+	counts [HistBuckets]atomic.Uint64
+	sum    atomic.Uint64 // total observed picoseconds
 }
 
 // bucketOf maps a duration to its bucket index.
@@ -32,30 +32,28 @@ func bucketOf(d vtime.Duration) int {
 }
 
 // Observe adds one observation.
-//
-//natlevet:hotpath
 func (h *Histogram) Observe(d vtime.Duration) {
-	atomic.AddUint64(&h.counts[bucketOf(d)], 1)
+	h.counts[bucketOf(d)].Add(1)
 	if d > 0 {
-		atomic.AddUint64(&h.sum, uint64(d))
+		h.sum.Add(uint64(d))
 	}
 }
 
 // Merge adds o's observations into h.
 func (h *Histogram) Merge(o *Histogram) {
 	for i := range h.counts {
-		atomic.AddUint64(&h.counts[i], atomic.LoadUint64(&o.counts[i]))
+		h.counts[i].Add(o.counts[i].Load())
 	}
-	atomic.AddUint64(&h.sum, atomic.LoadUint64(&o.sum))
+	h.sum.Add(o.sum.Load())
 }
 
 // Snapshot captures the current buckets for queries and deltas.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	for i := range h.counts {
-		s.Counts[i] = atomic.LoadUint64(&h.counts[i])
+		s.Counts[i] = h.counts[i].Load()
 	}
-	s.SumPs = atomic.LoadUint64(&h.sum)
+	s.SumPs = h.sum.Load()
 	return s
 }
 
@@ -63,7 +61,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) Count() uint64 {
 	var n uint64
 	for i := range h.counts {
-		n += atomic.LoadUint64(&h.counts[i])
+		n += h.counts[i].Load()
 	}
 	return n
 }

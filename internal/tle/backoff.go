@@ -27,8 +27,6 @@ type Backoff struct {
 // Gap returns the randomized delay before retry attempt+1, where
 // attempt counts consecutive aborts so far (first retry = 0). The draw
 // comes from the calling thread's deterministic RNG.
-//
-//natlevet:hotpath
 func (b Backoff) Gap(c interface{ Intn(int) int }, attempt int) vtime.Duration {
 	base, ceil := b.Base, b.Cap
 	if base <= 0 {

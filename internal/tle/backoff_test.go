@@ -126,3 +126,23 @@ func TestRetryGapHistogramPinned(t *testing.T) {
 		t.Errorf("retry-gap p99 %v far above the backoff cap %v", p99, tle.DefaultBackoffCap)
 	}
 }
+
+// TestRetryPathsAllocateNothing: the backoff draw runs after every
+// abort, and a service shard consults its retry budget on every batch.
+func TestRetryPathsAllocateNothing(t *testing.T) {
+	r := &seqRand{}
+	b := tle.NewRetryBudget(4, 10*vtime.Microsecond)
+	now := vtime.Time(0)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Backoff.Gap", func() { tle.Backoff{}.Gap(r, 3) }},
+		{"RetryBudget.Spend", func() { now = now.Add(vtime.Microsecond); b.Spend(now, 1) }},
+		{"RetryBudget.Allow", func() { now = now.Add(vtime.Microsecond); b.Allow(now) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", tc.name, n)
+		}
+	}
+}

@@ -36,8 +36,6 @@ func (b *RetryBudget) enabled() bool { return b != nil && b.budget > 0 && b.wind
 
 // refill rolls the window forward if now has passed its end, restoring
 // the full token budget.
-//
-//natlevet:hotpath
 func (b *RetryBudget) refill(now vtime.Time) {
 	if !b.started {
 		b.start, b.started = now, true
@@ -52,8 +50,6 @@ func (b *RetryBudget) refill(now vtime.Time) {
 // Spend deducts n retry tokens observed since the last call (clamping
 // at zero) and records the window as exhausted the moment the bucket
 // empties.
-//
-//natlevet:hotpath
 func (b *RetryBudget) Spend(now vtime.Time, n uint64) {
 	if !b.enabled() || n == 0 {
 		return
@@ -72,8 +68,6 @@ func (b *RetryBudget) Spend(now vtime.Time, n uint64) {
 
 // Allow reports whether elided execution is still within budget at
 // now; a refusal is counted as a denied grant.
-//
-//natlevet:hotpath
 func (b *RetryBudget) Allow(now vtime.Time) bool {
 	if !b.enabled() {
 		return true

@@ -311,11 +311,9 @@ func (b *bkCounter) Setup(w backend.World, c backend.Ctx, desc *scheme.Descripto
 
 func (b *bkCounter) Worker(c backend.Ctx, _ int) func(j int) {
 	cs, addr := b.cs, b.addr
-	//natlevet:hotpath
 	incr := func() {
 		c.Store(addr, c.Load(addr)+1)
 	}
-	//natlevet:hotpath
 	return func(int) {
 		cs.Critical(c, incr)
 	}
@@ -370,11 +368,9 @@ func (b *bkTwoTrees) Worker(c backend.Ctx, thread int) func(j int) {
 	if thread%2 != 0 {
 		// Searcher: a read-only contains on the search set.
 		lock, memb := b.schLock, b.schMemb
-		//natlevet:hotpath
 		contains := func() {
 			_ = c.Load(memb + key)
 		}
-		//natlevet:hotpath
 		return func(j int) {
 			key = int(opHash(seed, thread, j) % uint64(kr))
 			lock.Critical(c, contains)
@@ -383,21 +379,18 @@ func (b *bkTwoTrees) Worker(c backend.Ctx, thread int) func(j int) {
 	// Updater: insert or delete within this updater's partition.
 	lock, memb, size := b.updLock, b.updMemb, b.updSize
 	u, updaters := thread/2, b.updaters
-	//natlevet:hotpath
 	insert := func() {
 		if c.Load(memb+key) == 0 {
 			c.Store(memb+key, 1)
 			c.Store(size, c.Load(size)+1)
 		}
 	}
-	//natlevet:hotpath
 	remove := func() {
 		if c.Load(memb+key) != 0 {
 			c.Store(memb+key, 0)
 			c.Store(size, c.Load(size)-1)
 		}
 	}
-	//natlevet:hotpath
 	return func(j int) {
 		x := opHash(seed, thread, j)
 		key = int((x>>1)%uint64(kr/updaters))*updaters + u
@@ -467,19 +460,15 @@ func (b *bkSets) Worker(c backend.Ctx, thread int) func(j int) {
 	seed, kr, th := b.cfg.Seed, b.cfg.KeyRange, b.cfg.Threads
 	cs, set := b.cs, b.set
 	var key int64 // of the operation in flight
-	//natlevet:hotpath
 	contains := func() {
 		set.Contains(c, key)
 	}
-	//natlevet:hotpath
 	insert := func() {
 		set.Insert(c, key)
 	}
-	//natlevet:hotpath
 	remove := func() {
 		set.Delete(c, key)
 	}
-	//natlevet:hotpath
 	return func(j int) {
 		x := opHash(seed, thread, j)
 		if x&1 == 0 {

@@ -18,24 +18,35 @@ import (
 // allocates is set-up — the world's contexts and goroutines, the
 // workers and their bodies, the result — and does not grow with the
 // trial. Two trials that differ only in length differ by well under one
-// heap object per hundred extra operations, under every native scheme.
-// (A section body built per operation is one object per operation: it
-// escapes through the Critical interface call.)
+// heap object per hundred extra operations, under every native scheme,
+// fault-free and under the storm schedule, whose faults reach every
+// hook of the native fault adapter. (A section body built per operation
+// is one object per operation: it escapes through the Critical
+// interface call.)
 func TestRunBackendAllocatesNothingPerOperation(t *testing.T) {
 	const short, long = 1 << 10, 1 << 13
-	for _, wl := range workload.BackendWorkloads() {
-		for _, lock := range scheme.NamesFor(backend.Native) {
-			cfg := workload.BackendConfig{
-				Lock: lock, Workload: wl, Threads: 2, Seed: 1, KeyRange: 512,
-			}
-			cfg.Ops = short
-			_, few := nativeMallocs(cfg)
-			cfg.Ops = long
-			_, many := nativeMallocs(cfg)
-			extra := float64(cfg.Threads * (long - short))
-			if perOp := (float64(many) - float64(few)) / extra; perOp >= 0.01 {
-				t.Errorf("%s/%s: %d allocations for %d ops per thread, %d for %d: %.3f per extra operation",
-					wl, lock, few, short, many, long, perOp)
+	storm, err := fault.LookupSchedule("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prof := range []*fault.Profile{nil, &storm.Profile} {
+		for _, wl := range workload.BackendWorkloads() {
+			for _, lock := range scheme.NamesFor(backend.Native) {
+				cfg := workload.BackendConfig{
+					Lock: lock, Workload: wl, Threads: 2, Seed: 1, KeyRange: 512, Fault: prof,
+				}
+				cfg.Ops = short
+				_, few := nativeMallocs(cfg)
+				cfg.Ops = long
+				r, many := nativeMallocs(cfg)
+				extra := float64(cfg.Threads * (long - short))
+				if perOp := (float64(many) - float64(few)) / extra; perOp >= 0.01 {
+					t.Errorf("%s/%s (faults %v): %d allocations for %d ops per thread, %d for %d: %.3f per extra operation",
+						wl, lock, prof != nil, few, short, many, long, perOp)
+				}
+				if prof != nil && r.Fault == (fault.Stats{}) {
+					t.Errorf("%s/%s: the storm schedule injected nothing", wl, lock)
+				}
 			}
 		}
 	}
