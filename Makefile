@@ -75,10 +75,12 @@ check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/htm ./internal/arena ./internal/sets ./internal/telemetry
 	$(MAKE) native-check
 
-# bench runs one iteration of every figure benchmark: each regenerates
-# one of the paper's figures or tables at a trimmed sweep scale.
+# bench runs one iteration of BenchmarkPlans: every plan in
+# harness.Plans() regenerates its figure or table at a trimmed sweep
+# scale, one sub-benchmark per plan ID (BenchmarkPlans/fig01, ...), with
+# the figure's shape metric (such as cliff-72v36) beside ns/op.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/harness
+	$(GO) test -run '^$$' -bench '^BenchmarkPlans$$' -benchtime 1x ./internal/harness
 
 # bench-layers is the per-package ledger under the figure-sized runs of
 # `make bench`: ns/op and allocs/op of the simulator's hand-off, early

@@ -11,17 +11,26 @@ import (
 	"natle/internal/workload"
 )
 
+// peakThreads returns the scale's largest thread count, the
+// cross-socket point the ablations measure (72 at QuickScale and
+// FullScale).
+func (sc Scale) peakThreads() int { return sc.LargeThreads[len(sc.LargeThreads)-1] }
+
 // PlanAblationRemoteLatency sweeps the cross-socket transfer latency
 // and shows how the size of the 36->72 collapse tracks the
 // remote/local latency ratio — the mechanism behind the paper's
 // Section 3.2 hypothesis. Each latency point is two independent trials
-// (72 and 36 threads) reduced to their ratio after the barrier.
+// (the scale's peak and half-peak thread counts) reduced to their
+// ratio after the barrier.
 func PlanAblationRemoteLatency(sc Scale) *expt.Plan {
+	peak := sc.peakThreads()
+	half := peak / 2 // the one-socket reference
+	ratioName := fmt.Sprintf("t(%d)/t(%d)", peak, half)
 	p := &expt.Plan{
 		ID:     "ablation-remote-latency",
-		Title:  "72-thread throughput relative to 36-thread peak vs remote latency",
+		Title:  fmt.Sprintf("%d-thread throughput relative to %d-thread peak vs remote latency", peak, half),
 		XLabel: "remote/local latency ratio",
-		YLabel: "t(72)/t(36)",
+		YLabel: ratioName,
 	}
 	for _, remote := range []vtime.Duration{
 		20 * vtime.Nanosecond, 60 * vtime.Nanosecond, 135 * vtime.Nanosecond,
@@ -40,37 +49,32 @@ func PlanAblationRemoteLatency(sc Scale) *expt.Plan {
 			}))
 		}
 		ratio := float64(remote) / float64(machine.LargeX52().L3Hit)
-		denom := fmt.Sprintf("remote%d/36", remote)
+		denom := fmt.Sprintf("remote%d/%d", remote, half)
 		p.Add(expt.TrialSpec{
 			Key:    denom,
-			Run:    func() expt.Outcome { return run(36) },
+			Run:    func() expt.Outcome { return run(half) },
 			Reduce: expt.Discard,
 		})
 		p.Add(expt.TrialSpec{
-			Key:    fmt.Sprintf("remote%d/72", remote),
-			Run:    func() expt.Outcome { return run(72) },
-			Reduce: expt.Ratio("t(72)/t(36)", ratio, denom),
+			Key:    fmt.Sprintf("remote%d/%d", remote, peak),
+			Run:    func() expt.Outcome { return run(peak) },
+			Reduce: expt.Ratio(ratioName, ratio, denom),
 		})
 	}
 	return p
 }
 
-// AblationRemoteLatency executes PlanAblationRemoteLatency on the
-// default pool.
-func AblationRemoteLatency(sc Scale) *Figure {
-	return Exec(PlanAblationRemoteLatency(sc), expt.Options{})
-}
-
 // PlanAblationProfilingLen sweeps the NATLE cycle length (keeping the
 // 10% profiling share) and reports both the read-only overhead (the
-// paper's 27% observation) and the 72-thread update throughput —
+// paper's 27% observation) and the peak-thread update throughput —
 // shorter cycles react faster but switch sockets more often. Each
 // plotted ratio is a NATLE trial divided by its hidden TLE
 // denominator trial.
 func PlanAblationProfilingLen(sc Scale) *expt.Plan {
+	peak := sc.peakThreads()
 	p := &expt.Plan{
 		ID:     "ablation-profiling-len",
-		Title:  "NATLE cycle length: read-only overhead vs update rescue (72 threads)",
+		Title:  fmt.Sprintf("NATLE cycle length: read-only overhead vs update rescue (%d threads)", peak),
 		XLabel: "quantum (us)",
 		YLabel: "ratio",
 	}
@@ -84,7 +88,7 @@ func PlanAblationProfilingLen(sc Scale) *expt.Plan {
 		run := func(upd int, lk workload.LockKind) expt.Outcome {
 			ncfg := n
 			return expt.Value(workload.Run(workload.Config{
-				Threads: 72, UpdatePct: upd, KeyRange: 2048, Lock: lk,
+				Threads: peak, UpdatePct: upd, KeyRange: 2048, Lock: lk,
 				NATLE: &ncfg, Seed: sc.Seed,
 				Duration: dur, Warmup: dur / 4,
 			}).Throughput())
@@ -113,19 +117,14 @@ func PlanAblationProfilingLen(sc Scale) *expt.Plan {
 	return p
 }
 
-// AblationProfilingLen executes PlanAblationProfilingLen on the
-// default pool.
-func AblationProfilingLen(sc Scale) *Figure {
-	return Exec(PlanAblationProfilingLen(sc), expt.Options{})
-}
-
 // PlanAblationWarmupThreshold shows the effect of the 256-acquisition
 // floor: with the floor disabled (threshold 0), sparse profiling data
 // can lock in a one-socket decision on a workload that scales.
 func PlanAblationWarmupThreshold(sc Scale) *expt.Plan {
+	peak := sc.peakThreads()
 	p := &expt.Plan{
 		ID:     "ablation-warmup-threshold",
-		Title:  "NATLE warmup threshold: read-only 72-thread throughput",
+		Title:  fmt.Sprintf("NATLE warmup threshold: read-only %d-thread throughput", peak),
 		XLabel: "threshold",
 		YLabel: "ops/s",
 	}
@@ -136,7 +135,7 @@ func PlanAblationWarmupThreshold(sc Scale) *expt.Plan {
 				n := sc.NATLE
 				n.WarmupThreshold = th
 				return expt.Value(workload.Run(workload.Config{
-					Threads: 72, UpdatePct: 0, KeyRange: 2048,
+					Threads: peak, UpdatePct: 0, KeyRange: 2048,
 					// Long external work keeps acquisition counts per
 					// profiling window low, which is where the floor
 					// matters.
@@ -151,19 +150,14 @@ func PlanAblationWarmupThreshold(sc Scale) *expt.Plan {
 	return p
 }
 
-// AblationWarmupThreshold executes PlanAblationWarmupThreshold on the
-// default pool.
-func AblationWarmupThreshold(sc Scale) *Figure {
-	return Exec(PlanAblationWarmupThreshold(sc), expt.Options{})
-}
-
 // PlanAblationQuanta sweeps the number of quanta per cycle (the paper
 // uses 9) at fixed cycle length, trading profiling staleness against
 // switching frequency.
 func PlanAblationQuanta(sc Scale) *expt.Plan {
+	peak := sc.peakThreads()
 	p := &expt.Plan{
 		ID:     "ablation-quanta",
-		Title:  "NATLE quanta per cycle: 72-thread 100%-update throughput",
+		Title:  fmt.Sprintf("NATLE quanta per cycle: %d-thread 100%%-update throughput", peak),
 		XLabel: "quanta",
 		YLabel: "ops/s",
 	}
@@ -176,7 +170,7 @@ func PlanAblationQuanta(sc Scale) *expt.Plan {
 				n.Quanta = q
 				n.QuantumLen = cycleBudget / vtime.Duration(q)
 				return expt.Value(workload.Run(workload.Config{
-					Threads: 72, UpdatePct: 100, KeyRange: 2048,
+					Threads: peak, UpdatePct: 100, KeyRange: 2048,
 					Lock: workload.LockNATLE, NATLE: &n, Seed: sc.Seed,
 					Duration: sc.NATLEDur, Warmup: sc.NATLEWarmup,
 				}).Throughput())
@@ -187,11 +181,6 @@ func PlanAblationQuanta(sc Scale) *expt.Plan {
 	return p
 }
 
-// AblationQuanta executes PlanAblationQuanta on the default pool.
-func AblationQuanta(sc Scale) *Figure {
-	return Exec(PlanAblationQuanta(sc), expt.Options{})
-}
-
 // PlanAblationAdaptiveProfiling measures the extension that implements
 // the paper's "dynamically adapting these settings" future work:
 // skipping profiling during stable periods. It reports NATLE/TLE
@@ -200,9 +189,10 @@ func AblationQuanta(sc Scale) *Figure {
 // ~27%) and on the 100%-update workload (where adaptation must not
 // lose the throttling benefit).
 func PlanAblationAdaptiveProfiling(sc Scale) *expt.Plan {
+	peak := sc.peakThreads()
 	p := &expt.Plan{
 		ID:     "ablation-adaptive-profiling",
-		Title:  "Adaptive profiling frequency: NATLE/TLE at 72 threads (0=fixed, 1=adaptive)",
+		Title:  fmt.Sprintf("Adaptive profiling frequency: NATLE/TLE at %d threads (0=fixed, 1=adaptive)", peak),
 		XLabel: "adaptive",
 		YLabel: "NATLE/TLE throughput",
 	}
@@ -211,7 +201,7 @@ func PlanAblationAdaptiveProfiling(sc Scale) *expt.Plan {
 			n := sc.NATLE
 			n.AdaptProfiling = adapt
 			return expt.Value(workload.Run(workload.Config{
-				Threads: 72, UpdatePct: upd, KeyRange: 2048, Lock: lk,
+				Threads: peak, UpdatePct: upd, KeyRange: 2048, Lock: lk,
 				NATLE: &n, Seed: sc.Seed,
 				Duration: 3 * sc.NATLEDur, Warmup: sc.NATLEWarmup,
 			}).Throughput())
@@ -237,12 +227,6 @@ func PlanAblationAdaptiveProfiling(sc Scale) *expt.Plan {
 		}
 	}
 	return p
-}
-
-// AblationAdaptiveProfiling executes PlanAblationAdaptiveProfiling on
-// the default pool.
-func AblationAdaptiveProfiling(sc Scale) *Figure {
-	return Exec(PlanAblationAdaptiveProfiling(sc), expt.Options{})
 }
 
 // PlanLocks is an extension comparison beyond the paper's figures:
@@ -275,9 +259,6 @@ func PlanLocks(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// LocksTable executes PlanLocks on the default pool.
-func LocksTable(sc Scale) *Figure { return Exec(PlanLocks(sc), expt.Options{}) }
 
 // PlanDelegation compares TLE against the Section 4.1 delegation
 // baselines (single-operation and batched) on the update-heavy AVL
@@ -312,9 +293,4 @@ func PlanDelegation(sc Scale, batches []int) *expt.Plan {
 		}
 	}
 	return p
-}
-
-// DelegationTable executes PlanDelegation on the default pool.
-func DelegationTable(sc Scale, batches []int) *Figure {
-	return Exec(PlanDelegation(sc, batches), expt.Options{})
 }

@@ -74,11 +74,6 @@ func PlanFig17(sc Scale, names []string) *expt.Plan {
 	return p
 }
 
-// Fig17 executes PlanFig17 on the default pool.
-func Fig17(sc Scale, names []string) *Figure {
-	return Exec(PlanFig17(sc, names), expt.Options{})
-}
-
 // PlanFig18 reproduces Figure 18(a)/(c): ccTSA total runtime with and
 // without pinning.
 func PlanFig18(sc Scale, pinned bool) *expt.Plan {
@@ -108,11 +103,6 @@ func PlanFig18(sc Scale, pinned bool) *expt.Plan {
 		})
 	}
 	return p
-}
-
-// Fig18 executes PlanFig18 on the default pool.
-func Fig18(sc Scale, pinned bool) *Figure {
-	return Exec(PlanFig18(sc, pinned), expt.Options{})
 }
 
 // PlanFig18b reproduces Figure 18(b): the share of post-profiling time
@@ -147,9 +137,6 @@ func PlanFig18b(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig18b executes PlanFig18b on the default pool.
-func Fig18b(sc Scale) *Figure { return Exec(PlanFig18b(sc), expt.Options{}) }
-
 // PlanFig19 reproduces Figure 19: paraheap-k total runtime with (a)
 // and without (b) pinning.
 func PlanFig19(sc Scale, pinned bool) *expt.Plan {
@@ -182,9 +169,4 @@ func PlanFig19(sc Scale, pinned bool) *expt.Plan {
 		})
 	}
 	return p
-}
-
-// Fig19 executes PlanFig19 on the default pool.
-func Fig19(sc Scale, pinned bool) *Figure {
-	return Exec(PlanFig19(sc, pinned), expt.Options{})
 }

@@ -1,16 +1,17 @@
 package harness_test
 
-// This file holds one benchmark per table and figure in the paper's
-// evaluation, each regenerating its figure at a reduced sweep scale
-// (bench-sized trials; cmd/figures -scale full produces the record in
-// EXPERIMENTS.md). Key shape metrics are attached via b.ReportMetric:
-// for the throughput figures, "cliff" is the 72-thread value relative
-// to the 36-thread value of the first series — the quantity the paper
-// is about.
+// BenchmarkPlans regenerates every figure and table in harness.Plans()
+// at a reduced sweep scale (bench-sized trials; cmd/figures -scale full
+// produces the record in EXPERIMENTS.md), one sub-benchmark per plan ID.
+// Key shape metrics are attached via b.ReportMetric: for the throughput
+// figures, "cliff" is the 72-thread value relative to the 36-thread
+// value of the first series — the quantity the paper is about.
 
 import (
+	"slices"
 	"testing"
 
+	"natle/internal/expt"
 	"natle/internal/harness"
 	"natle/internal/telemetry"
 	"natle/internal/vtime"
@@ -32,11 +33,30 @@ func benchScale() harness.Scale {
 	return sc
 }
 
-var benchFig *harness.Figure // sink
+// shapeMetrics are the figure-specific metrics BenchmarkPlans reports
+// beside ns/op, by plan ID.
+var shapeMetrics = map[string]func(*testing.B, *harness.Figure){
+	"fig01": reportCliff,
+	"fig03": reportCliff,
+	"fig04": reportCliff,
+	// Peak percentage across thread counts (the paper's <=4%).
+	"fig02b": func(b *testing.B, f *harness.Figure) {
+		if len(f.Series) > 0 {
+			b.ReportMetric(max(0, slices.Max(f.Series[0].Y)), "peak-pct")
+		}
+	},
+	// The local variant's counts: almost every read misses, none abort.
+	"llc": func(b *testing.B, f *harness.Figure) {
+		for _, s := range f.Series {
+			if s.Name == "aborts" || s.Name == "reads" {
+				b.ReportMetric(s.Y[0], s.Name)
+			}
+		}
+	},
+}
 
-// reportCliff attaches t(72)/t(36) of the named series (or the first).
+// reportCliff attaches t(72)/t(36) of the first series.
 func reportCliff(b *testing.B, f *harness.Figure) {
-	b.Helper()
 	if len(f.Series) == 0 {
 		return
 	}
@@ -55,229 +75,19 @@ func reportCliff(b *testing.B, f *harness.Figure) {
 	}
 }
 
-func BenchmarkFig01AVLSpeedupBothMachines(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig01(sc)
-	}
-	reportCliff(b, benchFig)
-}
+var benchFig *harness.Figure // sink
 
-func BenchmarkFig02aRetryPolicies(b *testing.B) {
+func BenchmarkPlans(b *testing.B) {
 	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig02a(sc)
-	}
-}
-
-func BenchmarkFig02bCommitsAfterHintClear(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig02b(sc)
-	}
-	// Peak percentage across thread counts (the paper's <=4%).
-	if len(benchFig.Series) > 0 {
-		peak := 0.0
-		for _, y := range benchFig.Series[0].Y {
-			if y > peak {
-				peak = y
+	for _, e := range harness.Plans() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchFig = harness.Exec(e.Build(sc), expt.Options{})
 			}
-		}
-		b.ReportMetric(peak, "peak-pct")
-	}
-}
-
-func BenchmarkFig03ReadOnlyVs2pct(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig03(sc)
-	}
-	reportCliff(b, benchFig)
-}
-
-func BenchmarkFig04SearchReplace(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig04(sc)
-	}
-	reportCliff(b, benchFig)
-}
-
-func BenchmarkFig05AbortBreakdown(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig05(sc)
-	}
-}
-
-func BenchmarkFig06CommitDelay(b *testing.B) {
-	sc := benchScale()
-	sc.Dur = 150 * vtime.Microsecond
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig06(sc)
-	}
-}
-
-func BenchmarkFig07AVLvsLeafBST(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig07(sc)
-	}
-}
-
-func BenchmarkLLCMissesDoNotAbort(b *testing.B) {
-	var aborts, reads uint64
-	for i := 0; i < b.N; i++ {
-		r := harness.RunLLC(1<<16, false, 1)
-		aborts, reads = r.Aborts, r.Reads
-	}
-	b.ReportMetric(float64(aborts), "aborts")
-	b.ReportMetric(float64(reads), "reads")
-}
-
-func BenchmarkFig12AVLTLEvsNATLE(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig12(sc)
-	}
-}
-
-func BenchmarkFig13BSTAndSkipList(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig13(sc)
-	}
-}
-
-func BenchmarkFig14SmallKeyRangeBST(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig14(sc)
-	}
-}
-
-func BenchmarkFig15PinningPolicies(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig15(sc)
-	}
-}
-
-func BenchmarkFig16TwoTrees(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig16(sc)
-	}
-}
-
-// Fig 17 benches: one per STAMP program (full grid in cmd/figures).
-func benchStamp(b *testing.B, name string) {
-	sc := benchScale()
-	sc.LargeThreads = []int{1, 36, 72}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig17(sc, []string{name})
-	}
-}
-
-func BenchmarkFig17Genome(b *testing.B)       { benchStamp(b, "genome") }
-func BenchmarkFig17Intruder(b *testing.B)     { benchStamp(b, "intruder") }
-func BenchmarkFig17KMeansHigh(b *testing.B)   { benchStamp(b, "kmeans-high") }
-func BenchmarkFig17KMeansLow(b *testing.B)    { benchStamp(b, "kmeans-low") }
-func BenchmarkFig17Labyrinth(b *testing.B)    { benchStamp(b, "labyrinth") }
-func BenchmarkFig17SSCA2(b *testing.B)        { benchStamp(b, "ssca2") }
-func BenchmarkFig17VacationHigh(b *testing.B) { benchStamp(b, "vacation-high") }
-func BenchmarkFig17VacationLow(b *testing.B)  { benchStamp(b, "vacation-low") }
-func BenchmarkFig17Yada(b *testing.B)         { benchStamp(b, "yada") }
-
-func BenchmarkFig18aCCTSAPinned(b *testing.B) {
-	sc := benchScale()
-	sc.LargeThreads = []int{1, 36, 72}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig18(sc, true)
-	}
-}
-
-func BenchmarkFig18bCCTSAModeTimeline(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig18b(sc)
-	}
-}
-
-func BenchmarkFig18cCCTSAUnpinned(b *testing.B) {
-	sc := benchScale()
-	sc.LargeThreads = []int{1, 36, 72}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig18(sc, false)
-	}
-}
-
-func BenchmarkFig19aParaheapPinned(b *testing.B) {
-	sc := benchScale()
-	sc.LargeThreads = []int{1, 36, 72}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig19(sc, true)
-	}
-}
-
-func BenchmarkFig19bParaheapUnpinned(b *testing.B) {
-	sc := benchScale()
-	sc.LargeThreads = []int{1, 36, 72}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.Fig19(sc, false)
-	}
-}
-
-func BenchmarkDelegationBaseline(b *testing.B) {
-	sc := benchScale()
-	sc.LargeThreads = []int{4, 18, 36}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.DelegationTable(sc, []int{1, 4})
-	}
-}
-
-func BenchmarkLocksComparison(b *testing.B) {
-	sc := benchScale()
-	sc.LargeThreads = []int{4, 36, 72}
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.LocksTable(sc)
-	}
-}
-
-// Ablation benches for the design choices called out in DESIGN.md.
-
-func BenchmarkAblationRemoteLatency(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.AblationRemoteLatency(sc)
-	}
-}
-
-func BenchmarkAblationProfilingLen(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.AblationProfilingLen(sc)
-	}
-}
-
-func BenchmarkAblationWarmupThreshold(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.AblationWarmupThreshold(sc)
-	}
-}
-
-func BenchmarkAblationQuanta(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.AblationQuanta(sc)
-	}
-}
-
-func BenchmarkAblationAdaptiveProfiling(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		benchFig = harness.AblationAdaptiveProfiling(sc)
+			if m := shapeMetrics[e.ID]; m != nil {
+				m(b, benchFig)
+			}
+		})
 	}
 }
 

@@ -60,9 +60,6 @@ func PlanFig01(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig01 executes PlanFig01 on the default pool.
-func Fig01(sc Scale) *Figure { return Exec(PlanFig01(sc), expt.Options{}) }
-
 // retryPolicies is the Figure 2(a) policy matrix.
 func retryPolicies() []tle.Policy {
 	return []tle.Policy{
@@ -95,9 +92,6 @@ func PlanFig02a(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig02a executes PlanFig02a on the default pool.
-func Fig02a(sc Scale) *Figure { return Exec(PlanFig02a(sc), expt.Options{}) }
-
 // PlanFig02b reproduces Figure 2(b): the percentage of TLE-20 critical
 // sections that commit in a transaction after at least one earlier
 // attempt failed with the hint bit clear.
@@ -120,9 +114,6 @@ func PlanFig02b(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig02b executes PlanFig02b on the default pool.
-func Fig02b(sc Scale) *Figure { return Exec(PlanFig02b(sc), expt.Options{}) }
-
 // PlanFig03 reproduces Figure 3: read-only vs 2%-update workloads on
 // the small AVL tree.
 func PlanFig03(sc Scale) *expt.Plan {
@@ -144,9 +135,6 @@ func PlanFig03(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig03 executes PlanFig03 on the default pool.
-func Fig03(sc Scale) *Figure { return Exec(PlanFig03(sc), expt.Options{}) }
-
 // PlanFig04 reproduces Figure 4: TLE vs no synchronization on the
 // search-and-replace workload (keys [0,4096)).
 func PlanFig04(sc Scale) *expt.Plan {
@@ -165,9 +153,6 @@ func PlanFig04(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// Fig04 executes PlanFig04 on the default pool.
-func Fig04(sc Scale) *Figure { return Exec(PlanFig04(sc), expt.Options{}) }
 
 // PlanFig05 reproduces Figure 5: the abort-rate breakdown for the
 // Fig 4 TLE curve.
@@ -199,9 +184,6 @@ func PlanFig05(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// Fig05 executes PlanFig05 on the default pool.
-func Fig05(sc Scale) *Figure { return Exec(PlanFig05(sc), expt.Options{}) }
 
 // PlanFig06 reproduces Figure 6: a 36-thread single-socket run with an
 // artificial delay before each commit; the x axis is the delay, the
@@ -248,9 +230,6 @@ func PlanFig06(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig06 executes PlanFig06 on the default pool.
-func Fig06(sc Scale) *Figure { return Exec(PlanFig06(sc), expt.Options{}) }
-
 // PlanFig07 reproduces Figure 7: AVL vs leaf-oriented BST with 20%
 // updates and keys [0,2048).
 func PlanFig07(sc Scale) *expt.Plan {
@@ -267,9 +246,6 @@ func PlanFig07(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// Fig07 executes PlanFig07 on the default pool.
-func Fig07(sc Scale) *Figure { return Exec(PlanFig07(sc), expt.Options{}) }
 
 // PlanFig12 reproduces Figure 12: TLE vs NATLE on the AVL tree (keys
 // [0,2048)) for 0/20/100% updates, without and with external work.
@@ -296,9 +272,6 @@ func PlanFig12(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig12 executes PlanFig12 on the default pool.
-func Fig12(sc Scale) *Figure { return Exec(PlanFig12(sc), expt.Options{}) }
-
 // PlanFig13 reproduces Figure 13: unbalanced BSTs and skip-lists with
 // external work (keys [0,2048)).
 func PlanFig13(sc Scale) *expt.Plan {
@@ -324,9 +297,6 @@ func PlanFig13(sc Scale) *expt.Plan {
 	return p
 }
 
-// Fig13 executes PlanFig13 on the default pool.
-func Fig13(sc Scale) *Figure { return Exec(PlanFig13(sc), expt.Options{}) }
-
 // PlanFig14 reproduces Figure 14: the leaf-oriented BST with a tiny
 // key range [0,128), where even leaf-only updates conflict.
 func PlanFig14(sc Scale) *expt.Plan {
@@ -349,9 +319,6 @@ func PlanFig14(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// Fig14 executes PlanFig14 on the default pool.
-func Fig14(sc Scale) *Figure { return Exec(PlanFig14(sc), expt.Options{}) }
 
 // PlanFig15 reproduces Figure 15: alternative pinning policies
 // (alternating sockets, and unpinned under the simulated OS scheduler)
@@ -376,9 +343,6 @@ func PlanFig15(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// Fig15 executes PlanFig15 on the default pool.
-func Fig15(sc Scale) *Figure { return Exec(PlanFig15(sc), expt.Options{}) }
 
 // PlanFig16 reproduces Figure 16: two AVL trees, one update-only and
 // one search-only, with combined and per-tree throughput.
@@ -419,6 +383,3 @@ func PlanFig16(sc Scale) *expt.Plan {
 	}
 	return p
 }
-
-// Fig16 executes PlanFig16 on the default pool.
-func Fig16(sc Scale) *Figure { return Exec(PlanFig16(sc), expt.Options{}) }

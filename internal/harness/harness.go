@@ -1,7 +1,9 @@
 // Package harness regenerates the paper's tables and figures on the
-// simulated machine. Each FigNN function returns a Figure whose series
-// correspond to the curves in the paper; cmd/figures prints them and
-// figbench_test.go wraps them as benchmarks (make bench).
+// simulated machine. Plans lists every figure as an expt.Plan builder,
+// and Exec folds an executed plan into a Figure whose series are the
+// curves in the paper. It is the only way a figure is run: cmd/figures
+// prints the plans, the digest test pins each trial of one micro-scale
+// execution, and BenchmarkPlans times each plan (make bench).
 //
 // A Scale selects the sweep density and trial lengths: QuickScale keeps
 // host time low (tests, benchmarks); FullScale is for regenerating the

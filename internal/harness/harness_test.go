@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"natle/internal/expt"
 )
 
 func TestFigureFormatting(t *testing.T) {
@@ -59,7 +61,7 @@ func tinyScale() Scale {
 }
 
 func TestFig01Shape(t *testing.T) {
-	f := Fig01(tinyScale())
+	f := Exec(PlanFig01(tinyScale()), expt.Options{})
 	if len(f.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(f.Series))
 	}
@@ -80,7 +82,7 @@ func TestFig01Shape(t *testing.T) {
 func TestFig06DelayRaisesAborts(t *testing.T) {
 	sc := tinyScale()
 	sc.Dur /= 2
-	f := Fig06(sc)
+	f := Exec(PlanFig06(sc), expt.Options{})
 	var abort *Series
 	for i := range f.Series {
 		if f.Series[i].Name == "abort rate" {

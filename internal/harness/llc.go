@@ -92,8 +92,3 @@ func PlanLLC(arrayLines int, seed int64) *expt.Plan {
 	}
 	return p
 }
-
-// LLCTable executes PlanLLC on the default pool.
-func LLCTable(arrayLines int, seed int64) *Figure {
-	return Exec(PlanLLC(arrayLines, seed), expt.Options{})
-}

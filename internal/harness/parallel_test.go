@@ -1,6 +1,14 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"natle/internal/expt"
@@ -9,10 +17,8 @@ import (
 
 // microScale shrinks every sweep to the minimum that still exercises
 // each plan's full structure (both machines, a cross-socket thread
-// count, every series). The determinism test below runs EVERY plan
-// twice, so this scale trades fidelity for wall clock; the byte-
-// identity property itself is scale-independent (assembly is plan
-// order at any -j), which is exactly what the test pins down.
+// count, every series). The digest test below runs every plan at it,
+// so it trades fidelity for wall clock.
 func microScale() Scale {
 	sc := QuickScale()
 	sc.LargeThreads = []int{1, 42}
@@ -35,17 +41,15 @@ func microScale() Scale {
 	return sc
 }
 
-// TestPlansByteIdenticalAtAnyWorkerCount is the executor's headline
-// guarantee: for every figure in the menu, rendering with one host
-// worker and with several must produce byte-identical text and CSV.
-// Trials are deterministic islands and assembly is strictly plan
-// order, so any diff here means shared state leaked into a trial or
-// completion order leaked into assembly.
+// digestPath is the committed per-trial digest of one micro-scale
+// execution of every plan.
+const digestPath = "testdata/micro.sum"
+
 // raceSkip lists the plans whose trials are long NATLE sweeps; under
 // -race they dominate the package's wall clock (the detector slows the
-// simulator several-fold). They exercise the exact same executor and
-// pool as every other plan, so skipping them under -race loses no
-// interleaving coverage — the remaining 19 plans still run both ways.
+// simulator several-fold). They run through the same executor and pool
+// as every other plan, so skipping them under -race loses no
+// interleaving coverage; their digest lines are checked without -race.
 var raceSkip = map[string]bool{
 	"fig02a":                      true,
 	"fig06":                       true,
@@ -58,33 +62,176 @@ var raceSkip = map[string]bool{
 	"ablation-adaptive-profiling": true,
 }
 
+// TestPlansByteIdenticalAtAnyWorkerCount executes every plan in Plans()
+// once at micro scale on four workers and holds each trial's outcome,
+// bit for bit, to its line in testdata/micro.sum. The digest records no
+// worker count, so a trial that reads shared state or depends on
+// completion order fails here, and so does any change that moves any
+// figure by any amount. TestSameSeedSameBytes keeps an explicit -j 1
+// against -j 4 comparison per driver.
+//
+// A failure names every moved, added and missing trial, writes the
+// complete new digest to a temporary file and prints the cp command
+// that adopts it. Adopting it is a deliberate re-pin: say why in the
+// change that does it.
 func TestPlansByteIdenticalAtAnyWorkerCount(t *testing.T) {
-	sc := microScale()
+	committed, err := os.ReadFile(digestPath)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	want := strings.FieldsFunc(string(committed), func(r rune) bool { return r == '\n' })
+	var mu sync.Mutex
+	got := map[string][]string{}
+	t.Cleanup(func() {
+		// A plan this run skipped keeps its committed lines.
+		var all []string
+		for _, e := range Plans() {
+			lines, ok := got[e.ID]
+			if !ok {
+				lines = planLines(want, e.ID)
+			}
+			all = append(all, lines...)
+		}
+		if msg := compareDigest(want, all); msg != "" {
+			t.Errorf("digest mismatch: %s\nafter reviewing these trials, adopt the new digest from the repository root with:\n\tcp %s internal/harness/%s",
+				msg, writeTemp(t, strings.Join(all, "\n")+"\n"), digestPath)
+		}
+	})
 	for _, e := range Plans() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			if raceDetectorOn && raceSkip[e.ID] {
 				t.Skip("heavy NATLE sweep; skipped under -race (same executor path as the other plans)")
 			}
-			seq := Exec(e.Build(sc), expt.Options{Workers: 1})
-			par := Exec(e.Build(sc), expt.Options{Workers: 4})
-			if s, p := seq.String(), par.String(); s != p {
-				t.Errorf("String() differs between -j 1 and -j 4:\n--- j=1\n%s\n--- j=4\n%s", s, p)
-			}
-			if s, p := seq.CSV(), par.CSV(); s != p {
-				t.Errorf("CSV() differs between -j 1 and -j 4:\n--- j=1\n%s\n--- j=4\n%s", s, p)
+			lines := digestLines(e.Build(microScale()).Execute(expt.Options{Workers: 4}))
+			mu.Lock()
+			got[e.ID] = lines
+			mu.Unlock()
+			if msg := compareDigest(planLines(want, e.ID), lines); msg != "" {
+				t.Error(msg)
 			}
 		})
 	}
 }
 
+// digestLines renders one line per trial of an executed plan, in plan
+// order: "<plan>/<key> <hash>". Keys may contain spaces; the hash never
+// does.
+func digestLines(res *expt.Result) []string {
+	failed := map[int]expt.TrialError{}
+	for _, f := range res.Failed {
+		failed[f.Index] = f
+	}
+	lines := make([]string, len(res.Plan.Specs))
+	for i, s := range res.Plan.Specs {
+		f, ok := failed[i]
+		lines[i] = res.Plan.ID + "/" + s.Key + " " + outcomeHash(res.Outcomes[i], f, ok)
+	}
+	return lines
+}
+
+// outcomeHash hashes a trial's outcome bit for bit: its value, each
+// point and note in order, floats by their bits, and a failed trial's
+// panic value.
+func outcomeHash(o expt.Outcome, f expt.TrialError, failed bool) string {
+	var b []byte
+	word := func(u uint64) { b = binary.LittleEndian.AppendUint64(b, u) }
+	str := func(s string) { word(uint64(len(s))); b = append(b, s...) }
+	word(math.Float64bits(o.Value))
+	word(uint64(len(o.Points)))
+	for _, p := range o.Points {
+		str(p.Series)
+		word(math.Float64bits(p.X))
+		word(math.Float64bits(p.Y))
+	}
+	word(uint64(len(o.Notes)))
+	for _, n := range o.Notes {
+		str(n)
+	}
+	if failed {
+		str(fmt.Sprint("panic: ", f.Value))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+}
+
+// planLines returns the digest lines of one plan (no plan ID contains
+// a slash, so the ID is everything before a line's first one).
+func planLines(lines []string, id string) []string {
+	var out []string
+	for _, l := range lines {
+		if strings.HasPrefix(l, id+"/") {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// compareDigest names every trial whose line moved, appeared or
+// disappeared between want and got ("" when they agree).
+func compareDigest(want, got []string) string {
+	w, g := map[string]string{}, map[string]string{}
+	for _, l := range want {
+		k, h := splitLine(l)
+		w[k] = h
+	}
+	var moved, added, missing []string
+	for _, l := range got {
+		k, h := splitLine(l)
+		g[k] = h
+		if wh, ok := w[k]; !ok {
+			added = append(added, k)
+		} else if wh != h {
+			moved = append(moved, k)
+		}
+	}
+	for _, l := range want {
+		if k, _ := splitLine(l); g[k] == "" {
+			missing = append(missing, k)
+		}
+	}
+	var msg []string
+	for _, c := range []struct {
+		what string
+		keys []string
+	}{{"moved", moved}, {"added", added}, {"missing", missing}} {
+		if len(c.keys) > 0 {
+			msg = append(msg, fmt.Sprintf("%d %s: %s", len(c.keys), c.what, strings.Join(c.keys, ", ")))
+		}
+	}
+	return strings.Join(msg, "; ")
+}
+
+// splitLine splits a digest line into its trial key and hash.
+func splitLine(l string) (key, hash string) {
+	i := strings.LastIndexByte(l, ' ')
+	if i < 0 {
+		return l, ""
+	}
+	return l[:i], l[i+1:]
+}
+
+// writeTemp writes s to a new temporary file that outlives the test
+// and returns its path.
+func writeTemp(t *testing.T, s string) string {
+	f, err := os.CreateTemp("", "micro-*.sum")
+	if err == nil {
+		_, err = f.WriteString(s)
+		f.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
+}
+
 // TestSameSeedSameBytes runs one plan per start-line driver
 // (workload.Run, RunTwoTrees, stamp.Run, cctsa.Run, the delegation
-// baseline) twice from one seed and compares bytes. Every worker of a
-// trial leaves sim.Engine.SpawnTeam's start line at the same virtual
-// instant, so these trials open on as many run-queue ties as they have
-// threads; the order out of a tie must be the thread ID, never the
-// layout the queue happened to have.
+// baseline and service.Run) on one host worker and on four, and
+// compares bytes. Every worker of a trial leaves sim.Engine.SpawnTeam's
+// start line at the same virtual instant, so these trials open on as
+// many run-queue ties as they have threads; the order out of a tie must
+// be the thread ID, never the layout the queue happened to have.
 func TestSameSeedSameBytes(t *testing.T) {
 	sc := microScale()
 	for _, build := range []func(Scale) *expt.Plan{
@@ -93,11 +240,12 @@ func TestSameSeedSameBytes(t *testing.T) {
 		func(sc Scale) *expt.Plan { return PlanFig17(sc, []string{"ssca2"}) },
 		func(sc Scale) *expt.Plan { return PlanFig18(sc, true) },
 		func(sc Scale) *expt.Plan { return PlanDelegation(sc, []int{4}) },
+		PlanServiceLatency,
 	} {
-		a := Exec(build(sc), expt.Options{Workers: 2})
-		b := Exec(build(sc), expt.Options{Workers: 2})
+		a := Exec(build(sc), expt.Options{Workers: 1})
+		b := Exec(build(sc), expt.Options{Workers: 4})
 		if a.String() != b.String() || a.CSV() != b.CSV() {
-			t.Errorf("%s: two runs of one seed differ:\n%s\n%s", a.ID, a.String(), b.String())
+			t.Errorf("%s: -j 1 and -j 4 differ:\n--- j=1\n%s\n--- j=4\n%s", a.ID, a.String(), b.String())
 		}
 	}
 }

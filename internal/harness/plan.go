@@ -80,7 +80,7 @@ func valueSeries(p *expt.Plan, series string, threads []int, run func(n int) flo
 }
 
 // PlanEntry pairs a figure id with its plan builder (the cmd/figures
-// menu and the determinism tests both iterate this).
+// menu, the digest test and BenchmarkPlans all iterate this).
 type PlanEntry struct {
 	ID    string
 	Build func(sc Scale) *expt.Plan

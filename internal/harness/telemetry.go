@@ -54,9 +54,6 @@ func PlanTelemetry(sc Scale) *expt.Plan {
 	return p
 }
 
-// TelemetryTable executes PlanTelemetry on the default pool.
-func TelemetryTable(sc Scale) *Figure { return Exec(PlanTelemetry(sc), expt.Options{}) }
-
 // attributionNotes renders the per-lock × per-socket breakdown of one
 // trial's summary as figure notes.
 func attributionNotes(threads int, sum telemetry.Summary) []string {

@@ -64,10 +64,3 @@ func (m *BackendMap) Delete(c backend.Ctx, key uint64) bool {
 func (m *BackendMap) PeekEach(w backend.World, fn func(key, val uint64)) {
 	mapEach(arena.Peek{W: w}, m.buckets, m.mask, fn)
 }
-
-// PeekLen returns the element count on quiesced memory.
-func (m *BackendMap) PeekLen(w backend.World) int {
-	n := 0
-	m.PeekEach(w, func(_, _ uint64) { n++ })
-	return n
-}

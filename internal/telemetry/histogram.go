@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 
 	"natle/internal/vtime"
@@ -158,36 +157,4 @@ func (s HistogramSnapshot) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v",
 		s.Count(), s.Mean(), s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99))
-}
-
-// Bars renders an ASCII bucket chart of the non-empty range (debug
-// aid; width is the longest bar in characters).
-func (s HistogramSnapshot) Bars(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	var max uint64
-	lo, hi := -1, -1
-	for b, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if lo < 0 {
-			lo = b
-		}
-		hi = b
-		if c > max {
-			max = c
-		}
-	}
-	if lo < 0 {
-		return "empty\n"
-	}
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		l, _ := bucketBounds(i)
-		n := int(float64(width) * float64(s.Counts[i]) / float64(max))
-		fmt.Fprintf(&b, "%10v %8d %s\n", l, s.Counts[i], strings.Repeat("#", n))
-	}
-	return b.String()
 }
