@@ -361,21 +361,15 @@ func PlanFig16(sc Scale) *expt.Plan {
 			p.Add(expt.TrialSpec{
 				Key: fmt.Sprintf("%s/%d", lk, n),
 				Run: func() expt.Outcome {
-					cfg := workload.Config{Threads: n, KeyRange: 2048, Lock: lk}
-					if lk == workload.LockNATLE {
-						ncfg := sc.NATLE
-						cfg.NATLE = &ncfg
-						cfg.Duration, cfg.Warmup = sc.NATLEDur, sc.NATLEWarmup
-					} else {
-						cfg.Duration, cfg.Warmup = sc.Dur, sc.Warmup
-					}
-					cfg.Seed = sc.Seed
-					r := workload.RunTwoTrees(workload.TwoTreesConfig{Base: cfg, SearchWork: 256})
+					r := sc.run(workload.Config{
+						Threads: n, Workload: workload.BackendTwoTrees,
+						KeyRange: 2048, SearchWork: 256, Lock: lk,
+					})
 					x := float64(n)
 					return expt.Outcome{Points: []expt.Point{
-						{Series: string(lk) + "/combined", X: x, Y: r.CombinedThroughput()},
-						{Series: string(lk) + "/updates", X: x, Y: r.UpdateThroughput()},
-						{Series: string(lk) + "/searches", X: x, Y: r.SearchThroughput()},
+						{Series: string(lk) + "/combined", X: x, Y: r.Throughput()},
+						{Series: string(lk) + "/updates", X: x, Y: r.LockThroughput(0)},
+						{Series: string(lk) + "/searches", X: x, Y: r.LockThroughput(1)},
 					}}
 				},
 			})

@@ -225,10 +225,10 @@ func writeTemp(t *testing.T, s string) string {
 	return f.Name()
 }
 
-// TestSameSeedSameBytes runs one plan per start-line driver
-// (workload.Run, RunTwoTrees, stamp.Run, cctsa.Run, the delegation
-// baseline and service.Run) on one host worker and on four, and
-// compares bytes. Every worker of a trial leaves sim.Engine.SpawnTeam's
+// TestSameSeedSameBytes runs one plan per start-line driver and
+// workload shape (workload.Run's sets and two-trees shapes, stamp.Run,
+// cctsa.Run, the delegation baseline and service.Run) on one host
+// worker and on four, and compares bytes. Every worker of a trial leaves sim.Engine.SpawnTeam's
 // start line at the same virtual instant, so these trials open on as
 // many run-queue ties as they have threads; the order out of a tie must
 // be the thread ID, never the layout the queue happened to have.

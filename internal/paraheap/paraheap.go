@@ -47,7 +47,7 @@ type Config struct {
 	Threads int
 	Seed    int64
 
-	Lock  string // any scheme.Names() entry; "" = "tle"
+	Lock  string // any scheme.NamesFor(backend.Sim) entry; "" = "tle"
 	NATLE *natle.Config
 }
 

@@ -1,7 +1,6 @@
 package scheme_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,9 +10,9 @@ import (
 
 // A fake native-only descriptor exercises the backend axis without
 // importing internal/native (which would drag real registrations into
-// every test in this package). Registered once at init, it
-// deliberately leaks into Names()/All() — the per-backend views below
-// must keep it out of the sim side.
+// every test in this package). Registered once at init, it sits in the
+// one registry — the per-backend views below must keep it out of the
+// sim side.
 func init() {
 	scheme.Register(&scheme.Descriptor{
 		Name:    "test-native-only",
@@ -26,28 +25,29 @@ func init() {
 	})
 }
 
-// TestBackendsCapability checks the Descriptor.Backends axis: every
+// TestBackendsCapability checks the Descriptor.Supports axis: every
 // core scheme is sim-only until a native factory is added, and the
 // fake above is native-only.
 func TestBackendsCapability(t *testing.T) {
 	for _, name := range []string{"lock", "tle", "natle", "cohort", "none", "htm-raw"} {
-		d, err := scheme.Lookup(name)
+		d, err := scheme.LookupFor(backend.Sim, name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !d.Supports(backend.Sim) {
 			t.Errorf("%s must support the sim backend", name)
 		}
-		if got := d.Backends(); !reflect.DeepEqual(got, []backend.Kind{backend.Sim}) {
-			t.Errorf("%s.Backends() = %v, want [sim]", name, got)
+		if d.Supports(backend.Native) {
+			t.Errorf("%s supports the native backend, want sim only", name)
 		}
 	}
-	d, err := scheme.Lookup("test-native-only")
+	d, err := scheme.LookupFor(backend.Native, "test-native-only")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Backends(); !reflect.DeepEqual(got, []backend.Kind{backend.Native}) {
-		t.Errorf("test-native-only.Backends() = %v, want [native]", got)
+	if !d.Supports(backend.Native) || d.Supports(backend.Sim) {
+		t.Errorf("test-native-only supports sim=%v native=%v, want native only",
+			d.Supports(backend.Sim), d.Supports(backend.Native))
 	}
 }
 

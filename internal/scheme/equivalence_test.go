@@ -143,7 +143,7 @@ func TestSchemesAreEquivalent(t *testing.T) {
 // same scheme twice must give byte-identical HTM counters, otherwise
 // the equivalence assertions above would be flaky by construction.
 func TestEquivalenceTrialIsDeterministic(t *testing.T) {
-	desc, err := scheme.Lookup("tle")
+	desc, err := scheme.LookupFor(backend.Sim, "tle")
 	if err != nil {
 		t.Fatal(err)
 	}

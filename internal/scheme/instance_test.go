@@ -3,6 +3,7 @@ package scheme_test
 import (
 	"testing"
 
+	"natle/internal/backend"
 	"natle/internal/htm"
 	"natle/internal/machine"
 	"natle/internal/scheme"
@@ -12,7 +13,7 @@ import (
 
 func lookup(t *testing.T, name string) *scheme.Descriptor {
 	t.Helper()
-	d, err := scheme.Lookup(name)
+	d, err := scheme.LookupFor(backend.Sim, name)
 	if err != nil {
 		t.Fatal(err)
 	}

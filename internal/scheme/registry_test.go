@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"natle/internal/backend"
 	"natle/internal/natle"
 	"natle/internal/scheme"
 	"natle/internal/tle"
@@ -60,17 +61,23 @@ func TestRegistryCoversWorkloadLockKinds(t *testing.T) {
 		t.Fatalf("found only %d LockKind constants in workload.go; parser out of sync?", len(kinds))
 	}
 	for _, k := range kinds {
-		if _, err := scheme.Lookup(k); err != nil {
+		if _, err := scheme.LookupFor(backend.Sim, k); err != nil {
 			t.Errorf("workload.LockKind %q has no registry entry: %v", k, err)
 		}
 	}
 }
 
 func TestNamesSortedAndComplete(t *testing.T) {
-	names := scheme.Names()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("Names() not sorted: %v", names)
+	for _, k := range backend.Kinds() {
+		names := scheme.NamesFor(k)
+		if !sort.StringsAreSorted(names) {
+			t.Errorf("NamesFor(%s) not sorted: %v", k, names)
+		}
+		if all := scheme.AllFor(k); len(all) != len(names) {
+			t.Errorf("AllFor(%s) returned %d descriptors for %d names", k, len(all), len(names))
+		}
 	}
+	names := scheme.NamesFor(backend.Sim)
 	for _, want := range []string{"lock", "tle", "natle", "cohort", "none", "tle-hint", "htm-raw"} {
 		found := false
 		for _, n := range names {
@@ -82,35 +89,39 @@ func TestNamesSortedAndComplete(t *testing.T) {
 			t.Errorf("scheme %q missing from registry (have %v)", want, names)
 		}
 	}
-	if all := scheme.All(); len(all) != len(names) {
-		t.Errorf("All() returned %d descriptors for %d names", len(all), len(names))
-	}
 }
 
 func TestLookupErrorListsValidNames(t *testing.T) {
-	_, err := scheme.Lookup("bogus")
+	_, err := scheme.LookupFor(backend.Sim, "bogus")
 	if err == nil {
-		t.Fatal("Lookup(bogus) succeeded")
+		t.Fatal("LookupFor(sim, bogus) succeeded")
 	}
 	if !strings.Contains(err.Error(), "natle") || !strings.Contains(err.Error(), "tle-hint") {
 		t.Errorf("error should list valid names, got: %v", err)
 	}
 }
 
+// TestFlagHelpListsEverything: each backend's -lock help lists every
+// scheme of that backend, and every scheme has a one-line summary for
+// extended help.
 func TestFlagHelpListsEverything(t *testing.T) {
-	h := scheme.FlagHelp()
-	for _, n := range scheme.Names() {
-		if !strings.Contains(h, n) {
-			t.Errorf("FlagHelp() missing %q: %s", n, h)
+	for _, k := range backend.Kinds() {
+		h := scheme.FlagHelpFor(k)
+		for _, n := range scheme.NamesFor(k) {
+			if !strings.Contains(h, n) {
+				t.Errorf("FlagHelpFor(%s) missing %q: %s", k, n, h)
+			}
 		}
-	}
-	if lines := strings.Count(scheme.Help(), "\n"); lines != len(scheme.Names()) {
-		t.Errorf("Help() has %d lines for %d schemes", lines, len(scheme.Names()))
+		for _, d := range scheme.AllFor(k) {
+			if d.Summary == "" || strings.Contains(d.Summary, "\n") {
+				t.Errorf("%s: summary %q is not one line", d.Name, d.Summary)
+			}
+		}
 	}
 }
 
 func TestConfigureMergesOverrides(t *testing.T) {
-	d, err := scheme.Lookup("tle")
+	d, err := scheme.LookupFor(backend.Sim, "tle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +167,7 @@ func TestCapabilityFlags(t *testing.T) {
 		"cohort": {true, true}, "tle-hint": {true, true},
 		"none": {false, true}, "htm-raw": {true, false},
 	} {
-		d, err := scheme.Lookup(name)
+		d, err := scheme.LookupFor(backend.Sim, name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

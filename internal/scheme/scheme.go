@@ -163,19 +163,6 @@ func (d *Descriptor) NewNative(w backend.World, c backend.Ctx) BackendInstance {
 	return d.Native(w, c, d.Opt)
 }
 
-// Backends returns the execution backends the descriptor can
-// construct on, in backend.Kinds() order — the registry's capability
-// axis for "which world does this scheme run in".
-func (d *Descriptor) Backends() []backend.Kind {
-	var ks []backend.Kind
-	for _, k := range backend.Kinds() {
-		if d.Supports(k) {
-			ks = append(ks, k)
-		}
-	}
-	return ks
-}
-
 // Supports reports whether the descriptor has a factory for backend k.
 func (d *Descriptor) Supports(k backend.Kind) bool {
 	switch k {
@@ -224,18 +211,6 @@ func Register(d *Descriptor) {
 	registry[d.Name] = d
 }
 
-// Lookup returns the descriptor for name regardless of backend. The
-// error lists the valid names, so flag parsing can surface it
-// directly. Construction sites that know their backend use LookupFor,
-// which also rejects schemes the backend cannot build.
-func Lookup(name string) (*Descriptor, error) {
-	if d, ok := registry[name]; ok {
-		return d, nil
-	}
-	return nil, fmt.Errorf("scheme: unknown scheme %q (have %s)",
-		name, strings.Join(Names(), ", "))
-}
-
 // LookupFor returns the descriptor for name, requiring that it can be
 // constructed on backend k. The error lists only that backend's
 // names, so a native tool never advertises sim-only schemes and vice
@@ -249,36 +224,17 @@ func LookupFor(k backend.Kind, name string) (*Descriptor, error) {
 	return d, nil
 }
 
-// Names returns the registered scheme names across all backends,
-// sorted.
-func Names() []string {
-	n := make([]string, 0, len(registry))
-	for name := range registry {
-		n = append(n, name)
-	}
-	sort.Strings(n)
-	return n
-}
-
 // NamesFor returns the names of the schemes constructible on backend
 // k, sorted.
 func NamesFor(k backend.Kind) []string {
 	var n []string
-	for _, name := range Names() {
-		if registry[name].Supports(k) {
+	for name, d := range registry {
+		if d.Supports(k) {
 			n = append(n, name)
 		}
 	}
+	sort.Strings(n)
 	return n
-}
-
-// All returns the descriptors in Names() order.
-func All() []*Descriptor {
-	var ds []*Descriptor
-	for _, n := range Names() {
-		ds = append(ds, registry[n])
-	}
-	return ds
 }
 
 // AllFor returns the descriptors constructible on backend k, in
@@ -290,10 +246,6 @@ func AllFor(k backend.Kind) []*Descriptor {
 	}
 	return ds
 }
-
-// FlagHelp renders every registered -lock value, all backends
-// (tools serving a single backend use FlagHelpFor).
-func FlagHelp() string { return strings.Join(Names(), " | ") }
 
 // FlagHelpFor renders the -lock values accepted on backend k for flag
 // usage strings, so per-backend help stays generated from the
@@ -318,16 +270,6 @@ func BatchNames() []string {
 // BatchHelp renders the Batch-capable scheme names for flag usage
 // strings, so help text stays generated from the registry.
 func BatchHelp() string { return strings.Join(BatchNames(), ", ") }
-
-// Help renders one "name: summary" line per scheme (for docs and
-// extended help output).
-func Help() string {
-	var b strings.Builder
-	for _, d := range All() {
-		fmt.Fprintf(&b, "%-10s %s\n", d.Name, d.Summary)
-	}
-	return b.String()
-}
 
 // ResolveNATLE is the single copy of the config-defaulting fallback
 // that every layer used to hand-roll: nil selects the default cycle.

@@ -119,7 +119,7 @@ type Config struct {
 	Threads int
 	Seed    int64
 
-	Lock  string        // any scheme.Names() entry; "" = "tle"
+	Lock  string        // any scheme.NamesFor(backend.Sim) entry; "" = "tle"
 	TLE   tle.Policy    // inner policy (default TLE-20)
 	NATLE *natle.Config // nil = natle.DefaultConfig
 }

@@ -66,6 +66,9 @@ func TestPerSocketOpsSumToTotal(t *testing.T) {
 	if r.PerSock[0] == 0 || r.PerSock[1] == 0 {
 		t.Errorf("48 threads must span both sockets: %v", r.PerSock[:2])
 	}
+	if len(r.PerLock) != 1 || r.PerLock[0] != r.Ops {
+		t.Errorf("the sets shape's one lock counts %v of %d ops", r.PerLock, r.Ops)
+	}
 }
 
 func TestWarmupExcludedFromCounts(t *testing.T) {

@@ -193,21 +193,28 @@ func TestSpuriousAbortsCountArmedCountdowns(t *testing.T) {
 // TestRunAllocatesNothingPerOperation is the same law for the simulated
 // closed loop: two trials of Run that differ only in the length of
 // their window differ by well under one heap object per hundred extra
-// operations, under each of the paper's core schemes and both operation
-// mixes (the unsynchronized baseline runs only the search-and-replace
-// mix, which leaves the tree's shape alone).
+// operations, under each of the paper's core schemes, both operation
+// mixes of the sets shape and the two-trees shape (the unsynchronized
+// baseline runs only the search-and-replace mix, which leaves the
+// tree's shape alone).
 func TestRunAllocatesNothingPerOperation(t *testing.T) {
 	for _, lock := range []workload.LockKind{
 		workload.LockPlain, workload.LockTLE, workload.LockNATLE, workload.LockCohort, workload.LockNoSync,
 	} {
-		for _, sr := range []bool{false, true} {
-			if lock == workload.LockNoSync && !sr {
+		for _, mix := range []struct {
+			name string
+			cfg  workload.Config
+		}{
+			{"updates", workload.Config{UpdatePct: 50}},
+			{"search-replace", workload.Config{SearchReplace: true}},
+			{"two-trees", workload.Config{Workload: workload.BackendTwoTrees, SearchWork: 64}},
+		} {
+			if lock == workload.LockNoSync && !mix.cfg.SearchReplace {
 				continue
 			}
-			cfg := workload.Config{
-				Threads: 8, Seed: 1, KeyRange: 512, UpdatePct: 50, SearchReplace: sr,
-				Lock: lock, Warmup: 10 * vtime.Microsecond,
-			}
+			cfg := mix.cfg
+			cfg.Threads, cfg.Seed, cfg.KeyRange = 8, 1, 512
+			cfg.Lock, cfg.Warmup = lock, 10*vtime.Microsecond
 			cfg.Duration = 100 * vtime.Microsecond
 			few, fewOps := simMallocs(cfg)
 			cfg.Duration = 800 * vtime.Microsecond
@@ -216,8 +223,8 @@ func TestRunAllocatesNothingPerOperation(t *testing.T) {
 				t.Fatalf("%s: %d ops in the long window, %d in the short one", lock, manyOps, fewOps)
 			}
 			if perOp := (float64(many) - float64(few)) / float64(manyOps-fewOps); perOp >= 0.01 {
-				t.Errorf("%s (search-replace %v): %d allocations for %d ops, %d for %d: %.3f per extra operation",
-					lock, sr, few, fewOps, many, manyOps, perOp)
+				t.Errorf("%s (%s): %d allocations for %d ops, %d for %d: %.3f per extra operation",
+					lock, mix.name, few, fewOps, many, manyOps, perOp)
 			}
 		}
 	}

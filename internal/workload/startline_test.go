@@ -26,22 +26,23 @@ func zeroWindow(threads int) workload.Config {
 // TestWorkersStartTogether: every worker leaves one start line, so a
 // zero-window trial is one operation per worker, and an operation among
 // 72 that begin together is a few attempts at most. Prefill is not
-// transactional, so whole-trial counts — Run's collector, RunTwoTrees'
-// two locks — are the workers' alone. While worker i began i spawn
-// overheads before the last one existed, the same two trials attempted
+// transactional, so a collector's whole-trial count is the workers'
+// alone, in either of Run's shapes (the windowed per-lock counters of a
+// 1 ns window hold almost none). While worker i began i spawn overheads
+// before the last one existed, the sets and two-trees trials attempted
 // 211,907 and 501,369 transactions before their windows opened.
 func TestWorkersStartTogether(t *testing.T) {
 	const threads = 72
-	cfg := zeroWindow(threads)
-	col := telemetry.NewCollector(telemetry.Config{})
-	cfg.Recorder = col
-	workload.Run(cfg)
-	tt := workload.RunTwoTrees(workload.TwoTreesConfig{Base: zeroWindow(threads)})
-	for name, n := range map[string]uint64{
-		"Run":         col.Summary().Starts,
-		"RunTwoTrees": tt.UpdateSync.TLE.Attempts + tt.SearchSync.TLE.Attempts,
+	twoTrees := zeroWindow(threads)
+	twoTrees.Workload, twoTrees.UpdatePct = workload.BackendTwoTrees, 0
+	for name, cfg := range map[string]workload.Config{
+		"sets":     zeroWindow(threads),
+		"twotrees": twoTrees,
 	} {
-		if n == 0 || n > 2*threads {
+		col := telemetry.NewCollector(telemetry.Config{})
+		cfg.Recorder = col
+		workload.Run(cfg)
+		if n := col.Summary().Starts; n == 0 || n > 2*threads {
 			t.Errorf("%s: %d transactions attempted in a zero-window trial of %d threads, want 1..%d",
 				name, n, threads, 2*threads)
 		}

@@ -1,10 +1,12 @@
 // Package workload implements the paper's microbenchmark driver: a
-// fixed number of threads repeatedly invoke operations on one shared
-// set, with keys drawn uniformly from a key range, a configurable
-// update percentage (updates split evenly between inserts and
-// deletes), optional "external work" between operations, and a choice
-// of synchronization scheme. The set is prefilled to half the key
-// range before measurement, exactly as in Section 5.1.
+// fixed number of threads repeatedly invoke operations on shared sets,
+// with keys drawn uniformly from a key range, optional "external work"
+// between operations, and a choice of synchronization scheme. Run has
+// two workload shapes: one set under one lock, with a configurable
+// update percentage (updates split evenly between inserts and deletes),
+// and Figure 16's two sets with a lock each, one updated and one
+// searched. Every set is prefilled to half the key range before
+// measurement, exactly as in Section 5.1.
 package workload
 
 import (
@@ -25,12 +27,13 @@ import (
 )
 
 // LockKind selects the synchronization scheme for a trial. Any name
-// registered in internal/scheme is accepted; the constants below cover
-// the paper's core schemes.
+// scheme.LookupFor accepts on the sim backend is accepted; the
+// constants below cover the paper's core schemes.
 type LockKind string
 
-// Core schemes (see scheme.Names() for the full registry, which also
-// includes extension entries such as "tle-hint" and "htm-raw").
+// Core schemes (see scheme.NamesFor(backend.Sim) for the full sim
+// registry, which also includes extension entries such as "tle-hint"
+// and "htm-raw").
 const (
 	LockPlain  LockKind = "lock"   // spin lock, never elided
 	LockTLE    LockKind = "tle"    // transactional lock elision
@@ -46,13 +49,30 @@ type Config struct {
 	Threads int
 	Seed    int64
 
+	// Workload selects the trial's shape by its backend workload name.
+	// BackendSets (the default) is one set under one lock, every thread
+	// running the operation mix below. BackendTwoTrees is the paper's
+	// Figure 16: two sets, each under its own instance of the scheme;
+	// thread i runs 100% updates on the first when i is even and 100%
+	// lookups on the second when i is odd. Under the paper's
+	// fill-socket-first pinning with an even thread count this splits
+	// each socket's threads equally between the groups.
+	Workload string
+
 	SetKind   sets.Kind
 	KeyRange  int64
-	UpdatePct int // 0..100; remainder are lookups
+	UpdatePct int // 0..100, sets shape only; remainder are lookups
 
-	// SearchReplace switches the operation mix to the Fig 4
-	// search-and-replace operation (UpdatePct is then ignored).
+	// SearchReplace switches the sets shape's operation mix to the Fig
+	// 4 search-and-replace operation (UpdatePct is then ignored).
 	SearchReplace bool
+
+	// SearchWork (two-trees shape only) is the exclusive upper bound on
+	// the random number of external-work iterations added to each
+	// search operation, so the two groups have comparable single-thread
+	// throughput (the paper adds work because searches are much cheaper
+	// than updates).
+	SearchWork int
 
 	// ExternalWork is the exclusive upper bound on the random number
 	// of external-work iterations between operations (0 disables).
@@ -99,6 +119,9 @@ func (cfg *Config) defaults() {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
+	if cfg.Workload == "" {
+		cfg.Workload = BackendSets
+	}
 	if cfg.SetKind == "" {
 		cfg.SetKind = sets.KindAVL
 	}
@@ -122,19 +145,46 @@ func (cfg *Config) defaults() {
 	}
 }
 
+// pairs returns the number of (set, lock) pairs of the configured
+// shape, or an error naming a field the shape would silently ignore.
+func (cfg *Config) pairs() (int, error) {
+	switch cfg.Workload {
+	case BackendSets:
+		if cfg.SearchWork != 0 {
+			return 0, fmt.Errorf("SearchWork %d needs the %s shape", cfg.SearchWork, BackendTwoTrees)
+		}
+		return 1, nil
+	case BackendTwoTrees:
+		if cfg.SearchReplace {
+			return 0, fmt.Errorf("SearchReplace needs the %s shape", BackendSets)
+		}
+		if cfg.UpdatePct != 0 {
+			return 0, fmt.Errorf("UpdatePct %d needs the %s shape (%s fixes its groups at 100%% updates and 100%% lookups)",
+				cfg.UpdatePct, BackendSets, BackendTwoTrees)
+		}
+		return 2, nil
+	default:
+		return 0, fmt.Errorf("unknown workload shape %q (have %s, %s)", cfg.Workload, BackendSets, BackendTwoTrees)
+	}
+}
+
 // Result reports one trial's measurements (all counters are deltas over
 // the measured window only).
 type Result struct {
 	Config   Config
 	Ops      uint64   // operations completed in the window
 	PerSock  []uint64 // operations by socket (len = Config.Prof.Sockets)
+	PerLock  []uint64 // operations by lock, update lock first (len 1 for sets, 2 for two trees)
 	Duration vtime.Duration
 
-	// Sync is the scheme's uniform counter snapshot: TLE elision
+	// Sync is the first lock's uniform counter snapshot: TLE elision
 	// counters (zero for non-eliding schemes), the adaptive-mode
 	// timeline (nil unless the scheme profiles), and any
 	// scheme-private extras.
 	Sync scheme.Stats
+	// LockSync holds every lock's counters in PerLock's order, the
+	// order BackendResult.Sync uses; Sync is LockSync[0].
+	LockSync []scheme.Stats
 
 	HTM   htm.Stats   // transaction counters
 	Cache cache.Stats // coherence counters
@@ -151,27 +201,42 @@ type Result struct {
 
 // Throughput returns operations per virtual second.
 func (r *Result) Throughput() float64 {
+	return r.rate(r.Ops)
+}
+
+// LockThroughput returns the operations per virtual second completed
+// under lock i (PerLock's order).
+func (r *Result) LockThroughput(i int) float64 {
+	return r.rate(r.PerLock[i])
+}
+
+func (r *Result) rate(ops uint64) float64 {
 	if r.Duration <= 0 {
 		return 0
 	}
-	return float64(r.Ops) / r.Duration.Seconds()
+	return float64(ops) / r.Duration.Seconds()
 }
 
-// newSystem builds the HTM runtime for a trial, wiring up the Fig 6
-// commit-delay injection hook, the telemetry recorder and the fault
-// injector when configured. The injector is nil without cfg.Fault.
-func newSystem(e *sim.Engine, cfg Config) (*htm.System, *fault.Fault) {
-	sys := htm.NewSystem(e, cfg.MemWords)
+// Run executes one trial and returns its measurements.
+func Run(cfg Config) *Result {
+	cfg.defaults()
+	nLocks, err := cfg.pairs()
+	if err != nil {
+		panic(fmt.Sprintf("workload: %v", err))
+	}
+	desc, err := scheme.LookupFor(backend.Sim, string(cfg.Lock))
+	if err != nil {
+		panic(fmt.Sprintf("workload: %v", err))
+	}
+	desc = desc.Configure(scheme.Options{TLE: cfg.TLE, NATLE: cfg.NATLE})
+	world := NewSimWorld(cfg.Prof, cfg.Pin, cfg.Threads, cfg.Seed, cfg.MemWords)
+	e, sys := world.Eng, world.Sys
 	if cfg.Recorder != nil {
 		// Installed before any locks exist so their RegisterLock calls
 		// land in this recorder.
 		sys.SetRecorder(cfg.Recorder)
 	}
-	var inj *fault.Fault
-	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		inj = fault.New(*cfg.Fault, cfg.Seed)
-		sys.SetInjector(inj)
-	}
+	fault.Arm(world, cfg.Fault)
 	if cfg.CommitDelay > 0 {
 		step := 200 * vtime.Nanosecond
 		steps := int(cfg.CommitDelay / step)
@@ -182,35 +247,63 @@ func newSystem(e *sim.Engine, cfg Config) (*htm.System, *fault.Fault) {
 			}
 		}
 	}
-	return sys, inj
-}
-
-// Run executes one trial and returns its measurements.
-func Run(cfg Config) *Result {
-	cfg.defaults()
-	desc, err := scheme.LookupFor(backend.Sim, string(cfg.Lock))
-	if err != nil {
-		panic(fmt.Sprintf("workload: %v", err))
+	res := &Result{
+		Config:   cfg,
+		PerSock:  make([]uint64, cfg.Prof.Sockets),
+		PerLock:  make([]uint64, nLocks),
+		LockSync: make([]scheme.Stats, nLocks),
 	}
-	desc = desc.Configure(scheme.Options{TLE: cfg.TLE, NATLE: cfg.NATLE})
-	e := sim.New(cfg.Prof, cfg.Pin, cfg.Threads, cfg.Seed)
-	sys, inj := newSystem(e, cfg)
-	res := &Result{Config: cfg, PerSock: make([]uint64, cfg.Prof.Sockets)}
 
 	e.Spawn(nil, func(c *sim.Ctx) {
-		set, err := sets.New(cfg.SetKind, sys, c)
-		if err != nil {
-			panic(err)
+		// Every set first, then every lock, then the prefills: one pair
+		// is the set shape's order, two are Figure 16's.
+		trees := make([]*sets.Set, nLocks)
+		for i := range trees {
+			set, err := sets.New(cfg.SetKind, sys, c)
+			if err != nil {
+				panic(err)
+			}
+			trees[i] = set
 		}
-		cs := desc.New(sys, c, 0)
-
-		sets.Prefill(set, c, cfg.KeyRange)
+		// Per-lock independence is the point of Figure 16: each set
+		// gets its own instance of the same scheme.
+		locks := make([]scheme.Instance, nLocks)
+		for i := range locks {
+			locks[i] = desc.New(sys, c, 0)
+		}
+		for _, set := range trees {
+			sets.Prefill(set, c, cfg.KeyRange)
+		}
 
 		// The window is fixed before any worker runs: none does until
 		// the driver first gives way, below.
 		var measureStart, deadline vtime.Time
-		start := e.SpawnTeam(c, cfg.Threads, func(_ int, w *sim.Ctx) {
-			runWorker(w, cfg, set, cs, res, measureStart, deadline)
+		start := e.SpawnTeam(c, cfg.Threads, func(i int, w *sim.Ctx) {
+			var op func()
+			lock := 0
+			if cfg.Workload == BackendTwoTrees {
+				lock = i % 2
+				op = cfg.twoTreesOp(w, lock, trees[lock], locks[lock])
+			} else {
+				op = cfg.setsOp(w, trees[0], locks[0])
+			}
+			for {
+				opStart := w.Now()
+				if opStart >= deadline {
+					break
+				}
+				op()
+				// Sim threads run one at a time, so they count into
+				// the result directly.
+				if opStart >= measureStart && w.Now() <= deadline {
+					res.Ops++
+					res.PerLock[lock]++
+					res.PerSock[w.Socket()]++
+				}
+				if cfg.ExternalWork > 0 {
+					w.Work(w.Intn(cfg.ExternalWork))
+				}
+			}
 		})
 		measureStart = start.Add(cfg.Warmup)
 		deadline = measureStart.Add(cfg.Duration)
@@ -223,44 +316,44 @@ func Run(cfg Config) *Result {
 		c.Checkpoint()
 		htmBefore := sys.Stats
 		cacheBefore := sys.Cache.Stats
-		syncBefore := cs.Stats()
+		syncBefore := make([]scheme.Stats, nLocks)
+		for i, cs := range locks {
+			syncBefore[i] = cs.Stats()
+		}
 
 		c.WaitOthers(2 * vtime.Microsecond)
 
 		res.Duration = cfg.Duration
 		res.HTM = sys.Stats.Sub(htmBefore)
 		res.Cache = sys.Cache.Stats.Sub(cacheBefore)
-		res.Sync = cs.Stats().Sub(syncBefore)
+		for i, cs := range locks {
+			res.LockSync[i] = cs.Stats().Sub(syncBefore[i])
+		}
+		res.Sync = res.LockSync[0]
 	})
 	e.Run()
 	if col, ok := cfg.Recorder.(*telemetry.Collector); ok {
 		sum := col.Summary()
 		res.Telemetry = &sum
 	}
-	if inj != nil {
-		res.Fault = inj.Stats
-	}
+	res.Fault = world.FaultStats()
 	return res
 }
 
-func runWorker(w *sim.Ctx, cfg Config, set *sets.Set, cs scheme.Instance,
-	res *Result, measureStart, deadline vtime.Time) {
-	var counted uint64
-	countedSock := make([]uint64, len(res.PerSock))
-	// The section bodies, built once per worker: each operates on the key
-	// of the operation in progress. A literal per operation would be a
-	// heap object per operation, escaping through the Critical interface
-	// call.
+// setsOp returns a worker's operation in the sets shape: a key drawn
+// from the whole range, then the configured mix on the one set.
+//
+// The section bodies are built once per worker: each operates on the
+// key of the operation in progress. A literal per operation would be a
+// heap object per operation, escaping through the Critical interface
+// call.
+func (cfg *Config) setsOp(w *sim.Ctx, set *sets.Set, cs scheme.Instance) func() {
 	var key int64
 	searchReplace := func() { set.SearchReplace(w, key) }
 	insert := func() { set.Insert(w, key) }
 	remove := func() { set.Delete(w, key) }
 	contains := func() { set.Contains(w, key) }
-	for {
-		opStart := w.Now()
-		if opStart >= deadline {
-			break
-		}
+	return func() {
 		key = int64(w.Rand64() % uint64(cfg.KeyRange))
 		switch {
 		case cfg.SearchReplace:
@@ -274,16 +367,33 @@ func runWorker(w *sim.Ctx, cfg Config, set *sets.Set, cs scheme.Instance,
 		default:
 			cs.Critical(w, contains)
 		}
-		if opStart >= measureStart && w.Now() <= deadline {
-			counted++
-			countedSock[w.Socket()]++
-		}
-		if cfg.ExternalWork > 0 {
-			w.Work(w.Intn(cfg.ExternalWork))
+	}
+}
+
+// twoTreesOp returns a worker's operation in the two-trees shape: an
+// insert or a delete on the update set (lock 0), or a lookup plus
+// SearchWork on the search set (lock 1). Bodies are built once per
+// worker, as in setsOp.
+func (cfg *Config) twoTreesOp(w *sim.Ctx, lock int, set *sets.Set, cs scheme.Instance) func() {
+	var key int64
+	if lock == 1 {
+		contains := func() { set.Contains(w, key) }
+		return func() {
+			key = int64(w.Rand64() % uint64(cfg.KeyRange))
+			cs.Critical(w, contains)
+			if cfg.SearchWork > 0 {
+				w.Work(w.Intn(cfg.SearchWork))
+			}
 		}
 	}
-	res.Ops += counted
-	for i, n := range countedSock {
-		res.PerSock[i] += n
+	insert := func() { set.Insert(w, key) }
+	remove := func() { set.Delete(w, key) }
+	return func() {
+		key = int64(w.Rand64() % uint64(cfg.KeyRange))
+		if w.Rand64()&1 == 0 {
+			cs.Critical(w, insert)
+		} else {
+			cs.Critical(w, remove)
+		}
 	}
 }

@@ -174,19 +174,18 @@ func TestPinningPoliciesChangeCliffOnset(t *testing.T) {
 
 func TestTwoTreesPerLockDecisions(t *testing.T) {
 	ncfg := testNATLE()
-	r := RunTwoTrees(TwoTreesConfig{
-		Base: Config{
-			Threads:  64,
-			Seed:     11,
-			Lock:     LockNATLE,
-			NATLE:    &ncfg,
-			Duration: 4 * vtime.Millisecond,
-			Warmup:   1300 * vtime.Microsecond,
-		},
+	r := Run(Config{
+		Threads:    64,
+		Seed:       11,
+		Workload:   BackendTwoTrees,
 		SearchWork: 256,
+		Lock:       LockNATLE,
+		NATLE:      &ncfg,
+		Duration:   4 * vtime.Millisecond,
+		Warmup:     1300 * vtime.Microsecond,
 	})
-	if r.UpdateOps == 0 || r.SearchOps == 0 {
-		t.Fatalf("missing group throughput: upd=%d sch=%d", r.UpdateOps, r.SearchOps)
+	if r.PerLock[0] == 0 || r.PerLock[1] == 0 {
+		t.Fatalf("missing group throughput: upd=%d sch=%d", r.PerLock[0], r.PerLock[1])
 	}
 	count := func(tl []natle.ModeSample) (throttled, total int) {
 		for _, m := range tl {
@@ -197,8 +196,8 @@ func TestTwoTreesPerLockDecisions(t *testing.T) {
 		}
 		return
 	}
-	ut, utot := count(r.UpdateSync.Timeline)
-	st, stot := count(r.SearchSync.Timeline)
+	ut, utot := count(r.LockSync[0].Timeline)
+	st, stot := count(r.LockSync[1].Timeline)
 	if utot == 0 || stot == 0 {
 		t.Fatal("missing NATLE timelines")
 	}
@@ -210,36 +209,76 @@ func TestTwoTreesPerLockDecisions(t *testing.T) {
 	}
 }
 
-// TestTwoTreesInstallsRecorderAndFaults: RunTwoTrees honours its
-// Base's Recorder and Fault as Run does, rather than silently running
-// without them.
-func TestTwoTreesInstallsRecorderAndFaults(t *testing.T) {
-	run := func(rec telemetry.Recorder, prof *fault.Profile) *TwoTreesResult {
-		return RunTwoTrees(TwoTreesConfig{
-			Base: Config{
-				Threads:  4,
-				Seed:     5,
-				Lock:     LockTLE,
-				Duration: 100 * vtime.Microsecond,
-				Warmup:   50 * vtime.Microsecond,
-				Recorder: rec,
-				Fault:    prof,
-			},
-			SearchWork: 256,
+// TestRunInstallsRecorderAndFaults: both of Run's shapes honour
+// Config's Recorder and Fault, rather than silently running without
+// them.
+func TestRunInstallsRecorderAndFaults(t *testing.T) {
+	for _, shape := range []struct {
+		workload   string
+		searchWork int
+	}{
+		{BackendSets, 0},
+		{BackendTwoTrees, 256},
+	} {
+		t.Run(shape.workload, func(t *testing.T) {
+			run := func(rec telemetry.Recorder, prof *fault.Profile) *Result {
+				return Run(Config{
+					Threads:    4,
+					Seed:       5,
+					Workload:   shape.workload,
+					SearchWork: shape.searchWork,
+					Lock:       LockTLE,
+					Duration:   100 * vtime.Microsecond,
+					Warmup:     50 * vtime.Microsecond,
+					Recorder:   rec,
+					Fault:      prof,
+				})
+			}
+			col := telemetry.NewCollector(telemetry.Config{})
+			if r := run(col, nil); r.Telemetry == nil || col.Commits() == 0 {
+				t.Error("the collector recorded no commit events")
+			}
+			aborts := func(r *Result) uint64 {
+				var n uint64
+				for _, s := range r.LockSync {
+					n += s.TLE.TotalAborts()
+				}
+				return n
+			}
+			clean := aborts(run(nil, nil))
+			faulty := run(nil, &fault.Profile{SpuriousAbortRate: 0.05})
+			if faulty.Fault.SpuriousAborts == 0 {
+				t.Error("the result counts no injected faults")
+			}
+			if aborts(faulty) <= clean {
+				t.Errorf("5%% spurious aborts gave %d TLE aborts, no more than %d without faults", aborts(faulty), clean)
+			}
 		})
 	}
-	col := telemetry.NewCollector(telemetry.Config{})
-	run(col, nil)
-	if col.Commits() == 0 {
-		t.Error("the collector recorded no commit events")
-	}
-	aborts := func(r *TwoTreesResult) uint64 {
-		return r.UpdateSync.TLE.TotalAborts() + r.SearchSync.TLE.TotalAborts()
-	}
-	clean := aborts(run(nil, nil))
-	faulty := aborts(run(nil, &fault.Profile{SpuriousAbortRate: 0.05}))
-	if faulty <= clean {
-		t.Errorf("5%% spurious aborts gave %d TLE aborts, no more than %d without faults", faulty, clean)
+}
+
+// TestRunRejectsFieldsItsShapeIgnores: a field the selected shape has
+// no use for panics, as an unknown lock does, instead of being
+// silently ignored.
+func TestRunRejectsFieldsItsShapeIgnores(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown lock", Config{Lock: "bogus"}},
+		{"unknown shape", Config{Workload: BackendCounter}},
+		{"SearchWork on sets", Config{SearchWork: 256}},
+		{"SearchReplace on two trees", Config{Workload: BackendTwoTrees, SearchReplace: true}},
+		{"UpdatePct on two trees", Config{Workload: BackendTwoTrees, UpdatePct: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Run(%+v) did not panic", tc.cfg)
+				}
+			}()
+			Run(tc.cfg)
+		})
 	}
 }
 
