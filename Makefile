@@ -57,10 +57,11 @@ native-check:
 # The full gate: everything must build, lint clean (gofmt + vet), pass
 # under the race detector (the invariant tests and the mutation table
 # that proves them among them), survive ten seconds of fuzzing the structure
-# cores with attempts that die at every access and ten of fuzzing sets
-# trials on worlds of exactly MemWords words (go test runs only the
-# seed corpora), and run one iteration of the htm, arena, sets and
-# telemetry per-layer benchmarks (they must build and finish; nothing is
+# cores with attempts that die at every access, ten of fuzzing sets
+# trials on worlds of exactly MemWords words and ten of fuzzing the
+# service's arrival stream against its schedule contract (go test runs
+# only the seed corpora), and run one iteration of the htm, arena, sets
+# and telemetry per-layer benchmarks (they must build and finish; nothing is
 # asserted about their timing; native-check does the same for native
 # and workload). The end-to-end benchmark in bench/ is its own module
 # over the internal packages: it is built, vetted and tested, so a
@@ -78,6 +79,7 @@ check:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -run '^$$' -fuzz FuzzDeadAttempt -fuzztime 10s ./internal/sets
 	$(GO) test -run '^$$' -fuzz FuzzMemWords -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/htm ./internal/arena ./internal/sets ./internal/telemetry
 	$(MAKE) native-check
 

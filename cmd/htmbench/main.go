@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -73,8 +74,8 @@ func main() {
 		prof      = flag.String("machine", "large", "machine profile: large | small")
 		pin       = flag.String("pin", "fill", "pinning: fill | alt | none | socket0")
 		setKind   = flag.String("set", "avl", setHelp())
-		keys      = flag.Int64("keys", 2048, "key range [0, keys)")
-		updates   = flag.Int("updates", 100, "update percentage")
+		keys      = flag.Int64("keys", 2048, "key range [0, keys) (-service: default 4096)")
+		updates   = flag.Int("updates", 100, "update percentage (-service: 0 is read-only; default 50 there)")
 		extWork   = flag.Int("work", 0, "external work max iterations")
 		lockKind  = flag.String("lock", lockDefault, lockHelp)
 		attempts  = flag.Int("attempts", 20, "TLE transactional attempts")
@@ -95,6 +96,7 @@ func main() {
 		jobs      = flag.Int("j", 0, "host worker pool size for the sweep / chaos matrix (<= 0: GOMAXPROCS)")
 		progress  = flag.Bool("progress", false, "report per-trial completion on stderr")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run (runtime/pprof) to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile at exit, after a GC (runtime/pprof), to this file")
 
 		svc     = flag.Bool("service", false, "run the open-loop KV service workload instead of the closed-loop set sweep")
 		arrival = flag.String("arrival", "poisson", "service arrival process: "+strings.Join(service.ArrivalNames(), " | "))
@@ -121,8 +123,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-backend must precede any -- terminator")
 		exit(2)
 	}
-	if *cpuProf != "" {
-		stop, err := startCPUProfile(*cpuProf)
+	if *cpuProf != "" || *memProf != "" {
+		stop, err := startProfiles(*cpuProf, *memProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
@@ -193,6 +195,27 @@ func main() {
 			sloJSON:     *sloJSON,
 			jobs:        *jobs,
 		}
+		// The key range and update share pass through only when set
+		// explicitly, so the service keeps its own defaults.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "keys":
+				if *keys <= 0 {
+					fmt.Fprintln(os.Stderr, "-keys must be positive")
+					exit(2)
+				}
+				a.keys = uint64(*keys)
+			case "updates":
+				if *updates < 0 || *updates > 100 {
+					fmt.Fprintln(os.Stderr, "-updates must be in 0..100")
+					exit(2)
+				}
+				a.updates = *updates
+				if a.updates == 0 {
+					a.updates = -1 // the service's read-only share
+				}
+			}
+		})
 		if bk == backend.Native {
 			// The KV service on real goroutines: the same pipeline, on a
 			// fresh world per trial. Trials run one at a time —
@@ -404,8 +427,8 @@ func main() {
 	}
 }
 
-// stopProfile ends the -cpuprofile profile; it does nothing when no
-// profile is running.
+// stopProfile ends the -cpuprofile profile and writes the -memprofile
+// one; it does nothing when neither flag is given.
 var stopProfile = func() {}
 
 // exit ends the profile, which os.Exit would leave unfinished (it runs
@@ -415,22 +438,44 @@ func exit(code int) {
 	os.Exit(code)
 }
 
-// startCPUProfile starts a CPU profile into the file at path and returns
-// the function that stops it and closes the file, reporting a failure
-// on stderr.
-func startCPUProfile(path string) (stop func(), err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
+// startProfiles creates the profile files named by cpu and mem (either
+// may be empty) and starts the CPU profile. The returned function stops
+// the CPU profile, writes the heap profile after a garbage collection,
+// and closes both files, reporting a failure on stderr.
+func startProfiles(cpu, mem string) (stop func(), err error) {
+	var cf, mf *os.File
+	if cpu != "" {
+		if cf, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cf); err != nil {
+			cf.Close()
+			return nil, err
+		}
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
+	if mem != "" {
+		if mf, err = os.Create(mem); err != nil {
+			if cf != nil {
+				pprof.StopCPUProfile()
+				cf.Close()
+			}
+			return nil, err
+		}
+	}
+	report := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
 	}
 	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if cf != nil {
+			pprof.StopCPUProfile()
+			report(cf.Close())
+		}
+		if mf != nil {
+			runtime.GC()
+			report(pprof.WriteHeapProfile(mf))
+			report(mf.Close())
 		}
 	}, nil
 }

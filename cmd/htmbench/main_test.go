@@ -30,25 +30,29 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestCPUProfile: -cpuprofile writes a non-empty CPU profile that
-// pprof parses, on a run that ends normally and on one that exits 2
-// after the flags are parsed.
+// TestCPUProfile: -cpuprofile writes a non-empty CPU profile, and
+// -memprofile a heap profile, that pprof parses, on a run that ends
+// normally and on one that exits 2 after the flags are parsed.
 func TestCPUProfile(t *testing.T) {
 	goCmd, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command to run pprof with")
 	}
+	service := []string{"-service", "-backend=native", "-rates", "1e5", "-shards", "1", "-servers", "1", "-ms", "5"}
+	rejected := []string{"-service", "-backend=native", "-slo", "5"}
 	for _, tc := range []struct {
-		name string
-		args []string
-		code int
+		name, flag string
+		args       []string
+		code       int
 	}{
-		{"service", []string{"-service", "-backend=native", "-rates", "1e5", "-shards", "1", "-servers", "1", "-ms", "5"}, 0},
-		{"rejected", []string{"-service", "-backend=native", "-slo", "5"}, 2},
+		{"service", "-cpuprofile", service, 0},
+		{"rejected", "-cpuprofile", rejected, 2},
+		{"service-heap", "-memprofile", service, 0},
+		{"rejected-heap", "-memprofile", rejected, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out := filepath.Join(t.TempDir(), "cpu.out")
-			cmd := exec.Command(os.Args[0], append(tc.args, "-cpuprofile", out)...)
+			out := filepath.Join(t.TempDir(), "prof.out")
+			cmd := exec.Command(os.Args[0], append(tc.args, tc.flag, out)...)
 			cmd.Env = append(os.Environ(), runMainEnv+"=1")
 			b, err := cmd.CombinedOutput()
 			if code := cmd.ProcessState.ExitCode(); code != tc.code {
@@ -284,5 +288,32 @@ func TestCommittedServiceBenchShape(t *testing.T) {
 	}
 	if !bytes.HasSuffix(buf, []byte("\n")) {
 		t.Error("BENCH_service.json missing trailing newline")
+	}
+}
+
+// TestServiceTakesKeysAndUpdates: -keys and -updates reach the service
+// config when given, so each changes the simulated -service output;
+// -updates 0 is a read-only service. Without them the service keeps its
+// own defaults (4096 keys, 50% updates), which an explicit -updates 50
+// reproduces byte for byte.
+func TestServiceTakesKeysAndUpdates(t *testing.T) {
+	run := func(extra ...string) string {
+		args := append([]string{"-service", "-rates", "2e6", "-ms", "0.2"}, extra...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		b, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("htmbench %v: %v\n%s", args, err, b)
+		}
+		return string(b)
+	}
+	base := run()
+	for _, args := range [][]string{{"-updates", "0"}, {"-keys", "64"}} {
+		if run(args...) == base {
+			t.Errorf("htmbench -service %v prints what the defaults print:\n%s", args, base)
+		}
+	}
+	if got := run("-updates", "50"); got != base {
+		t.Errorf("-updates 50 differs from the service default:\n%s\nwant\n%s", got, base)
 	}
 }

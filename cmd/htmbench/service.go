@@ -46,6 +46,8 @@ type serviceArgs struct {
 	servers     int
 	batch       int
 	qcap        int
+	keys        uint64 // key range (0: the service default)
+	updates     int    // update share (0: the service default; negative: read-only)
 	window      vtime.Duration
 	seed        int64
 	fault       *fault.Profile
@@ -81,6 +83,8 @@ func (a serviceArgs) base() service.Config {
 		Servers:     a.servers,
 		Batch:       a.batch,
 		QueueCap:    a.qcap,
+		KeyRange:    a.keys,
+		UpdatePct:   a.updates,
 		Fault:       a.fault,
 		Deadline:    a.deadline,
 		RetryBudget: a.retryBudget,

@@ -87,7 +87,8 @@ func BenchmarkPipeline(b *testing.B) {
 // queues grown to their depth, the result — does not grow with the
 // number of requests. Two trials that differ only in length differ by
 // well under one heap object per hundred extra requests, on either
-// host. The schedule is built outside the count.
+// host. The arrival stream is pulled inside the count, and the native
+// world is built outside it.
 func TestServerLoopAllocatesNothingPerRequest(t *testing.T) {
 	const short, long = vtime.Millisecond, 4 * vtime.Millisecond
 	mallocs := func(kind backend.Kind, cfg Config) (requests int, n uint64) {

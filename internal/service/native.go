@@ -64,7 +64,7 @@ func nativeHost(world backend.World) func(*pipeline) {
 		var zero int64 // backend clock at the end of setup
 		world.Run(threads, func(c backend.Ctx) {
 			// One arena lane per thread plus the setup context's.
-			ar := arena.New(c, threads+1, laneWords(cfg.Shards, p.sched))
+			ar := arena.New(c, threads+1, laneWords(*cfg))
 			for i := range seats {
 				w := &seats[i]
 				w.m = simmap.NewBackendMap(c, ar, cfg.LogBuckets)
@@ -131,27 +131,22 @@ func (w nativeWorker) wait(idle func() bool) {
 func (cfg Config) NativeMemWords() int {
 	cfg.defaults()
 	threads := cfg.Shards * cfg.Servers
-	return (threads+1)*(laneWords(cfg.Shards, cfg.Schedule())+mem.WordsPerLine) +
+	return (threads+1)*(laneWords(cfg)+mem.WordsPerLine) +
 		cfg.Shards*(1<<cfg.LogBuckets) +
 		1<<16 // locks, slack
 }
 
 // laneWords is the arena lane of a native service world, the one size
 // both NativeMemWords and nativeHost use: room for the most puts the
-// schedule routes to any one shard, since any server of that shard may
-// be the one that applies all of them. The schedule bounds what a lane
-// hands out because only a put of an absent key allocates (a get or a
-// delete never does, and each request is applied once), and an
-// allocation an attempt does not commit is not kept: a dead attempt
-// drops its cursor store, and an upgraded writer never dies.
-func laneWords(shards int, sched []Request) int {
-	puts := make([]int, shards)
-	for _, q := range sched {
-		if q.Op == OpPut {
-			puts[q.Shard]++
-		}
-	}
-	return max(slices.Max(puts), 1) * simmap.NodeWords() // arena.New wants a word
+// schedule routes to any one shard (counted in one pass over the
+// arrival stream), since any server of that shard may be the one that
+// applies all of them. The schedule bounds what a lane hands out
+// because only a put of an absent key allocates (a get or a delete
+// never does, and each request is applied once), and an allocation an
+// attempt does not commit is not kept: a dead attempt drops its cursor
+// store, and an upgraded writer never dies.
+func laneWords(cfg Config) int {
+	return max(slices.Max(cfg.putsPerShard()), 1) * simmap.NodeWords() // arena.New wants a word
 }
 
 // storeChecksum hashes final KV contents: FNV-1a over the (key, value)

@@ -162,6 +162,37 @@ func TestMemWordsHoldsEveryServicePut(t *testing.T) {
 	}
 }
 
+// TestNativePipelineHoldsNoMemoryPerRequest: a native trial pulls its
+// arrivals from the stream, so what RunNative allocates does not grow
+// with the schedule. Two trials at one rate, 2 k and 16 k requests, on
+// one shard with one server, on worlds built outside the count, differ
+// by under one byte of heap per extra request. A schedule built before
+// the run costs 56 bytes per request. The key range is small enough
+// that both trials end with every key stored, since the store
+// checksum's walk holds a pair per stored key.
+func TestNativePipelineHoldsNoMemoryPerRequest(t *testing.T) {
+	alloc := func(requests int) (int, uint64) {
+		const rate = 4e5
+		cfg := service.Config{
+			Seed: 1, Scheme: "native-tle", Shards: 1, Servers: 1, Rate: rate, KeyRange: 256,
+			Window: vtime.Duration(float64(requests) / rate * float64(vtime.Second)),
+		}
+		w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := service.RunNative(w, cfg)
+		runtime.ReadMemStats(&after)
+		return res.Requests, after.TotalAlloc - before.TotalAlloc
+	}
+	rs, few := alloc(2000)
+	rl, many := alloc(16000)
+	perReq := (float64(many) - float64(few)) / float64(rl-rs)
+	if perReq >= 1 {
+		t.Errorf("%d B for %d requests, %d B for %d: %.2f B per extra request", few, rs, many, rl, perReq)
+	}
+	t.Logf("%.3f B per extra request", perReq)
+}
+
 // runCounter is a native world that records the thread count of every
 // Run.
 type runCounter struct {

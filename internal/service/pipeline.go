@@ -119,7 +119,6 @@ type pipeline struct {
 	cfg    Config // defaults resolved, Batch clamped
 	desc   *scheme.Descriptor
 	boCfg  BrownoutConfig
-	sched  []Request
 	shards []*shardState
 	res    *Result
 	asleep atomic.Int32 // servers parked and not yet signalled, over every shard
@@ -127,8 +126,7 @@ type pipeline struct {
 	e2e, queueLat, svcLat telemetry.Histogram
 }
 
-// newPipeline resolves cfg against backend kind's scheme registry and
-// generates the schedule.
+// newPipeline resolves cfg against backend kind's scheme registry.
 func newPipeline(kind backend.Kind, cfg Config) *pipeline {
 	cfg.defaults()
 	desc, err := scheme.LookupFor(kind, cfg.Scheme)
@@ -145,11 +143,7 @@ func newPipeline(kind backend.Kind, cfg Config) *pipeline {
 	}
 	p.boCfg = p.boCfg.withDefaults()
 	p.cfg = cfg
-	p.sched = cfg.Schedule()
-	p.res = &Result{Config: cfg, Requests: len(p.sched), BatchClamped: clamped}
-	if len(p.sched) > 0 {
-		p.res.LastArrival = p.sched[len(p.sched)-1].At
-	}
+	p.res = &Result{Config: cfg, BatchClamped: clamped}
 	return p
 }
 
@@ -171,16 +165,19 @@ func (p *pipeline) addShard(socket int, mu sync.Locker, syncStats func() scheme.
 	return s
 }
 
-// frontend models the network frontend: it replays the schedule on the
-// host clock, routing each request to its shard's bounded queue. The
-// schedule is replayed relative to the post-construction clock:
-// building the shards took host time, and replaying absolute times
-// would dump every "overdue" arrival as one artificial burst at t=0.
+// frontend models the network frontend: it pulls the schedule from the
+// arrival stream and replays it on the host clock, routing each request
+// to its shard's bounded queue. The schedule is replayed relative to
+// the post-construction clock: building the shards took host time, and
+// replaying absolute times would dump every "overdue" arrival as one
+// artificial burst at t=0.
 type frontend struct {
-	sched []Request
-	base  vtime.Time // the host clock the schedule's offsets count from
-	next  int        // the next arrival to admit
-	done  bool       // the whole schedule is admitted and every shard closed
+	arr  arrivals
+	next Request    // the next arrival to admit, pulled from arr
+	more bool       // next holds an arrival; false once arr is exhausted
+	base vtime.Time // the host clock the schedule's offsets count from
+	done bool       // the whole schedule is admitted and every shard closed
+	res  *Result    // counts Requests and LastArrival as they are pulled
 
 	asleep *atomic.Int32 // parked servers, see pipeline.asleep
 	others int32         // servers on threads other than the frontend's
@@ -190,11 +187,21 @@ type frontend struct {
 // do not run on the frontend's thread.
 func (p *pipeline) newFrontend(now vtime.Time, others int) *frontend {
 	p.res.Start = now
-	return &frontend{sched: p.sched, base: now, asleep: &p.asleep, others: int32(others)}
+	f := &frontend{arr: p.cfg.arrivals(), base: now, res: p.res, asleep: &p.asleep, others: int32(others)}
+	f.pull()
+	return f
+}
+
+// pull takes the next arrival off the stream.
+func (f *frontend) pull() {
+	if f.more = f.arr.next(&f.next); f.more {
+		f.res.Requests++
+		f.res.LastArrival = f.next.At
+	}
 }
 
 // due returns the due time of the next arrival.
-func (f *frontend) due() vtime.Time { return f.base.Add(vtime.Duration(f.sched[f.next].At)) }
+func (f *frontend) due() vtime.Time { return f.base.Add(vtime.Duration(f.next.At)) }
 
 // sleep sleeps w until the next arrival is due. It yields first unless
 // every other server is parked: one that is not could be waiting for
@@ -237,17 +244,16 @@ func (s *shardState) park() {
 // the shard whose lock the caller holds already, or nil. Once the whole
 // schedule is admitted it closes every shard, and f is done.
 func (p *pipeline) admitDue(f *frontend, now vtime.Time, held *shardState) {
-	for ; f.next < len(f.sched); f.next++ {
-		q := f.sched[f.next]
-		due := f.base.Add(vtime.Duration(q.At))
+	for ; f.more; f.pull() {
+		due := f.due()
 		if due > now {
 			return
 		}
-		s := p.shards[q.Shard]
+		s := p.shards[f.next.Shard]
 		if s != held {
 			s.mu.Lock()
 		}
-		s.admit(q, due)
+		s.admit(f.next, due)
 		if s != held {
 			s.mu.Unlock()
 		}

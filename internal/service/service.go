@@ -13,12 +13,13 @@
 //
 // The pipeline is arrivals -> admission -> shards -> telemetry:
 //
-//   - a frontend replays the pre-generated schedule, routing each
-//     request to its shard's bounded admission queue; a full queue
-//     sheds the request (counted, never silently dropped). On the
-//     simulator it is a dispatcher thread of its own; natively it is
-//     server 0 of shard 0, admitting between batches and sleeping in
-//     the kernel until the next arrival when its queue is empty;
+//   - a frontend pulls the schedule from the arrival stream one
+//     request at a time, routing each to its shard's bounded admission
+//     queue; a full queue sheds the request (counted, never silently
+//     dropped). On the simulator it is a dispatcher thread of its own;
+//     natively it is server 0 of shard 0, admitting between batches
+//     and sleeping in the kernel until the next arrival when its queue
+//     is empty;
 //   - Servers server threads per shard drain its queue in batches of
 //     up to Batch requests, executing each batch as one critical
 //     section under the shard's scheme instance (so the shard lock is
@@ -96,7 +97,7 @@ type Config struct {
 	WorkPerReq int
 
 	KeyRange  uint64 // keys drawn uniformly from [0, KeyRange) (default 4096)
-	UpdatePct int    // 0..100; updates split evenly between puts and deletes (default 50)
+	UpdatePct int    // 1..100, or negative for read-only; updates split evenly between puts and deletes (default 50)
 
 	// Deadline, when positive, attaches a completion budget to every
 	// scheduled request, drawn uniformly in [Deadline/2, 3·Deadline/2)
@@ -190,9 +191,6 @@ func (cfg *Config) defaults() {
 	if cfg.KeyRange == 0 {
 		cfg.KeyRange = 4096
 	}
-	if cfg.UpdatePct < 0 {
-		cfg.UpdatePct = 0
-	}
 	if cfg.UpdatePct == 0 {
 		cfg.UpdatePct = 50
 	}
@@ -229,7 +227,7 @@ type ShardStats struct {
 // losses (DeadlineShed is zero unless Config.Deadline is set).
 type Result struct {
 	Config   Config
-	Requests int // schedule length (== Arrivals)
+	Requests int // schedule length, counted as the frontend pulls it (== Arrivals)
 
 	Arrivals  uint64
 	Admitted  uint64

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -324,14 +325,15 @@ func TestDispatchStampsDueTime(t *testing.T) {
 	}{{"dispatch", false}, {"frontend", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPipeline(backend.Sim, cfg)
-			if len(p.sched) == 0 {
+			sched := cfg.Schedule()
+			if len(sched) == 0 {
 				t.Fatal("empty schedule")
 			}
 			// The clock each request is admitted on, and the wait the
 			// test expects of the whole schedule.
-			admitted := make([]vtime.Time, len(p.sched))
+			admitted := make([]vtime.Time, len(sched))
 			clock := setup
-			for i, q := range p.sched {
+			for i, q := range sched {
 				if due := setup.Add(vtime.Duration(q.At)); due > clock {
 					clock = due.Add(late)
 				}
@@ -339,7 +341,7 @@ func TestDispatchStampsDueTime(t *testing.T) {
 			}
 			final := clock
 			var want vtime.Duration
-			for i, q := range p.sched {
+			for i, q := range sched {
 				served := final
 				if tc.serves && q.Shard == 0 {
 					served = admitted[i]
@@ -351,7 +353,7 @@ func TestDispatchStampsDueTime(t *testing.T) {
 			executed := 0
 			w := lateWorker{clock: &clock, late: late, check: func(q Request) {
 				executed++
-				if due := setup.Add(vtime.Duration(p.sched[q.ID].At)); q.At != due {
+				if due := setup.Add(vtime.Duration(sched[q.ID].At)); q.At != due {
 					t.Fatalf("request %d executed with At %v, want its due time %v (clock %v)", q.ID, q.At, due, clock)
 				}
 			}}
@@ -366,7 +368,7 @@ func TestDispatchStampsDueTime(t *testing.T) {
 				}
 				p.dispatch(w)
 				next := make([]int, len(p.shards))
-				for _, q := range p.sched {
+				for _, q := range sched {
 					due := setup.Add(vtime.Duration(q.At))
 					r := &p.shards[q.Shard].queue
 					got := r.buf[(r.head+next[q.Shard])%len(r.buf)]
@@ -382,8 +384,8 @@ func TestDispatchStampsDueTime(t *testing.T) {
 			if clock != final {
 				t.Fatalf("clock ended at %v, want %v", clock, final)
 			}
-			if executed != len(p.sched) || res.Completed != uint64(len(p.sched)) {
-				t.Fatalf("executed %d and completed %d of %d scheduled requests", executed, res.Completed, len(p.sched))
+			if executed != len(sched) || res.Completed != uint64(len(sched)) {
+				t.Fatalf("executed %d and completed %d of %d scheduled requests", executed, res.Completed, len(sched))
 			}
 			if res.Queue.SumPs != uint64(want) || res.E2E.SumPs != uint64(want) {
 				t.Fatalf("queue wait sums to %d ps and e2e to %d ps, want %d", res.Queue.SumPs, res.E2E.SumPs, want)
@@ -419,4 +421,98 @@ func TestEnumNames(t *testing.T) {
 			seen[name] = i
 		}
 	}
+}
+
+// TestReadOnlySchedule: a negative UpdatePct is a read-only service,
+// every request a get, while 0 keeps the default mix of 50% updates.
+func TestReadOnlySchedule(t *testing.T) {
+	cfg := quick()
+	cfg.Rate = 8e6
+	cfg.UpdatePct = -1
+	sched := cfg.Schedule()
+	if len(sched) == 0 {
+		t.Fatal("empty schedule")
+	}
+	for _, q := range sched {
+		if q.Op != OpGet {
+			t.Fatalf("request %d is a %v in a read-only schedule", q.ID, q.Op)
+		}
+	}
+	cfg.UpdatePct = 0
+	updates := 0
+	for _, q := range cfg.Schedule() {
+		if q.Op != OpGet {
+			updates++
+		}
+	}
+	if updates == 0 {
+		t.Fatal("UpdatePct 0 produced no updates; it selects the default 50")
+	}
+}
+
+// FuzzSchedule holds the arrival stream to its contract over seed,
+// rate, window, shards, arrival kind, update share and deadline: the
+// pulled stream is Schedule element for element, arrivals are ordered
+// and inside the window, IDs are dense from 0, every request routes to
+// the shard its key hashes to, every deadline is in [D/2, 3D/2) (0 when
+// deadlines are off), a negative update share yields only gets, and
+// the counting pass's puts per shard match a count over the slice.
+func FuzzSchedule(f *testing.F) {
+	for kind := range uint8(3) {
+		for _, deadlineNs := range []uint16{0, 700} {
+			f.Add(int64(kind)+1, uint32(4_000_000), uint16(300), uint8(8), kind, int8(0), deadlineNs)
+		}
+	}
+	f.Add(int64(-5), uint32(20_000_000), uint16(100), uint8(1), uint8(1), int8(-1), uint16(1))
+	f.Add(int64(0), uint32(50_000), uint16(900), uint8(3), uint8(2), int8(100), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, rate uint32, windowUs uint16, shards, kind uint8, updates int8, deadlineNs uint16) {
+		cfg := Config{
+			Seed:      seed,
+			Arrival:   arrivalTable[int(kind)%len(arrivalTable)].Kind,
+			Rate:      float64(rate%40_000_000 + 1),
+			Window:    vtime.Duration(windowUs%1000+1) * vtime.Microsecond,
+			Shards:    int(shards%16) + 1,
+			UpdatePct: int(updates),
+			Deadline:  vtime.Duration(deadlineNs) * vtime.Nanosecond,
+		}
+		sched := cfg.Schedule()
+		d := cfg
+		d.defaults()
+		a := d.arrivals()
+		var pulled []Request
+		var q Request
+		for a.next(&q) {
+			pulled = append(pulled, q)
+		}
+		if a.next(&q) {
+			t.Fatalf("the stream yields %+v after it ended", q)
+		}
+		if !slices.Equal(pulled, sched) {
+			t.Fatalf("pulled %d requests, Schedule has %d, and they differ", len(pulled), len(sched))
+		}
+		puts := make([]int, d.Shards)
+		for i, q := range sched {
+			if q.ID != i {
+				t.Fatalf("request %d has ID %d", i, q.ID)
+			}
+			if q.At >= vtime.Time(d.Window) || i > 0 && q.At < sched[i-1].At {
+				t.Fatalf("request %d arrives at %v (previous %v, window %v)", i, q.At, sched[max(i-1, 0)].At, d.Window)
+			}
+			if want := int(hash64(q.Key) % uint64(d.Shards)); q.Shard != want {
+				t.Fatalf("request %d: shard %d, want %d", i, q.Shard, want)
+			}
+			if dl := d.Deadline; dl > 0 && (q.Deadline < dl/2 || q.Deadline >= dl/2+dl) || dl == 0 && q.Deadline != 0 {
+				t.Fatalf("request %d: deadline %v with Deadline %v", i, q.Deadline, dl)
+			}
+			if d.UpdatePct < 0 && q.Op != OpGet {
+				t.Fatalf("request %d is a %v with UpdatePct %d", i, q.Op, d.UpdatePct)
+			}
+			if q.Op == OpPut {
+				puts[q.Shard]++
+			}
+		}
+		if got := cfg.putsPerShard(); !slices.Equal(got, puts) {
+			t.Fatalf("counting pass: puts per shard %v, the schedule has %v", got, puts)
+		}
+	})
 }
